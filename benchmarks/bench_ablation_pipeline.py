@@ -16,6 +16,7 @@ from repro.cpu.pipeline import PipelineConfig
 from repro.eval.machines import M_ZOLC_LITE, XR_DEFAULT
 from repro.eval.metrics import improvement_percent
 from repro.eval.runner import run_kernel
+from repro.experiments.config import RunConfig
 
 SUBSET = ("vec_sum", "matmul", "crc32", "me_tss")
 PENALTIES = (0, 1, 2, 3)
@@ -31,8 +32,9 @@ def test_branch_penalty_sweep(benchmark, reg):
             improvements = []
             for name in SUBSET:
                 kernel = reg.get(name)
-                base = run_kernel(kernel, XR_DEFAULT, pipeline=pipeline)
-                zolc = run_kernel(kernel, M_ZOLC_LITE, pipeline=pipeline)
+                config = RunConfig(pipeline=pipeline)
+                base = run_kernel(kernel, XR_DEFAULT, config)
+                zolc = run_kernel(kernel, M_ZOLC_LITE, config)
                 improvements.append(
                     improvement_percent(zolc.cycles, base.cycles))
             table[penalty] = sum(improvements) / len(improvements)

@@ -16,6 +16,7 @@ from repro.cpu.pipeline import PipelineConfig
 from repro.eval.machines import M_ZOLC_LITE, XR_DEFAULT
 from repro.eval.metrics import improvement_percent
 from repro.eval.runner import run_kernel
+from repro.experiments.config import RunConfig
 
 SUBSET = ("vec_sum", "dot_product", "crc32", "matmul")
 SWITCH_COSTS = (0, 1, 2, 5)
@@ -30,8 +31,9 @@ def test_switch_cost_sweep(benchmark, reg):
             per_kernel = {}
             for name in SUBSET:
                 kernel = reg.get(name)
-                base = run_kernel(kernel, XR_DEFAULT, pipeline=pipeline)
-                zolc = run_kernel(kernel, M_ZOLC_LITE, pipeline=pipeline)
+                config = RunConfig(pipeline=pipeline)
+                base = run_kernel(kernel, XR_DEFAULT, config)
+                zolc = run_kernel(kernel, M_ZOLC_LITE, config)
                 per_kernel[name] = improvement_percent(zolc.cycles,
                                                        base.cycles)
             table[cost] = per_kernel

@@ -24,19 +24,7 @@ transform front end:
   the region tier it chains over, and the trace-JIT tier must stay
   >= 1.25x the no-JIT loop-resident tier on the branchy kernels
   (best-of-3 per column; the other kernels have no trace candidates,
-  so a suite-wide ratio would measure mostly noise);
-* ``test_batch_backend_throughput`` — **cells/second** of the batch
-  execution backend (prepare once per group, advance N simulators in
-  lockstep through the batch engine tier) against the serial backend
-  on identical cell lists at N = 1 / 16 / 64 cells per (kernel,
-  machine) group.  A representative ZOLC-kernel subset keeps the
-  N = 64 column affordable in smoke mode; the same subset is used at
-  every N and in full runs, so the recorded ratios are comparable.
-  The gates: at N >= 16 the batch backend must deliver measurably
-  more cells/sec than serial, and at N = 1 it must track serial
-  (>= 0.95x) — groups below ``BatchBackend.min_group`` route through
-  the scalar per-cell path instead of paying lockstep bookkeeping
-  they cannot amortise.
+  so a suite-wide ratio would measure mostly noise).
 
 Where the numbers land depends on the invocation (see
 ``benchmarks/conftest.py``): smoke runs write
@@ -294,8 +282,7 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
     # The trace-JIT gate, measured on the branchy subset where the JIT
     # acts (identical work and hardware in both columns, so the ratio
     # is box-independent).  Best-of-3 on each column keeps one
-    # scheduler hiccup from failing the gate — same treatment as the
-    # N=1 batch-backend floor.
+    # scheduler hiccup from failing the gate.
     branchy = [p for name, p in
                zip([n for n in ZOLC_BENCH_KERNELS
                     for _ in ZOLC_MACHINES], prepared_zolc_suite)
@@ -369,125 +356,3 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
     assert jit_vs_nojit > 1.25, (
         f"trace-JIT tier is only {jit_vs_nojit:.2f}x the no-JIT "
         f"loop-resident tier on the branchy kernels")
-
-
-# A representative slice of the Figure 2 suite for the batch-backend
-# benchmark: short and long kernels, single and nested loops, a motion
-# estimator.  Fixed (and shared by smoke and full runs) so the recorded
-# cells/sec ratios stay comparable while the N = 64 column stays
-# affordable in CI's single-round smoke mode.
-BATCH_KERNELS = ("vec_sum", "fir", "matmul", "crc32", "me_tss")
-BATCH_SIZES = (1, 16, 64)
-
-
-def _batch_cells(n: int) -> list:
-    """N cells per (kernel, ZOLC machine) group, sweeping the pipeline.
-
-    The per-cell ``load_use_stall`` sweep is the batch backend's
-    intended workload: one shared architectural trajectory, per-cell
-    timing, prepared once per group.
-    """
-    from repro.cpu.pipeline import PipelineConfig
-    from repro.experiments.backends import Cell
-
-    return [Cell(kernel_name=name, machine=machine,
-                 pipeline=PipelineConfig(load_use_stall=i % 4),
-                 max_steps=DEFAULT_MAX_STEPS)
-            for name in BATCH_KERNELS
-            for machine in ZOLC_MACHINES
-            for i in range(n)]
-
-
-def _timed_backend(backend_name: str, cells: list):
-    from repro.experiments.backends import get_backend
-
-    t0 = time.perf_counter()
-    results = get_backend(backend_name).run_cells(cells)
-    return results, time.perf_counter() - t0
-
-
-@pytest.mark.repro
-def test_batch_backend_throughput(benchmark):
-    """Cells/second: the batch backend vs the serial backend.
-
-    Times both backends on identical cell lists at N = 1 / 16 / 64
-    cells per (kernel, machine) group.  The serial backend prepares
-    (assemble + transform + codegen) once *per cell*; the batch backend
-    prepares once per group and steps the group's simulators in
-    lockstep, so its advantage grows with N.  The gate requires the
-    N = 16 batch run to beat serial on cells/sec (measured ~2x on an
-    idle host; the floor leaves smoke-mode noise headroom), and the
-    N = 16 / N = 64 speedups are recorded for the trajectory gate.
-    """
-    cells16 = _batch_cells(16)
-    benchmark.pedantic(lambda: _timed_backend("batch", cells16),
-                       rounds=ROUNDS, iterations=1,
-                       warmup_rounds=WARMUP_ROUNDS)
-    batch16_elapsed = benchmark.stats.stats.mean
-    batch16_cps = round(len(cells16) / batch16_elapsed, 1)
-
-    serial16, serial16_elapsed = _timed_backend("serial", cells16)
-    batch16, _ = _timed_backend("batch", cells16)
-    # Backend bit-identity on the benchmarked workload: grouping and
-    # lockstep must never change a measurement.
-    assert ([r.record() for r in batch16]
-            == [r.record() for r in serial16])
-    serial16_cps = round(len(cells16) / serial16_elapsed, 1)
-    speedup16 = serial16_elapsed / batch16_elapsed
-
-    # N = 1 routes through the identical scalar path on both backends,
-    # so the comparison measures routing overhead only; best-of-3 keeps
-    # scheduler noise from failing a gate over identical code.
-    cells1 = _batch_cells(1)
-    serial1_elapsed = min(_timed_backend("serial", cells1)[1]
-                          for _ in range(3))
-    batch1_elapsed = min(_timed_backend("batch", cells1)[1]
-                         for _ in range(3))
-    cells64 = _batch_cells(64)
-    _, serial64_elapsed = _timed_backend("serial", cells64)
-    _, batch64_elapsed = _timed_backend("batch", cells64)
-    speedup64 = serial64_elapsed / batch64_elapsed
-
-    benchmark.extra_info["cells_n16"] = len(cells16)
-    benchmark.extra_info["batch_cells_per_second_n16"] = batch16_cps
-    benchmark.extra_info["batch_speedup_vs_serial_n16"] = \
-        round(speedup16, 2)
-    _RESULTS["batch"] = {
-        "machines": [m.name for m in ZOLC_MACHINES],
-        "kernels": list(BATCH_KERNELS),
-        "cells_per_group": list(BATCH_SIZES),
-        "serial_cells_per_second_n1":
-            round(len(cells1) / serial1_elapsed, 1),
-        "batch_cells_per_second_n1":
-            round(len(cells1) / batch1_elapsed, 1),
-        "serial_cells_per_second_n16": serial16_cps,
-        "batch_cells_per_second_n16": batch16_cps,
-        "serial_cells_per_second_n64":
-            round(len(cells64) / serial64_elapsed, 1),
-        "batch_cells_per_second_n64":
-            round(len(cells64) / batch64_elapsed, 1),
-        # Gated at >= 0.95x: single-cell groups route through the
-        # scalar per-cell path (BatchBackend.min_group), so lockstep
-        # bookkeeping can no longer tax unamortised groups.
-        "batch_vs_serial_ratio_n1":
-            round(serial1_elapsed / batch1_elapsed, 2),
-        "batch_speedup_vs_serial_n16": round(speedup16, 2),
-        "batch_speedup_vs_serial_n64": round(speedup64, 2),
-    }
-    # The acceptance floor: batching a >= 16-cell sweep must deliver
-    # measurably more cells/sec than running the sweep serially.  The
-    # measured ratio on an idle host is ~2x (prepare amortisation plus
-    # shared fetch/dispatch), so 1.1x leaves generous noise headroom.
-    assert speedup16 > 1.1, (
-        f"batch backend is only {speedup16:.2f}x the serial backend "
-        f"at 16 cells/group")
-    assert speedup64 > speedup16 * 0.5, (
-        f"batch advantage collapsed at 64 cells/group "
-        f"({speedup64:.2f}x vs {speedup16:.2f}x at 16)")
-    # Small groups must not pay for lockstep they cannot amortise: the
-    # batch backend routes groups below ``min_group`` cells to the
-    # scalar path, so N = 1 must track serial (0.95x leaves noise
-    # headroom for two back-to-back runs of the same code path).
-    assert serial1_elapsed / batch1_elapsed >= 0.95, (
-        f"batch backend at 1 cell/group is only "
-        f"{serial1_elapsed / batch1_elapsed:.2f}x serial")

@@ -24,8 +24,8 @@ Commands::
 ``--json`` (machine-readable stdout) and ``--out FILE`` (write the JSON
 payload to a file, keeping the human-readable report on stdout).
 ``run`` and ``experiment`` also accept ``--engine`` (auto / fast /
-traced / batch / step — engines retire bit-identical results, so the
-choice only affects host time; an unknown engine exits 1).  ``auto`` (the
+traced / step — engines retire bit-identical results, so the choice
+only affects host time; an unknown engine exits 1).  ``auto`` (the
 default everywhere) resolves to the loop-resident ``traced`` tier;
 ``fast`` and ``step`` remain explicit overrides.
 """
@@ -149,11 +149,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.backends import (
-        BatchBackend,
-        ProcessBackend,
-        SerialBackend,
-    )
+    from repro.experiments.backends import ProcessBackend, SerialBackend
     from repro.service import JobManager, start_in_thread
 
     jobs = _parse_jobs(args.jobs) if args.jobs is not None else None
@@ -164,8 +160,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # worker re-simulating a known (kernel, machine) pair
         # recompiles nothing.
         backend = ProcessBackend(persistent=True, config=config)
-    elif args.backend == "batch":
-        backend = BatchBackend(config=config)
     else:
         backend = SerialBackend()
     manager = JobManager(store=None if args.no_cache else args.store,
@@ -461,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("-m", "--machine", default=XR_DEFAULT.name)
     run_parser.add_argument(
         "--engine", default="auto", metavar="NAME",
-        help="simulator engine: auto (resolves to traced), fast, traced, "
-             "batch or step (engines are bit-identical; invalid values "
-             "exit 1)")
+        help="simulator engine: auto (resolves to traced), fast, traced "
+             "or step (engines are bit-identical; invalid values exit 1)")
     _add_output_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
@@ -484,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run a declarative plan file (JSON/TOML)")
     experiment_parser.add_argument("plan", help="path to PLAN.{json,toml}")
     experiment_parser.add_argument(
-        "-b", "--backend", choices=("serial", "process", "batch"), default=None,
+        "-b", "--backend", choices=("serial", "process"), default=None,
         help="execution backend (default: the plan's own choice, or "
              "serial; --jobs implies process)")
     experiment_parser.add_argument(
@@ -493,9 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
              "jobs keys (0 = one per CPU; invalid values exit 1)")
     experiment_parser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="simulator engine for every cell (auto/fast/traced/batch/"
-             "step), overriding the plan's engine key (invalid values "
-             "exit 1)")
+        help="simulator engine for every cell (auto/fast/traced/step), "
+             "overriding the plan's engine key (invalid values exit 1)")
     experiment_parser.add_argument(
         "--store", default="results", metavar="DIR",
         help="result-store directory (default: results)")
@@ -513,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port (default: 8765; 0 binds an "
                                    "ephemeral port)")
     serve_parser.add_argument(
-        "-b", "--backend", choices=("process", "serial", "batch"),
+        "-b", "--backend", choices=("process", "serial"),
         default="process",
         help="execution backend for every job (default: process — a "
              "persistent warm worker pool)")
@@ -540,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--events-out", default=None, metavar="FILE",
         help="also write the raw NDJSON event stream to FILE")
     submit_parser.add_argument(
-        "-b", "--backend", choices=("serial", "process", "batch"),
-        default=None,
+        "-b", "--backend", choices=("serial", "process"), default=None,
         help="per-job backend override (rides in the /v1 submit "
              "body's run_config; JSON plans only)")
     submit_parser.add_argument(
@@ -549,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job worker-count override (invalid values exit 1)")
     submit_parser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="per-job engine override (auto/fast/traced/batch/step)")
+        help="per-job engine override (auto/fast/traced/step)")
     submit_parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress the per-cell event lines")

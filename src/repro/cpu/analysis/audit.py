@@ -139,8 +139,7 @@ def _member_expect(op: IROp, expect: ExpectedTouches) -> None:
     expect.reg_writes.update(op.defs)
 
 
-def _term_expect(op: IROp, expect: ExpectedTouches,
-                 zolc_inline: bool) -> None:
+def _term_expect(op: IROp, expect: ExpectedTouches) -> None:
     """Expected accesses of a span *terminator* (emitter rules)."""
     m = op.mnemonic
     if op.is_branch and m != "dbne":
@@ -165,13 +164,7 @@ def _term_expect(op: IROp, expect: ExpectedTouches,
     if m == "halt":
         return
     if op.is_zolc_init:
-        if not zolc_inline:
-            return  # fallback closure: opaque, excluded by caller
-        if m == "mtz":
-            expect.reg_reads.add(op.rt)
-        elif op.rt:
-            expect.reg_writes.add(op.rt)
-        return
+        return  # fallback closure: opaque, excluded by caller
     # Sequential terminator: member semantics plus the result line.
     _member_expect(op, expect)
 
@@ -181,11 +174,10 @@ def expected_touches(ops: Sequence[IROp], kind: str,
     """The IR-derived access sets for one generated artifact.
 
     ``ops`` is the span's member slice in ordinal order.  ``kind``
-    selects the tier's lowering shape: megahandler regions and batch
-    spans emit their last member through the terminator templates
-    (batch with ``mtz``/``mfz`` inlined); chain drivers emit *every*
-    member through the interior templates (the trigger fire replaces
-    the terminator).
+    selects the tier's lowering shape: megahandler regions emit their
+    last member through the terminator templates; chain drivers emit
+    *every* member through the interior templates (the trigger fire
+    replaces the terminator).
     """
     excluded = frozenset(fallbacks)
     expect = ExpectedTouches()
@@ -193,7 +185,7 @@ def expected_touches(ops: Sequence[IROp], kind: str,
         if ordinal in excluded:
             continue
         if kind != "chain" and ordinal == len(ops) - 1:
-            _term_expect(op, expect, zolc_inline=kind == "batch-span")
+            _term_expect(op, expect)
         else:
             _member_expect(op, expect)
     return expect
@@ -576,7 +568,6 @@ TRACE_AUDIT_BUDGET = 2_000_000
 def audit_codegen(sim: Simulator,
                   watched: frozenset[int] = frozenset(),
                   chains: Iterable[tuple[int, int, int]] = (),
-                  include_batch: bool = True,
                   traces: Iterable[tuple[int, int, int]] = ()
                   ) -> list[Diagnostic]:
     """Force codegen over the canonical span cover and audit it all.
@@ -595,7 +586,6 @@ def audit_codegen(sim: Simulator,
     before the AU005 pass; candidates that never promote are reported
     as ``info``.
     """
-    from repro.cpu.engine import batch as batch_mod
     from repro.cpu.engine import traced as traced_mod
     from repro.cpu.engine.emit import codegen_records
     from repro.cpu.exceptions import SimulationError
@@ -629,13 +619,6 @@ def audit_codegen(sim: Simulator,
         out.extend(_audit_region_timing(
             sim, ops, region.cycles, region.stall,
             region.term_taken_penalty))
-        if include_batch:
-            try:
-                batch_mod._resolve_span(program, ir, base, start, term)
-            except SimulationError:
-                continue  # no batch lowering: scalar tiers cover it
-            key = ("batch-span", start, term, None)
-            out.extend(audit_record(codegen_records(program)[key], ops))
     for start, term, loop_id in chains:
         traced_mod._chain_code(program, start, term, loop_id)
         record = codegen_records(program)[("chain", start, term,

@@ -1,4 +1,4 @@
-"""The XR32 execution-engine package: four tiers over one explicit IR.
+"""The XR32 execution-engine package: three tiers over one explicit IR.
 
 The straight interpreter (:meth:`Simulator.step`) pays, on every retired
 instruction, for a ``by_address`` dict probe, an ``EXECUTORS`` dict
@@ -19,9 +19,6 @@ slot), and each engine tier is a *lowering pass* over that array:
   raw memory buffer — executing a whole block per Python call, and
   chains canonical ZOLC loops *loop-resident* (the trigger-fire →
   region-re-entry cycle runs inside generated code);
-* :mod:`~repro.cpu.engine.batch` (``engine="batch"``) lowers the same
-  spans to N-cell lockstep functions stepping many independent
-  simulators of one program per call — the sweep tier;
 * all generated text comes from the one shared emitter
   (:mod:`~repro.cpu.engine.emit`), so operand formatting, immediate
   masking, the ``r0``-write drop and the inlined memory fast paths
@@ -39,7 +36,7 @@ lowered code through bound methods captured at lowering time.  Timing
 and statistics stay in the run loops, driven by static per-slot
 metadata, so every tier retires *identical* (pc, regs, cycles, stats)
 sequences to the legacy ``step()`` interpreter — a property pinned down
-by the differential tests in ``tests/test_engine.py`` and the five-way
+by the differential tests in ``tests/test_engine.py`` and the four-way
 fuzz in ``tests/test_engine_fuzz.py``.
 
 **ZOLC fast path.**  On a ZOLC machine the dominant residual host cost
@@ -65,11 +62,10 @@ dispatch state at the only points it can change.  Ports that do not
 expose a plan — any custom :class:`~repro.cpu.simulator.ZolcPort` —
 keep the legacy per-retirement ``on_retire`` treatment.
 
-The IR schema, the lowering-pass contract and the batch tier's
-divergence/fallback rules are documented in DESIGN.md §10.
+The IR schema and the lowering-pass contract are documented in
+DESIGN.md §10.
 """
 
-from repro.cpu.engine.batch import run_batch
 from repro.cpu.engine.dispatch import HALT, OpFn, OpMeta, PredecodedProgram
 from repro.cpu.engine.fast import (
     _compile_watch_arrays,
@@ -89,7 +85,6 @@ __all__ = [
     "TraceOutcome",
     "TraceRegion",
     "predecode",
-    "run_batch",
     "run_fast",
     "run_traced",
     "trace_table",

@@ -1,7 +1,7 @@
 """The engine package's shared dispatch protocol types.
 
 Every lowering pass — fast closures, traced megahandlers, loop
-chains, batch spans — produces code speaking one handler protocol:
+chains, traces — produces code speaking one handler protocol:
 
 * ``None``      — sequential retirement (``next_pc = pc + 4``, not taken);
 * an ``int``    — a taken control transfer to that address;

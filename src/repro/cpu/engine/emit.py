@@ -1,24 +1,19 @@
 """The shared Python-text emitter: IR → generated statements.
 
 Every code-generating tier — traced megahandlers, loop-resident
-chains, batch spans — lowers :class:`~repro.cpu.ir.IROp` records
-through this one module, so operand formatting, immediate masking, the
+chains, traces — lowers :class:`~repro.cpu.ir.IROp` records through
+this one module, so operand formatting, immediate masking, the
 ``r0``-write drop, the sign-bias comparison idiom and the inlined
 bounds-checked memory access exist exactly once.
 
 :func:`member_lines` emits an *interior* span member;
-:func:`term_lines` emits the span *terminator*, parameterised on how
-the handler-protocol result (``None`` / taken target / ``HALT``) is
-delivered: the scalar tiers ``return`` it, the batch tier appends it
-to a per-cell result list.  Both consume IR fields only (the
-lowering-pass contract of DESIGN.md §10).
+:func:`term_lines` emits the span *terminator*, which returns the
+handler-protocol result (``None`` / taken target / ``HALT``).  Both
+consume IR fields only (the lowering-pass contract of DESIGN.md §10).
 
-The exec-namespace conventions live here too: the scalar tiers bind
-:data:`REGION_HELPERS` as generated-function default arguments
-(:func:`region_namespace`), while the batch tier threads the
-per-simulator subset through cell tuples (:data:`BATCH_CELL_PARAMS` /
-:func:`batch_cell_context`) so one generated function serves every
-simulator of a program.
+The exec-namespace conventions live here too: generated functions
+bind :data:`REGION_HELPERS` as default arguments
+(:func:`region_namespace`).
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.cpu import alu
-from repro.cpu.exceptions import SimulationError
 from repro.cpu.ir import IROp
 from repro.util.bitops import MASK32
 
@@ -175,7 +169,7 @@ def member_lines(op: IROp, ordinal: int, fallbacks: list[int]) -> list[str]:
 def branch_cond_expr(op: IROp) -> str | None:
     """The taken-condition expression of a conditional branch, or None.
 
-    The one place the branch comparison idiom exists: region/batch span
+    The one place the branch comparison idiom exists: region span
     terminators bake it into the handler-protocol result, and trace
     guards test it directly (taking the side exit when the hot
     direction's condition fails).  ``dbne`` is excluded — its condition
@@ -194,87 +188,48 @@ def branch_cond_expr(op: IROp) -> str | None:
     }.get(op.mnemonic)
 
 
-def _return_result(expr: str) -> str:
-    return f"return {expr}"
-
-
-def _zolc_inline_lines(op: IROp, result) -> list[str]:
-    """Inline ``mtz``/``mfz`` against the cell's bound port methods.
-
-    The batch tier cannot use per-simulator fallback closures (one
-    generated function serves N cells), so the port write/read is
-    emitted against the cell tuple's ``_zw``/``_zr`` slots; cells
-    without a controller carry ``None`` there and raise the same
-    no-ZOLC fault the predecoded closure raises (the retiring pc is a
-    generation-time constant, so the message matches exactly).
-    """
-    message = (f"{op.mnemonic} executed on a machine without a ZOLC "
-               f"(pc={op.address:#x}); attach a ZolcController")
-    if op.mnemonic == "mtz":
-        lines = ["if _zw is None:",
-                 f"    raise _SimErr({message!r})",
-                 f"_zw({op.imm}, _g[{op.rt}])"]
-    else:
-        lines = ["if _zr is None:",
-                 f"    raise _SimErr({message!r})"]
-        # rt == 0 still performs the read (it can fault) and discards
-        # the value, exactly like the predecoded closure's r0 write.
-        if op.rt:
-            lines.append(f"_g[{op.rt}] = _zr({op.imm}) & {MASK32}")
-        else:
-            lines.append(f"_zr({op.imm})")
-    return lines + [result("None")]
-
-
-def term_lines(op: IROp, ordinal: int, fallbacks: list[int],
-               result=_return_result, zolc_inline: bool = False) -> list[str]:
+def term_lines(op: IROp, ordinal: int, fallbacks: list[int]) -> list[str]:
     """Source statement(s) for the span *terminator*.
 
-    Ends in a ``result(...)`` statement carrying the handler-protocol
-    value (``None`` / taken target / ``HALT``) — a ``return`` for the
-    scalar tiers (the default), a per-cell list append for the batch
-    tier — which the driving loop triages exactly like the
-    per-instruction path does.  ``zolc_inline`` selects inline port
-    access for ``mtz``/``mfz`` instead of the per-simulator fallback
-    closure.
+    Ends in a ``return`` carrying the handler-protocol value (``None``
+    / taken target / ``HALT``), which the driving loop triages exactly
+    like the per-instruction path does.
     """
     m = op.mnemonic
     rs, rt, rd = op.rs, op.rt, op.rd
     if op.is_branch and m != "dbne":
         cond = branch_cond_expr(op)
         if cond is not None:
-            return [result(f"{op.target} if {cond} else None")]
+            return [f"return {op.target} if {cond} else None"]
     if m == "dbne":
         lines = [f"_v = (_g[{rs}] - 1) & {MASK32}"]
         if rs:
             lines.append(f"_g[{rs}] = _v")
-        lines.append(result(f"{op.target} if _v else None"))
+        lines.append(f"return {op.target} if _v else None")
         return lines
     if m == "j":
-        return [result(f"{op.target}")]
+        return [f"return {op.target}"]
     if m == "jal":
         return [f"_g[31] = {op.link}",
-                result(f"{op.target}")]
+                f"return {op.target}"]
     if m == "jr":
-        return [result(f"_g[{rs}]")]
+        return [f"return _g[{rs}]"]
     if m == "jalr":
         return ([f"_v = _g[{rs}]"]
                 + set_reg(rd, f"{op.link}")
-                + [result("_v")])
+                + ["return _v"])
     if m == "halt":
         return ["_state.halted = True",
-                result("_HALT")]
+                "return _HALT"]
     if m in ("mtz", "mfz"):
-        if zolc_inline:
-            return _zolc_inline_lines(op, result)
         # Port writes/reads keep the predecoded closure: it is already
         # specialised against the attached port (or raises the same
         # no-ZOLC fault the other engines raise).
         fallbacks.append(ordinal)
-        return [result(f"_h{ordinal}({op.address})")]
+        return [f"return _h{ordinal}({op.address})"]
     # A sequential instruction terminating only because the next slot
     # starts a new span (watched next pc, end of text, ...).
-    return member_lines(op, ordinal, fallbacks) + [result("None")]
+    return member_lines(op, ordinal, fallbacks) + ["return None"]
 
 
 #: Fixed exec-namespace names every fused region may reference.
@@ -309,20 +264,6 @@ def region_namespace(sim) -> dict:
     }
 
 
-#: Per-cell tuple slots a generated batch span unpacks, in order.  The
-#: per-simulator subset of :data:`REGION_HELPERS` plus the bound ZOLC
-#: port accessors (``None`` without a controller); the program-global
-#: rest (``_ifb``/``_mulh``/``_HALT``/``_SimErr``) binds as function
-#: defaults so one compiled span serves every simulator.
-BATCH_CELL_PARAMS = ("_g", "_mem", "_hi1", "_hi2", "_hi4",
-                     "_lb", "_lh", "_lw", "_sb", "_sh", "_sw",
-                     "_zw", "_zr", "_state")
-
-#: Program-global names a generated batch span binds as defaults.
-BATCH_GLOBALS = {"_ifb": int.from_bytes, "_mulh": alu.mul32_hi,
-                 "_HALT": HALT, "_SimErr": SimulationError}
-
-
 #: Attribute the per-program codegen audit log lives under.
 _AUDIT_LOG_ATTR = "_codegen_records"
 
@@ -338,8 +279,7 @@ class CodegenRecord(NamedTuple):
     except for chain drivers.
     """
 
-    kind: str                   # "region" | "chain" | "batch-span"
-                                # | "trace"
+    kind: str                   # "region" | "chain" | "trace"
     start: int                  # first slot of the span
     term: int                   # terminator slot (inclusive)
     source: str                 # the compiled source text, verbatim
@@ -368,16 +308,3 @@ def codegen_records(program) -> dict:
     """The program's audit log: cache key -> :class:`CodegenRecord`."""
     log = program.__dict__.get(_AUDIT_LOG_ATTR)
     return {} if log is None else log
-
-
-def batch_cell_context(sim) -> tuple:
-    """One simulator's :data:`BATCH_CELL_PARAMS` tuple."""
-    memory = sim.memory
-    zolc = sim.zolc
-    return (sim.state.regs._regs, memory._bytes,
-            memory.size - 1, memory.size - 2, memory.size - 4,
-            memory.load_byte, memory.load_half, memory.load_word,
-            memory.store_byte, memory.store_half, memory.store_word,
-            zolc.write if zolc is not None else None,
-            zolc.read if zolc is not None else None,
-            sim.state)

@@ -9,7 +9,7 @@ interpreter-style with no code generation.
 
 This module also owns the compiled-controller-plan dispatch helpers
 (:func:`_compile_watch_arrays`, :func:`_apply_action`,
-:func:`_plan_dispatch_state`) that the traced and batch tiers share:
+:func:`_plan_dispatch_state`) that the traced tier shares:
 the plan's watch sets fold into the same ``pc >> 2`` geometry as the
 dispatch array, so unwatched retirements skip the ``on_retire`` Python
 call entirely (see the package docstring and DESIGN.md §10).

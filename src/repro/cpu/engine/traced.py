@@ -1282,7 +1282,7 @@ def run_traced(sim: "Simulator", max_steps: int,
         stats.zolc_index_writes += index_writes
         stats.zolc_task_switches += task_switches
         # Residency tallies live on the Simulator, NOT in Stats: the
-        # 5-way harness pins Stats bit-identity across engines, and
+        # 4-way harness pins Stats bit-identity across engines, and
         # only the traced tier can be resident.
         sim.trace_resident_steps += trace_steps
         sim.chain_resident_steps += chain_steps

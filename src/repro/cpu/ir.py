@@ -10,8 +10,7 @@ that array:
 
 * the fast tier lowers each ``IROp`` to a bound handler closure;
 * the traced/loop-resident tiers lower region spans to generated
-  Python text through the shared emitter (:mod:`repro.cpu.engine.emit`);
-* the batch tier lowers the same spans to N-cell lockstep functions.
+  Python text through the shared emitter (:mod:`repro.cpu.engine.emit`).
 
 The contract (see DESIGN.md §10): a lowering pass may consume **only**
 ``IROp`` fields plus the config-dependent helpers below; it never

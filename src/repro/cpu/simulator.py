@@ -25,7 +25,6 @@ from repro.cpu.datapath import ExecOutcome, execute
 from repro.cpu.engine import (
     PredecodedProgram,
     predecode,
-    run_batch,
     run_fast,
     run_traced,
 )
@@ -126,7 +125,7 @@ DEFAULT_MAX_STEPS = 20_000_000
 #: Valid ``Simulator.run(engine=...)`` strategies.  The experiment
 #: layer and the CLI's ``--engine`` override validate against this same
 #: tuple.
-ENGINES = ("auto", "fast", "traced", "batch", "step")
+ENGINES = ("auto", "fast", "traced", "step")
 
 
 class Simulator:
@@ -288,24 +287,21 @@ class Simulator:
         or the program cannot be predecoded (both degrade to the
         stepped interpreter).  ``"fast"`` and ``"step"`` remain
         explicit overrides forcing the predecoded per-instruction
-        engine and the legacy one-instruction-at-a-time interpreter,
-        and ``"batch"`` runs the N-cell lockstep tier degenerately with
-        this one simulator (:func:`repro.cpu.engine.run_batch` is how
-        many simulators share one run; see the batch execution
-        backend).  All engines retire bit-identical sequences; the
-        tier a run resolved to is recorded in :attr:`last_engine`.
+        engine and the legacy one-instruction-at-a-time interpreter.
+        All engines retire bit-identical sequences; the tier a run
+        resolved to is recorded in :attr:`last_engine`.
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: "
                              f"{', '.join(ENGINES)}")
-        if engine in ("fast", "traced", "batch") and self.tracer is not None:
+        if engine in ("fast", "traced") and self.tracer is not None:
             raise ValueError(
                 f"the {engine} engine does not record traces; detach "
                 "the tracer or use engine='step'")
         resolved = engine
         if engine == "auto":
             resolved = "step" if self.tracer is not None else "traced"
-        if resolved in ("traced", "fast", "batch"):
+        if resolved in ("traced", "fast"):
             predecoded = self._ensure_predecoded()
             if predecoded is False:
                 if engine != "auto":
@@ -313,11 +309,6 @@ class Simulator:
                         "program cannot be predecoded: "
                         f"{self._predecode_failure}")
                 resolved = "step"
-            elif resolved == "batch":
-                error = run_batch([self], max_steps)[0]
-                if error is not None:
-                    raise error
-                return self.stats
             elif resolved == "traced":
                 self.last_engine = "traced"
                 run_traced(self, max_steps, predecoded)

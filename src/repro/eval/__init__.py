@@ -15,7 +15,6 @@ from repro.eval.machines import (
     M_UZOLC,
     M_ZOLC_FULL,
     M_ZOLC_LITE,
-    Machine,
     MachineRegistry,
     MachineSpec,
     PreparedKernel,
@@ -48,7 +47,6 @@ __all__ = [
     "M_UZOLC",
     "M_ZOLC_FULL",
     "M_ZOLC_LITE",
-    "Machine",
     "MachineRegistry",
     "MachineSpec",
     "PreparedKernel",

@@ -102,10 +102,6 @@ class MachineSpec:
         return cls(name=name, kind=kind, zolc_config=config)
 
 
-#: Backwards-compatible alias — a machine *is* its spec.
-Machine = MachineSpec
-
-
 @dataclass
 class PreparedKernel:
     """A kernel after machine-specific preparation."""

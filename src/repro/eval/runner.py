@@ -4,9 +4,10 @@ Runs a kernel on a machine configuration, *verifies the output against
 the kernel's golden model* (a run whose result is wrong would make the
 cycle count meaningless) and returns the measurement.
 
-:func:`run_suite` can fan the (kernel, machine) grid out over a process
-pool (``jobs``): every pair is an independent simulation, so the suite
-is embarrassingly parallel.  Machines are plain-data
+:func:`run_suite` can fan the (kernel, machine) grid out over the
+experiment layer's process backend (``jobs``): every pair is an
+independent simulation, so the suite is embarrassingly parallel.
+Machines are plain-data
 :class:`~repro.eval.machines.MachineSpec` values and ship to workers by
 value, so user-defined variants parallelize like the paper machines.
 Kernels still resolve *by name* from the registry (``Kernel.check``
@@ -19,9 +20,7 @@ completion order.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -108,30 +107,21 @@ class SuiteResult:
 
 
 def run_kernel(kernel: Kernel, machine: MachineSpec,
-               config: "RunConfig | None" = None,
-               pipeline: PipelineConfig | None = None,
-               max_steps: int | None = None,
-               engine: str | None = None) -> RunResult:
+               config: "RunConfig | None" = None) -> RunResult:
     """Prepare, simulate and verify one kernel on one machine.
 
     Host-side choices ride in ``config`` (a
     :class:`~repro.experiments.config.RunConfig`): ``pipeline`` (timing
     parameters), ``max_steps`` (step budget, default
     ``DEFAULT_MAX_STEPS``) and ``engine`` (``"auto"`` / ``"fast"`` /
-    ``"traced"`` / ``"batch"`` / ``"step"``, where ``"auto"`` — the
-    default — resolves to the loop-resident traced tier); engines are
+    ``"traced"`` / ``"step"``, where ``"auto"`` — the default —
+    resolves to the loop-resident traced tier); engines are
     bit-identical, so the choice affects host time only, never the
-    measurement.  The pre-``RunConfig`` ``pipeline`` / ``max_steps`` /
-    ``engine`` kwargs still work behind a :class:`DeprecationWarning`.
+    measurement.
     """
-    from repro.experiments.config import RunConfig, warn_legacy_kwargs
+    from repro.experiments.config import RunConfig
 
-    if isinstance(config, PipelineConfig) and pipeline is None:
-        # Legacy positional pipeline in the old third-argument slot.
-        config, pipeline = None, config
-    legacy = warn_legacy_kwargs("run_kernel", pipeline=pipeline,
-                                max_steps=max_steps, engine=engine)
-    config = (config or RunConfig()).override(**legacy)
+    config = config or RunConfig()
     prepared = machine.prepare(kernel.source)
     simulator = prepared.make_simulator(pipeline=config.pipeline)
     simulator.run(max_steps=(config.max_steps if config.max_steps
@@ -152,30 +142,6 @@ def run_kernel(kernel: Kernel, machine: MachineSpec,
     )
 
 
-def _run_pair(task) -> RunResult:
-    """Process-pool worker: resolve the kernel by name and run one pair.
-
-    The machine arrives by value (specs are picklable data) and the
-    host-side choices as one picklable ``RunConfig``, so ad-hoc ZOLC
-    variants work in workers without registry membership.
-    """
-    kernel_name, machine, config = task
-    from repro.workloads.suite import registry
-
-    kernel = registry().get(kernel_name)
-    return run_kernel(kernel, machine, config)
-
-
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:  # one worker per CPU
-        return os.cpu_count() or 1
-    return jobs
-
-
 def _kernels_resolvable(kernels: list[Kernel]) -> bool:
     """Whether every kernel can be re-resolved by name in a worker."""
     from repro.workloads.suite import registry
@@ -185,51 +151,41 @@ def _kernels_resolvable(kernels: list[Kernel]) -> bool:
 
 
 def run_suite(kernels: list[Kernel], machines: list[MachineSpec],
-              config: "RunConfig | None" = None,
-              pipeline: PipelineConfig | None = None,
-              jobs: int | None = None,
-              max_steps: int | None = None) -> SuiteResult:
+              config: "RunConfig | None" = None) -> SuiteResult:
     """Run every kernel on every machine.
 
     ``config.jobs`` selects the parallelism: ``None``/1 runs
     in-process, ``n`` uses ``n`` worker processes, ``0`` uses one per
-    CPU (negative values are rejected).  Machines ship to workers by
-    value; kernels that are not registry members cannot be shipped and
-    force a serial run (a ``RuntimeWarning`` flags the ignored jobs).
-    The pre-``RunConfig`` ``pipeline`` / ``jobs`` / ``max_steps``
-    kwargs still work behind a :class:`DeprecationWarning`.
+    CPU.  Parallel runs go through
+    :class:`~repro.experiments.backends.ProcessBackend`, so they share
+    its per-worker prepare cache.  Machines ship to workers by value;
+    kernels that are not registry members cannot be shipped and force
+    a serial run (a ``RuntimeWarning`` flags the ignored jobs).
     """
-    from repro.experiments.config import RunConfig, warn_legacy_kwargs
+    from repro.experiments.backends import Cell, ProcessBackend
+    from repro.experiments.config import RunConfig
 
-    if isinstance(config, PipelineConfig) and pipeline is None:
-        config, pipeline = None, config
-    legacy = warn_legacy_kwargs("run_suite", pipeline=pipeline,
-                                jobs=jobs, max_steps=max_steps)
-    config = (config or RunConfig()).override(**legacy)
-    jobs = _resolve_jobs(config.jobs)
+    config = config or RunConfig()
     pairs = [(kernel, machine) for kernel in kernels for machine in machines]
     suite = SuiteResult()
+    backend = ProcessBackend(jobs=config.jobs)
+    jobs = 1 if config.jobs is None else backend.worker_count()
     if jobs > 1 and len(pairs) > 1:
         if _kernels_resolvable(kernels):
-            # Workers re-resolve the kernel by name and run with the
-            # measurement-relevant subset of the config (jobs is a
-            # host-pool choice, already consumed here).
-            cell_config = RunConfig(pipeline=config.pipeline,
-                                    max_steps=config.max_steps,
-                                    engine=config.engine)
-            tasks = [(kernel.name, machine, cell_config)
+            # Workers re-resolve the kernel by name.
+            cells = [Cell(kernel_name=kernel.name, machine=machine,
+                          pipeline=config.pipeline or PipelineConfig(),
+                          max_steps=(config.max_steps if config.max_steps
+                                     is not None else DEFAULT_MAX_STEPS),
+                          engine=config.engine or "auto")
                      for kernel, machine in pairs]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                for result in pool.map(_run_pair, tasks):
-                    suite.add(result)
+            for result in backend.run_cells(cells):
+                suite.add(result)
             return suite
         warnings.warn(
             f"jobs={jobs} ignored: suite contains ad-hoc kernels that are "
             "not registry members and cannot be shipped to workers; "
             "running serially", RuntimeWarning, stacklevel=2)
-    cell_config = RunConfig(pipeline=config.pipeline,
-                            max_steps=config.max_steps,
-                            engine=config.engine)
     for kernel, machine in pairs:
-        suite.add(run_kernel(kernel, machine, cell_config))
+        suite.add(run_kernel(kernel, machine, config))
     return suite

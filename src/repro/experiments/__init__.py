@@ -29,7 +29,6 @@ The stable surface every study goes through::
 
 from repro.experiments.backends import (
     BACKENDS,
-    BatchBackend,
     Cell,
     CellCallback,
     ExecutionBackend,
@@ -51,7 +50,6 @@ from repro.experiments.store import ResultStore, cell_key
 
 __all__ = [
     "BACKENDS",
-    "BatchBackend",
     "Cell",
     "CellCallback",
     "ExecutionBackend",

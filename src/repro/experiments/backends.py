@@ -1,12 +1,11 @@
 """Pluggable execution backends.
 
 A backend turns a list of :class:`Cell` descriptions into
-:class:`~repro.eval.runner.RunResult` measurements, in order.  Three
-implementations ship today — in-process :class:`SerialBackend`,
-:class:`ProcessBackend` (a ``ProcessPoolExecutor`` fan-out) and
-:class:`BatchBackend` (the N-cell lockstep tier of
-:mod:`repro.cpu.engine`) — and the :class:`ExecutionBackend` protocol
-is the seam future PRs plug sharded or remote execution into.
+:class:`~repro.eval.runner.RunResult` measurements, in order.  Two
+implementations ship today — in-process :class:`SerialBackend` and
+:class:`ProcessBackend` (a ``ProcessPoolExecutor`` fan-out) — and the
+:class:`ExecutionBackend` protocol is the seam sharded or remote
+execution plugs into.
 
 The seam is *incremental*: ``run_cells`` accepts an optional
 ``on_result`` callback invoked exactly once per finished cell — with
@@ -26,8 +25,8 @@ golden-model checks are closures and do not pickle.
 ``jobs`` follows one convention everywhere (the ``get_backend`` name
 path and direct construction agree): ``None``/``0`` means one worker
 per CPU, ``1`` runs serially, ``n`` uses ``n`` workers, and negative
-values are rejected.  Backends that cannot use workers (serial, batch)
-never accept them silently — the runner warns.
+values are rejected.  The serial backend cannot use workers and never
+accepts them silently — the runner warns.
 """
 
 from __future__ import annotations
@@ -98,10 +97,8 @@ class ExecutionBackend(Protocol):
 # so memoizing the prepared kernel per process is what keeps a
 # persistent pool's workers warm across jobs: the second job that
 # touches a (kernel, machine) pair a worker has seen recompiles
-# nothing.  (Sharing one prepared program across simulators is the
-# batch backend's existing, fuzz-guarded contract.)  The cache is
-# bounded because a long-lived service sees arbitrarily many ad-hoc
-# machine variants.
+# nothing.  The cache is bounded because a long-lived service sees
+# arbitrarily many ad-hoc machine variants.
 
 _PREPARE_CACHE: dict = {}
 _PREPARE_CACHE_LIMIT = 128
@@ -260,107 +257,9 @@ class ProcessBackend:
         self.close()
 
 
-class BatchBackend:
-    """Step compatible cells in lockstep through the batch engine tier.
-
-    Cells sharing ``(kernel, machine, max_steps)`` — a pipeline sweep,
-    repeated measurements — are *prepared once* (assemble + transform)
-    and their simulators advance together through
-    :func:`repro.cpu.engine.run_batch`: shared fetch/decode/span
-    selection, per-cell architectural state and timing.  A cell that
-    cannot uphold the lockstep (diverging control flow, incompatible
-    plan state) transparently finishes on its scalar tier, so results
-    are bit-identical to :class:`SerialBackend` — the grouping and the
-    engine choice affect host time only, never the measurement.
-
-    Lockstep bookkeeping (span voting, per-cell dispatch, divergence
-    checks) is pure overhead when there is nothing to amortise it over,
-    so groups smaller than ``min_group`` cells run through the scalar
-    per-cell path instead — the measured N=1 batch/serial ratio was
-    0.53 before this routing.
-
-    ``on_result`` fires per cell as its *group* completes (lockstep
-    cells finish together); group order follows first appearance in
-    ``cells``.
-    """
-
-    name = "batch"
-
-    def __init__(self, jobs: int | None = None, min_group: int = 4,
-                 config: "RunConfig | None" = None):
-        # `jobs` is accepted for `get_backend` symmetry; batching is
-        # in-process, and the runner warns when workers were requested.
-        if jobs is None and config is not None:
-            jobs = config.jobs
-        self.jobs = jobs
-        self.min_group = min_group
-
-    def run_cells(self, cells: Sequence[Cell],
-                  on_result: CellCallback | None = None) -> list[RunResult]:
-        from repro.cpu.engine import run_batch
-        from repro.workloads.suite import registry
-
-        reg = registry()
-        results: list[RunResult | None] = [None] * len(cells)
-        groups: dict[tuple, list[int]] = {}
-        for index, cell in enumerate(cells):
-            key = (cell.kernel_name, cell.machine, cell.max_steps)
-            groups.setdefault(key, []).append(index)
-        for (kernel_name, machine, max_steps), indices in groups.items():
-            if len(indices) < self.min_group:
-                for index in indices:
-                    try:
-                        results[index] = _run_cell(cells[index])
-                    except BaseException as exc:
-                        if on_result is not None:
-                            on_result(index, exc)
-                        raise
-                    if on_result is not None:
-                        on_result(index, results[index])
-                continue
-            kernel = reg.get(kernel_name)
-            try:
-                prepared = machine.prepare(kernel.source)
-                sims = [prepared.make_simulator(pipeline=cells[i].pipeline)
-                        for i in indices]
-                for error in run_batch(sims, max_steps):
-                    if error is not None:
-                        raise error
-            except BaseException as exc:
-                if on_result is not None:
-                    # The lockstep group fails as one: every member
-                    # cell is reported against the same fault.
-                    for index in indices:
-                        on_result(index, exc)
-                raise
-            for index, sim in zip(indices, sims):
-                try:
-                    kernel.check(sim)  # raises KernelCheckError on mismatch
-                except BaseException as exc:
-                    if on_result is not None:
-                        on_result(index, exc)
-                    raise
-                stats = sim.stats
-                results[index] = RunResult(
-                    kernel_name=kernel.name,
-                    machine_name=machine.name,
-                    cycles=stats.cycles,
-                    instructions=stats.instructions,
-                    stats=stats,
-                    verified=True,
-                    transformed_loops=prepared.transformed_loops,
-                    zolc_init_instructions=stats.zolc_init_instructions,
-                    zolc_task_switches=stats.zolc_task_switches,
-                )
-                if on_result is not None:
-                    on_result(index, results[index])
-        return results
-
-
 BACKENDS = {
     "serial": SerialBackend,
     "process": ProcessBackend,
-    "batch": BatchBackend,
 }
 
 
@@ -369,10 +268,9 @@ def get_backend(name: str | None = None, jobs: int | None = None,
     """Instantiate a backend by name (or from a :class:`RunConfig`).
 
     ``name`` defaults to ``config.backend`` (and then ``"serial"``);
-    ``jobs`` defaults to ``config.jobs`` and is forwarded to backends
-    that take it (``process``, ``batch``) — the batch backend cannot
-    use workers, and the runner warns when a plan or caller asked for
-    them anyway.
+    ``jobs`` defaults to ``config.jobs`` and is forwarded to the
+    process backend; the serial backend cannot use workers, and the
+    runner warns when a plan or caller asked for them anyway.
     """
     if config is not None:
         if name is None:

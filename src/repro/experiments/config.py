@@ -1,12 +1,8 @@
 """Unified run configuration: one object for every host-side choice.
 
-Historically each entry point threaded its own subset of per-call
-kwargs — ``run_kernel(engine=...)``, ``run_suite(jobs=...)``,
-``run_experiment(backend=..., jobs=..., store=..., engine=...)`` — and
-every new knob meant touching every layer.  :class:`RunConfig` replaces
-the threading: one frozen dataclass carrying the *plain-data* execution
-choices (engine, backend name, jobs, max_steps, pipeline, store path +
-cache flag), consumed by ``run_kernel`` / ``run_suite`` /
+:class:`RunConfig` is one frozen dataclass carrying the *plain-data*
+execution choices (engine, backend name, jobs, max_steps, pipeline,
+store path + cache flag), consumed by ``run_kernel`` / ``run_suite`` /
 ``run_experiment`` / ``run_plan``, the CLI commands, the service's
 job-submit body and backend construction.
 
@@ -20,14 +16,10 @@ Two principles:
   tri-state ``cache``), meaning "use the next layer's choice" — the
   plan's own keys, then the historical defaults.  Merging two configs
   is therefore field-wise "override wins where set".
-
-The legacy kwargs keep working on every entry point through a
-deprecation shim (:func:`warn_legacy_kwargs`); tests pin the warning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,11 +46,10 @@ class RunConfig:
     "no opinion" value.
     """
 
-    #: Simulator engine (``auto``/``fast``/``traced``/``batch``/
-    #: ``step``); engines are bit-identical, so this only affects host
-    #: time.
+    #: Simulator engine (``auto``/``fast``/``traced``/``step``);
+    #: engines are bit-identical, so this only affects host time.
     engine: str | None = None
-    #: Execution backend *name* (``serial``/``process``/``batch``).
+    #: Execution backend *name* (``serial``/``process``).
     #: Constructed backend instances stay a dependency-injection
     #: parameter on the entry points.
     backend: str | None = None
@@ -163,20 +154,3 @@ class RunConfig:
         if values.get("max_steps") is not None:
             values["max_steps"] = int(values["max_steps"])
         return cls(**values)
-
-
-def warn_legacy_kwargs(api: str, **supplied) -> dict:
-    """Deprecation shim for the pre-``RunConfig`` kwargs.
-
-    Returns the non-``None`` subset of ``supplied`` (ready to fold into
-    a config via :meth:`RunConfig.override`) and emits one
-    :class:`DeprecationWarning` naming them when any were given.
-    """
-    set_kwargs = {key: value for key, value in supplied.items()
-                  if value is not None}
-    if set_kwargs:
-        warnings.warn(
-            f"{api}: the {', '.join(sorted(set_kwargs))} keyword(s) are "
-            f"deprecated; pass config=RunConfig(...) instead",
-            DeprecationWarning, stacklevel=3)
-    return set_kwargs

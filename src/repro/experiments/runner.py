@@ -19,14 +19,12 @@ forwards verbatim.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.eval.runner import RunResult
 from repro.experiments.backends import (
-    BatchBackend,
     Cell,
     ExecutionBackend,
     SerialBackend,
@@ -35,6 +33,9 @@ from repro.experiments.backends import (
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore, cell_key
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.config import RunConfig
 
 #: Per-cell progress callback; receives event dicts (see module docs).
 ProgressCallback = Callable[[dict], None]
@@ -116,26 +117,10 @@ def _event(planned: _PlannedCell, source: str, **extra) -> dict:
     return event
 
 
-def _accepts_on_result(backend: ExecutionBackend) -> bool:
-    """Whether ``backend.run_cells`` implements the incremental seam.
-
-    Backends predating the seam (no ``on_result`` parameter) still
-    work: results are persisted after the batch returns, at the old
-    all-or-nothing granularity.
-    """
-    try:
-        signature = inspect.signature(backend.run_cells)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return "on_result" in signature.parameters
-
-
 def run_experiment(spec: ExperimentSpec,
                    config: "RunConfig | None" = None,
-                   backend: ExecutionBackend | str | None = None,
-                   jobs: int | None = None,
-                   store: ResultStore | str | Path | None = None,
-                   engine: str | None = None,
+                   backend: ExecutionBackend | None = None,
+                   store: ResultStore | None = None,
                    progress: ProgressCallback | None = None
                    ) -> ExperimentResult:
     """Run (or replay) every cell of ``spec``.
@@ -153,47 +138,21 @@ def run_experiment(spec: ExperimentSpec,
     completes; no store means no caching.  Engines are bit-identical,
     so the engine choice never affects cache identity.
 
-    Live objects stay dependency-injection parameters, undeprecated: a
-    constructed backend instance (``backend=``), an open
-    :class:`ResultStore` (``store=``) and the ``progress`` callback
-    (one per-cell event dict as each cell resolves — cached cells
-    first, then simulated cells in completion order, then deduplicated
-    repeats).  The pre-``RunConfig`` string/number kwargs (``backend``
-    as a name, ``jobs``, ``store`` as a path, ``engine``) still work
-    behind a :class:`DeprecationWarning`.
+    Live objects are dependency-injection parameters: a constructed
+    backend instance (``backend=``), an open :class:`ResultStore`
+    (``store=``) and the ``progress`` callback (one per-cell event
+    dict as each cell resolves — cached cells first, then simulated
+    cells in completion order, then deduplicated repeats).
     """
     from dataclasses import replace
 
-    from repro.experiments.config import RunConfig, warn_legacy_kwargs
+    from repro.experiments.config import RunConfig
 
-    if config is not None and not isinstance(config, RunConfig):
-        # Legacy positional backend (name or instance) in the old
-        # second-argument slot.
-        if backend is None and (isinstance(config, str)
-                                or hasattr(config, "run_cells")):
-            config, backend = None, config
-        else:
-            raise TypeError(f"config must be a RunConfig, "
-                            f"got {type(config).__name__}")
-    backend_instance: ExecutionBackend | None = None
-    legacy: dict = {}
-    if backend is not None:
-        if isinstance(backend, str):
-            legacy["backend"] = backend
-        else:
-            backend_instance = backend
-    if jobs is not None:
-        legacy["jobs"] = jobs
-    if engine is not None:
-        legacy["engine"] = engine
-    store_instance: ResultStore | None = None
-    if store is not None:
-        if isinstance(store, ResultStore):
-            store_instance = store
-        else:
-            legacy["store"] = str(store)
-    legacy = warn_legacy_kwargs("run_experiment", **legacy)
-    config = (config or RunConfig()).override(**legacy)
+    if config is None:
+        config = RunConfig()
+    elif not isinstance(config, RunConfig):
+        raise TypeError(f"config must be a RunConfig, "
+                        f"got {type(config).__name__}")
 
     # Fold measurement-affecting overrides into the spec: replace()
     # re-runs __post_init__ validation, so an unknown engine fails with
@@ -206,22 +165,17 @@ def run_experiment(spec: ExperimentSpec,
         if value is not None and value != getattr(spec, name)}
     if spec_overrides:
         spec = replace(spec, **spec_overrides)
-    backend = backend_instance if backend_instance is not None \
-        else (config.backend or spec.backend)
+    if backend is None:
+        backend = config.backend or spec.backend
     jobs = config.jobs if config.jobs is not None else spec.jobs
     if config.cache is False:
         store = None
-    else:
-        store = store_instance if store_instance is not None \
-            else config.resolved_store()
-    if jobs not in (None, 1) and (backend in ("serial", "batch")
-                                  or isinstance(backend,
-                                                (SerialBackend,
-                                                 BatchBackend))):
+    elif store is None:
+        store = config.resolved_store()
+    if jobs not in (None, 1) and (backend == "serial"
+                                  or isinstance(backend, SerialBackend)):
         # Mirrors run_suite's convention: asking for workers on a
-        # backend that cannot use them is flagged, never silent.  The
-        # batch backend runs in-process too — its parallelism is
-        # lockstep cells, not worker processes.
+        # backend that cannot use them is flagged, never silent.
         import warnings
         name = backend if isinstance(backend, str) else backend.name
         warnings.warn(
@@ -268,13 +222,8 @@ def run_experiment(spec: ExperimentSpec,
         if progress is not None:
             progress(_event(item, "simulated"))
 
-    if _accepts_on_result(backend):
-        backend.run_cells([item.cell for item in ordered],
-                          on_result=_on_result)
-    else:  # legacy backend: batch-at-the-end persistence
-        results = backend.run_cells([item.cell for item in ordered])
-        for index, run_result in enumerate(results):
-            _on_result(index, run_result)
+    backend.run_cells([item.cell for item in ordered],
+                      on_result=_on_result)
 
     out = ExperimentResult(name=spec.name,
                            axes=tuple(axis.name for axis in spec.sweep))
@@ -294,23 +243,19 @@ def run_experiment(spec: ExperimentSpec,
 
 def run_plan(path: str | Path,
              config: "RunConfig | None" = None,
-             backend: ExecutionBackend | str | None = None,
-             jobs: int | None = None,
-             store: ResultStore | str | Path | None = None,
-             engine: str | None = None,
+             backend: ExecutionBackend | None = None,
+             store: ResultStore | None = None,
              progress: ProgressCallback | None = None) -> ExperimentResult:
     """Load a plan file and run it (the ``repro experiment`` command).
 
     Unset ``config`` fields honour the plan's own ``backend``,
     ``jobs`` and ``engine`` keys (and its ``run_config`` section);
-    set fields override the plan.  The legacy kwargs pass through
-    :func:`run_experiment`'s deprecation shim.
+    set fields override the plan.
     """
     from repro.experiments.spec import load_plan
 
     return run_experiment(load_plan(path), config, backend=backend,
-                          jobs=jobs, store=store, engine=engine,
-                          progress=progress)
+                          store=store, progress=progress)
 
 
 __all__ = ["run_experiment", "run_plan", "plan_cell_keys", "SerialBackend"]

@@ -3,15 +3,15 @@
 A dependency-free (stdlib ``asyncio`` + ``http``) HTTP front end over
 the experiment layer:
 
-* ``POST /jobs`` — submit a plan file body, get a job id back.
+* ``POST /v1/jobs`` — submit a plan file body, get a job id back.
   Identical *in-flight* plans coalesce single-flight on their
   store-key set: duplicate submissions share one running simulation.
-* ``GET /jobs/<id>/events`` — stream per-cell progress as NDJSON
+* ``GET /v1/jobs/<id>/events`` — stream per-cell progress as NDJSON
   (``cached`` / ``simulated`` / ``deduplicated`` / ``failed``,
   mirroring :class:`~repro.experiments.result.ExperimentResult`
   sources), terminated by one ``done`` / ``failed`` job event.
-* ``GET /jobs/<id>/result`` — the tidy result records.
-* ``GET /jobs/<id>`` — job status; ``GET /healthz`` — liveness.
+* ``GET /v1/jobs/<id>/result`` — the tidy result records.
+* ``GET /v1/jobs/<id>`` — job status; ``GET /v1/healthz`` — liveness.
 
 Execution runs on a persistent :class:`ProcessBackend` pool whose
 workers keep their prepared-kernel / generated-code caches warm across

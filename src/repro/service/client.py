@@ -5,10 +5,7 @@ submit a plan body, follow the NDJSON event stream line by line, fetch
 the tidy result.  One :class:`http.client.HTTPConnection` per request
 (the server closes connections after each response).
 
-The client speaks the versioned ``/v1`` API and transparently follows
-the server's ``308 Permanent Redirect`` answers (which is how an old
-unversioned path keeps working), so it interoperates with both
-surfaces.
+The client speaks the versioned ``/v1`` API.
 """
 
 from __future__ import annotations
@@ -18,14 +15,11 @@ from http.client import HTTPConnection, HTTPResponse
 from typing import Iterator
 from urllib.parse import urlsplit
 
+#: The current (only) API version prefix.
+API_PREFIX = "/v1"
+
 #: Content types the server uses to pick a plan parser.
 PLAN_CONTENT_TYPES = {"json": "application/json", "toml": "application/toml"}
-
-#: Redirect statuses the client follows (both preserve method + body).
-_REDIRECTS = (307, 308)
-
-#: Redirect-chain cap; the service only ever needs one hop.
-_MAX_REDIRECTS = 4
 
 
 class ServiceError(RuntimeError):
@@ -42,8 +36,7 @@ class ServiceError(RuntimeError):
 class ServiceClient:
     """Talk to one ``repro serve`` instance."""
 
-    def __init__(self, url: str, timeout: float = 60.0,
-                 api: str = "/v1"):
+    def __init__(self, url: str, timeout: float = 60.0):
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
             raise ValueError(f"unsupported service URL scheme "
@@ -51,23 +44,13 @@ class ServiceClient:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout = timeout
-        self.api = api.rstrip("/")
 
     def _request(self, method: str, path: str, body: bytes | None = None,
                  content_type: str | None = None) -> HTTPResponse:
         headers = {"Content-Type": content_type} if content_type else {}
-        for _ in range(_MAX_REDIRECTS):
-            conn = HTTPConnection(self.host, self.port,
-                                  timeout=self.timeout)
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            location = response.getheader("Location")
-            if response.status not in _REDIRECTS or not location:
-                return response
-            response.read()
-            response.close()
-            path = location
-        raise ServiceError(response.status, "redirect loop")
+        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn.request(method, path, body=body, headers=headers)
+        return conn.getresponse()
 
     def _json(self, method: str, path: str, body: bytes | None = None,
               content_type: str | None = None,
@@ -86,7 +69,7 @@ class ServiceClient:
     # -- the job API ---------------------------------------------------
 
     def health(self) -> dict:
-        return self._json("GET", f"{self.api}/healthz")
+        return self._json("GET", f"{API_PREFIX}/healthz")
 
     def submit(self, plan_text: str, fmt: str = "json",
                run_config: dict | None = None) -> dict:
@@ -114,10 +97,10 @@ class ServiceClient:
                 raise ValueError(f"invalid JSON plan: {exc}") from None
             body = json.dumps({"plan": plan,
                                "run_config": run_config}).encode()
-        return self._json("POST", f"{self.api}/jobs", body, content_type)
+        return self._json("POST", f"{API_PREFIX}/jobs", body, content_type)
 
     def status(self, job_id: str) -> dict:
-        return self._json("GET", f"{self.api}/jobs/{job_id}")
+        return self._json("GET", f"{API_PREFIX}/jobs/{job_id}")
 
     def events(self, job_id: str) -> Iterator[dict]:
         """Follow the job's NDJSON stream, yielding one dict per event.
@@ -125,7 +108,7 @@ class ServiceClient:
         The stream ends with the job's terminal ``done`` / ``failed``
         event; iterating to exhaustion therefore waits for the job.
         """
-        response = self._request("GET", f"{self.api}/jobs/{job_id}/events")
+        response = self._request("GET", f"{API_PREFIX}/jobs/{job_id}/events")
         if response.status != 200:
             raw = response.read().decode("utf-8", errors="replace")
             response.close()
@@ -147,7 +130,7 @@ class ServiceClient:
 
     def result(self, job_id: str) -> dict:
         """The finished job's result payload (raises on a failed job)."""
-        return self._json("GET", f"{self.api}/jobs/{job_id}/result",
+        return self._json("GET", f"{API_PREFIX}/jobs/{job_id}/result",
                           ok=(200,))
 
     def run(self, plan_text: str, fmt: str = "json",

@@ -22,6 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
+from repro.experiments.backends import ExecutionBackend
 from repro.experiments.config import RunConfig
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import plan_cell_keys, run_experiment
@@ -63,7 +64,7 @@ class Job:
     error: str | None = None
 
     def summary(self) -> dict:
-        """The JSON-ready status payload for ``GET /jobs/<id>``."""
+        """The JSON-ready status payload for ``GET /v1/jobs/<id>``."""
         out = {"job": self.id, "name": self.name, "state": self.state,
                "fingerprint": self.fingerprint, "events": len(self.events)}
         if self.result is not None:
@@ -80,7 +81,8 @@ class JobManager:
     """Submit, deduplicate, run and observe experiment jobs."""
 
     def __init__(self, store: ResultStore | str | None = "results",
-                 backend=None, jobs: int | None = None,
+                 backend: ExecutionBackend | None = None,
+                 jobs: int | None = None,
                  workers: int = 2, runner=run_experiment):
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)

@@ -17,11 +17,7 @@ The API is versioned under ``/v1``::
     GET  /v1/jobs/<id>/events    NDJSON per-cell progress stream
     GET  /v1/jobs/<id>/result    the tidy result records
 
-Unversioned paths (the pre-``/v1`` surface) answer ``308 Permanent
-Redirect`` to their ``/v1`` twin — 308 preserves the method and body,
-so an old client POSTing a plan to ``/jobs`` lands correctly after one
-hop.  :class:`~repro.service.client.ServiceClient` follows these and
-defaults to ``/v1``.
+Paths outside ``/v1`` answer ``404``.
 
 A JSON submit body may be a bare plan, or an envelope ``{"plan":
 {...}, "run_config": {...}}`` whose ``run_config`` maps onto a per-job
@@ -39,10 +35,8 @@ from http import HTTPStatus
 
 from repro.experiments.config import PLAN_RUN_CONFIG_FIELDS, RunConfig
 from repro.experiments.spec import ExperimentSpec, PlanError, parse_plan
+from repro.service.client import API_PREFIX
 from repro.service.jobs import JobManager
-
-#: The current (only) API version prefix.
-API_PREFIX = "/v1"
 
 #: Largest accepted plan body; a plan file is small by construction.
 MAX_BODY = 1 << 20
@@ -101,13 +95,11 @@ class ReproService:
     # -- routing -------------------------------------------------------
 
     async def _route(self, method, path, headers, body, writer) -> None:
-        if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
-            # The pre-/v1 surface: one permanent redirect to the
-            # versioned twin.  308 (not 301) so a POSTed plan body
-            # survives the hop.
-            await _redirect(writer, API_PREFIX + path)
+        if not path.startswith(API_PREFIX + "/"):
+            await _send_json(writer, HTTPStatus.NOT_FOUND,
+                             {"error": f"no route for {method} {path}"})
             return
-        path = path[len(API_PREFIX):] or "/"
+        path = path[len(API_PREFIX):]
         if path == "/healthz" and method == "GET":
             await _send_json(writer, HTTPStatus.OK,
                              {"ok": True, **self.manager.jobs_summary()})
@@ -220,18 +212,6 @@ def _parse_submission(text: str,
             return spec, config
         return ExperimentSpec.from_dict(data), None
     return parse_plan(text, fmt), None
-
-
-async def _redirect(writer, location: str) -> None:
-    body = (json.dumps({"redirect": location}) + "\n").encode()
-    status = HTTPStatus.PERMANENT_REDIRECT
-    head = [f"HTTP/1.1 {status.value} {status.phrase}",
-            f"Location: {location}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: close"]
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-    await writer.drain()
 
 
 def _head(status: HTTPStatus, content_type: str,

@@ -9,7 +9,7 @@ kernel on any machine in any process, which is what lets:
 
 * experiment plans address corpora with the ``synth:<family>:<seed>:<n>``
   kernel selector (each member resolves *by name* in worker processes,
-  so the process/batch backends need no extra plumbing);
+  so the process backend needs no extra plumbing);
 * ``repro soak`` re-generate a failing kernel under reduced knobs when
   shrinking a differential failure;
 * a regression manifest name the exact corpus member it came from.

@@ -1,8 +1,8 @@
 """Budgeted differential soak: the discover → shrink → pin loop.
 
 ``repro soak`` walks the seeded corpus round-robin across families and
-runs every kernel through all five engines (``step`` as the reference,
-then ``fast``/``traced``/``batch``/``auto``), asserting bit-identical
+runs every kernel through all four engines (``step`` as the reference,
+then ``fast``/``traced``/``auto``), asserting bit-identical
 registers, memory, cycles, stats and controller counters via
 :mod:`repro.synth.observe`.  Engines that *fault* agree when they raise
 the same exception type and message (fault parity — the same contract
@@ -37,9 +37,9 @@ from repro.synth.corpus import (
 from repro.synth.draw import GENERATOR_VERSION
 from repro.synth.observe import observe
 
-#: Engine order for the 5-way comparison; the first entry is the
+#: Engine order for the 4-way comparison; the first entry is the
 #: reference the others are diffed against.
-SOAK_ENGINES: tuple[str, ...] = ("step", "fast", "traced", "batch", "auto")
+SOAK_ENGINES: tuple[str, ...] = ("step", "fast", "traced", "auto")
 
 #: Generous step budget, matching the property suites.
 DEFAULT_MAX_STEPS = 200_000

@@ -14,7 +14,6 @@ import pytest
 from repro.cpu.pipeline import PipelineConfig
 from repro.eval.machines import M_ZOLC_LITE, XR_DEFAULT
 from repro.experiments.backends import (
-    BatchBackend,
     Cell,
     ProcessBackend,
     SerialBackend,
@@ -105,25 +104,6 @@ class _Boom:
         raise AssertionError("a process pool was created")
 
 
-class TestBatchCallbacks:
-    def test_lockstep_group_reports_every_member(self):
-        cells = [_cell("vec_sum", M_ZOLC_LITE, penalty=p)
-                 for p in (0, 1, 2, 3)]
-        seen = {}
-        results = BatchBackend(min_group=4).run_cells(
-            cells, on_result=lambda i, r: seen.setdefault(i, r))
-        assert sorted(seen) == [0, 1, 2, 3]
-        serial = SerialBackend().run_cells(cells)
-        assert [r.record() for r in results] \
-            == [r.record() for r in serial]
-
-    def test_scalar_routed_small_group_reports_too(self):
-        seen = []
-        BatchBackend(min_group=4).run_cells(
-            GRID[:2], on_result=lambda i, r: seen.append(i))
-        assert seen == [0, 1]
-
-
 class TestWarmPrepareCache:
     def test_prepare_is_memoized_per_process(self, monkeypatch):
         import repro.experiments.backends as backends_module
@@ -187,24 +167,15 @@ class TestJobsConvention:
         assert by_name.worker_count() == ProcessBackend().worker_count()
         assert get_backend("process", jobs=3).worker_count() == 3
 
-    def test_get_backend_forwards_jobs_to_batch(self):
-        # Retained (not dropped) so the runner can warn about it.
-        assert get_backend("batch", jobs=2).jobs == 2
-
-    def test_batch_backend_jobs_warns_at_run_experiment(self):
-        from repro.experiments import ExperimentSpec, run_experiment
-
-        spec = ExperimentSpec(name="t", kernels=("vec_sum",),
-                              machines=(XR_DEFAULT,))
-        with pytest.warns(RuntimeWarning, match="jobs=2 ignored: the "
-                                                "batch backend"):
-            run_experiment(spec, backend="batch", jobs=2)
-
     def test_serial_backend_jobs_still_warns(self):
-        from repro.experiments import ExperimentSpec, run_experiment
+        from repro.experiments import (
+            ExperimentSpec,
+            RunConfig,
+            run_experiment,
+        )
 
         spec = ExperimentSpec(name="t", kernels=("vec_sum",),
                               machines=(XR_DEFAULT,))
         with pytest.warns(RuntimeWarning, match="jobs=2 ignored: the "
                                                 "serial backend"):
-            run_experiment(spec, backend="serial", jobs=2)
+            run_experiment(spec, RunConfig(backend="serial", jobs=2))

@@ -249,7 +249,7 @@ class TestRunEngineFlag:
 
     def test_default_engine_resolves_to_traced(self, capsys, monkeypatch):
         """`repro run` without --engine rides the loop-resident tier."""
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         calls = spy_run_traced(monkeypatch)
         assert main(["run", "vec_sum", "-m", "ZOLClite", "--json"]) == 0
@@ -257,7 +257,7 @@ class TestRunEngineFlag:
         assert calls == [True]
 
     def test_explicit_step_bypasses_traced(self, capsys, monkeypatch):
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         calls = spy_run_traced(monkeypatch)
         assert main(["run", "vec_sum", "--json",
@@ -295,9 +295,11 @@ class TestServeSubmit:
 
     @pytest.fixture()
     def service_url(self, tmp_path):
+        from repro.experiments import SerialBackend
         from repro.service import JobManager, start_in_thread
 
-        manager = JobManager(store=tmp_path / "results", backend="serial")
+        manager = JobManager(store=tmp_path / "results",
+                             backend=SerialBackend())
         handle = start_in_thread(manager)
         try:
             yield handle.url

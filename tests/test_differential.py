@@ -1,7 +1,7 @@
 """Differential testing of the datapath.
 
 Hypothesis generates random straight-line ALU programs (shared
-strategies in ``tests/strategies.py``); the simulator's final register
+strategies in :mod:`repro.synth.strategies`); the simulator's final register
 state is checked against an *independent* reference interpreter written
 directly from the ISA definition (no shared code with the datapath).
 Any divergence in wrap-around, sign-extension or shift semantics fails
@@ -16,7 +16,7 @@ from repro.cpu.simulator import run_program
 from repro.isa import encode, decode
 from repro.util.bitops import MASK32, to_signed32
 
-from strategies import (
+from repro.synth.strategies import (
     REGS,
     alu_instructions,
     render_alu_program,

@@ -22,7 +22,7 @@ from repro.cpu import Simulator, WatchdogError
 from repro.cpu.engine import predecode
 from repro.eval.machines import ALL_MACHINES
 
-from strategies import alu_instructions, render_alu_program
+from repro.synth.strategies import alu_instructions, render_alu_program
 
 
 def _state_tuple(sim):

@@ -1,22 +1,19 @@
-"""Cross-engine differential fuzzing: step vs fast vs traced vs batch vs auto.
+"""Cross-engine differential fuzzing: step vs fast vs traced vs auto.
 
 The execution engines promise bit-identical retirement: same final
 registers, memory, cycles, stats and controller counters for any
 program on any machine under any pipeline timing.  ``tests/test_engine.
 py`` pins that invariant on the hand-written suite; this module pins it
-on *generated* programs (``tests/strategies.py``): random structured
+on *generated* programs (:mod:`repro.synth.strategies`): random structured
 loop nests — in the shapes the ZOLC transform drives in hardware,
 including multi-nest programs that re-arm single-shot controllers
 mid-run — and random straight-line ALU programs, each crossed with
 generated machines and pipeline timings.
 
-The sweep is 5-way: the four explicit engines plus ``auto``, which
+The sweep is 4-way: the three explicit engines plus ``auto``, which
 resolves to the loop-resident traced tier (fire→re-entry chains +
 inlined memory access), so every generated ZOLC loop also exercises
-the chained dispatch against the per-instruction oracles.  The
-``batch`` engine runs both degenerately (one cell *is* the lockstep
-driver) and as a 4-cell batch whose every cell must match the stepped
-oracle bit for bit.
+the chained dispatch against the per-instruction oracles.
 
 Any divergence fails with the generating source attached, so a
 counterexample is directly replayable.
@@ -28,7 +25,7 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.cpu import Simulator
 
-from strategies import (
+from repro.synth.strategies import (
     alu_instructions,
     controller_tuple,
     loop_nest_kernels,
@@ -40,7 +37,7 @@ from strategies import (
     state_tuple,
 )
 
-ENGINES = ("step", "fast", "traced", "batch", "auto")
+ENGINES = ("step", "fast", "traced", "auto")
 
 MAX_STEPS = 200_000
 
@@ -58,18 +55,7 @@ def _assert_engines_agree(make_simulator, source):
             # `auto` is the loop-resident traced tier.
             assert sim.last_engine == "traced", sim.last_engine
         observations[engine] = _observe(sim)
-    # N-cell lockstep: four independent cells stepped by one driver.
-    from repro.cpu.engine import run_batch
-
-    cells = [make_simulator() for _ in range(4)]
-    errors = run_batch(cells, MAX_STEPS)
-    assert errors == [None] * 4, errors
-    for cell in cells:
-        assert cell.last_engine == "batch"
-        observations.setdefault("batch4", _observe(cell))
-        assert _observe(cell) == observations["batch4"], \
-            f"batch cells diverged for program:\n{source}"
-    for engine in list(ENGINES[1:]) + ["batch4"]:
+    for engine in ENGINES[1:]:
         assert observations[engine] == observations["step"], \
             f"{engine} diverged from step for program:\n{source}"
 
@@ -158,5 +144,5 @@ second:
             sims[engine] = sim
         # uZOLC is single-shot: the second nest forces a fresh arm.
         assert sims["traced"].zolc.arm_count >= 2
-        for engine in ("fast", "traced", "batch"):
+        for engine in ("fast", "traced"):
             assert _observe(sims[engine]) == _observe(sims["step"])

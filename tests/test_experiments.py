@@ -19,6 +19,7 @@ from repro.experiments import (
     ExperimentSpec,
     PlanError,
     ResultStore,
+    RunConfig,
     SweepAxis,
     cell_key,
     get_backend,
@@ -275,38 +276,40 @@ class TestRunExperiment:
                 assert record["instructions"] == direct.instructions
 
     def test_second_run_fully_cached(self, tmp_path):
-        first = run_experiment(small_spec(), store=tmp_path)
-        second = run_experiment(small_spec(), store=tmp_path)
+        store = ResultStore(tmp_path)
+        first = run_experiment(small_spec(), store=store)
+        second = run_experiment(small_spec(), store=store)
         assert first.simulated == 4 and first.cached == 0
         assert second.simulated == 0 and second.cached == 4
         assert first.records == second.records
 
     def test_kernel_source_change_invalidates_only_that_kernel(
             self, tmp_path, monkeypatch):
-        run_experiment(small_spec(), store=tmp_path)
+        run_experiment(small_spec(), store=ResultStore(tmp_path))
         kernel = registry().get("vec_sum")
         monkeypatch.setattr(kernel, "source", kernel.source + "\n")
-        rerun = run_experiment(small_spec(), store=tmp_path)
+        rerun = run_experiment(small_spec(), store=ResultStore(tmp_path))
         assert rerun.simulated == 2  # vec_sum on both machines
         assert rerun.cached == 2
 
     def test_process_backend_matches_serial_with_custom_machine(self):
         spec = small_spec(machines=(
             XR_DEFAULT, MachineSpec("ZOLCtest", "zolc", CUSTOM_ZOLC)))
-        serial = run_experiment(spec, backend="serial")
-        process = run_experiment(spec, backend="process", jobs=2)
+        serial = run_experiment(spec, RunConfig(backend="serial"))
+        process = run_experiment(spec, RunConfig(backend="process",
+                                                 jobs=2))
         assert serial.records == process.records
         assert process.get("vec_sum", "ZOLCtest")["verified"]
 
     def test_repeats_simulate_once_but_record_each(self, tmp_path):
         spec = small_spec(kernels=("vec_sum",), machines=(XR_DEFAULT,),
                           repeats=3)
-        result = run_experiment(spec, store=tmp_path)
+        result = run_experiment(spec, store=ResultStore(tmp_path))
         assert len(result.records) == 3
         assert result.simulated == 1 and result.deduplicated == 2
         assert result.cached == 0  # nothing came from the store this run
         assert [r["repeat"] for r in result.records] == [0, 1, 2]
-        rerun = run_experiment(spec, store=tmp_path)
+        rerun = run_experiment(spec, store=ResultStore(tmp_path))
         assert rerun.simulated == 0 and rerun.cached == 3
 
     def test_repeats_without_store_report_no_cache_hits(self):
@@ -336,7 +339,7 @@ class TestRunExperiment:
         assert "cycles" in payload["records"][0]
 
     def test_render_mentions_cache_counts(self, tmp_path):
-        result = run_experiment(small_spec(), store=tmp_path)
+        result = run_experiment(small_spec(), store=ResultStore(tmp_path))
         text = result.render()
         assert "4 simulated, 0 cached" in text
         assert "vec_sum" in text and "ZOLClite" in text
@@ -380,13 +383,14 @@ class TestRunExperiment:
         with pytest.warns(RuntimeWarning, match="jobs=4 ignored"):
             run_experiment(small_spec(kernels=("vec_sum",),
                                       backend="process", jobs=4),
-                           backend="serial")
+                           RunConfig(backend="serial"))
         assert chosen["name"] == "serial"
 
     def test_engine_choice_is_bit_identical_and_cache_compatible(
             self, tmp_path):
-        fast = run_experiment(small_spec(engine="fast"), store=tmp_path)
-        stepped = run_experiment(small_spec(engine="step"), store=tmp_path)
+        store = ResultStore(tmp_path)
+        fast = run_experiment(small_spec(engine="fast"), store=store)
+        stepped = run_experiment(small_spec(engine="step"), store=store)
         assert fast.records == stepped.records
         # Engines share cache identity: the stepped rerun is all hits.
         assert stepped.simulated == 0 and stepped.cached == 4
@@ -399,16 +403,16 @@ class TestRunExperiment:
     def test_engine_override_beats_the_spec(self):
         base = run_experiment(small_spec(engine="step"))
         overridden = run_experiment(small_spec(engine="step"),
-                                    engine="traced")
+                                    RunConfig(engine="traced"))
         assert overridden.records == base.records
 
     def test_unknown_engine_override_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            run_experiment(small_spec(), engine="warp")
+            run_experiment(small_spec(), RunConfig(engine="warp"))
 
     def test_auto_engine_resolves_to_traced(self, monkeypatch):
         """The spec's default `auto` rides the loop-resident tier."""
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         spec = small_spec()
         assert spec.engine == "auto"
@@ -418,7 +422,7 @@ class TestRunExperiment:
         assert calls and all(calls)
 
     def test_explicit_step_engine_bypasses_traced(self, monkeypatch):
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         calls = spy_run_traced(monkeypatch)
         run_experiment(small_spec(engine="step"))
@@ -426,7 +430,7 @@ class TestRunExperiment:
 
     def test_plan_file_auto_engine_resolves_to_traced(self, tmp_path,
                                                       monkeypatch):
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         plan = tmp_path / "plan.json"
         plan.write_text(small_spec().to_json())
@@ -454,12 +458,12 @@ class TestIncrementalPersistence:
 
         monkeypatch.setattr(backends_module, "_run_cell", flaky)
         with pytest.raises(RuntimeError, match="crash in cell 3"):
-            run_experiment(small_spec(), store=tmp_path)
+            run_experiment(small_spec(), store=ResultStore(tmp_path))
         # The two cells that finished were persisted as they arrived.
         assert len(ResultStore(tmp_path)) == 2
         # The rerun resumes: only the lost cells re-simulate.
         monkeypatch.setattr(backends_module, "_run_cell", real)
-        resumed = run_experiment(small_spec(), store=tmp_path)
+        resumed = run_experiment(small_spec(), store=ResultStore(tmp_path))
         assert resumed.simulated == 2 and resumed.cached == 2
         # And the final records match a clean run.
         assert resumed.records == run_experiment(small_spec()).records
@@ -475,26 +479,10 @@ class TestIncrementalPersistence:
         with pytest.raises(RuntimeError, match="sim fault"):
             run_experiment(small_spec(kernels=("vec_sum",),
                                       machines=(XR_DEFAULT,)),
-                           store=tmp_path, progress=events.append)
+                           store=ResultStore(tmp_path),
+                           progress=events.append)
         assert [e["source"] for e in events] == ["failed"]
         assert "sim fault" in events[0]["error"]
-
-    def test_legacy_backend_without_on_result_still_persists(
-            self, tmp_path):
-        from repro.experiments.backends import _run_cell
-
-        class LegacyBackend:
-            name = "legacy"
-
-            def run_cells(self, cells):  # no on_result parameter
-                return [_run_cell(cell) for cell in cells]
-
-        result = run_experiment(small_spec(), backend=LegacyBackend(),
-                                store=tmp_path)
-        assert result.simulated == 4
-        assert len(ResultStore(tmp_path)) == 4
-        rerun = run_experiment(small_spec(), store=tmp_path)
-        assert rerun.simulated == 0 and rerun.cached == 4
 
 
 class TestProgressEvents:
@@ -503,13 +491,14 @@ class TestProgressEvents:
     def test_every_planned_cell_gets_one_event(self, tmp_path):
         spec = small_spec(repeats=2)  # 8 planned cells, 4 unique
         events = []
-        run_experiment(spec, store=tmp_path, progress=events.append)
+        run_experiment(spec, store=ResultStore(tmp_path),
+                       progress=events.append)
         sources = [e["source"] for e in events]
         assert sources.count("simulated") == 4
         assert sources.count("deduplicated") == 4
         assert all(e["event"] == "cell" and e["key"] for e in events)
         rerun_events = []
-        run_experiment(spec, store=tmp_path,
+        run_experiment(spec, store=ResultStore(tmp_path),
                        progress=rerun_events.append)
         assert [e["source"] for e in rerun_events] == ["cached"] * 8
 
@@ -523,24 +512,14 @@ class TestProgressEvents:
                    and e["machine"] == "XRdefault"
                    and e["repeat"] == 0 for e in events)
 
-    def test_batch_backend_streams_events_too(self, tmp_path):
-        spec = small_spec(kernels=("vec_sum",), machines=(M_ZOLC_LITE,),
-                          sweep=(SweepAxis("branch_penalty",
-                                           (0, 1, 2, 3)),))
-        events = []
-        result = run_experiment(spec, backend="batch", store=tmp_path,
-                                progress=events.append)
-        assert result.simulated == 4
-        assert [e["source"] for e in events] == ["simulated"] * 4
-
 
 class TestRunPlan:
     def test_plan_file_run_and_rerun(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(small_spec().to_json())
-        store = tmp_path / "results"
-        first = run_plan(plan, store=store)
-        second = run_plan(plan, store=store)
+        config = RunConfig(store=str(tmp_path / "results"))
+        first = run_plan(plan, config)
+        second = run_plan(plan, config)
         assert first.simulated == 4
         assert second.simulated == 0  # acceptance: zero re-simulated cells
         assert first.records == second.records
@@ -567,12 +546,11 @@ class TestFigure2Equivalence:
         from repro.eval.figures import figure2, figure2_from_result
 
         data = figure2()
-        result = run_plan("examples/figure2_plan.json",
-                          store=tmp_path / "results")
+        config = RunConfig(store=str(tmp_path / "results"))
+        result = run_plan("examples/figure2_plan.json", config)
         from_plan = figure2_from_result(result)
         assert from_plan.rows == data.rows
-        rerun = run_plan("examples/figure2_plan.json",
-                         store=tmp_path / "results")
+        rerun = run_plan("examples/figure2_plan.json", config)
         assert rerun.simulated == 0
 
 

@@ -1,12 +1,10 @@
-"""The unified RunConfig API and its deprecation shims.
+"""The unified RunConfig API.
 
-One config value now rides through ``run_kernel`` / ``run_suite`` /
+One config value rides through ``run_kernel`` / ``run_suite`` /
 ``run_experiment`` / ``run_plan``, plan files, backend construction
 and the service submit body.  These tests pin the merge semantics
-(``None`` defers), the validation errors, the plan ``run_config``
-section (including the both-ways-ambiguous rejection), and — per the
-compatibility contract — that every legacy kwarg still works behind
-exactly one :class:`DeprecationWarning`.
+(``None`` defers), the validation errors and the plan ``run_config``
+section (including the both-ways-ambiguous rejection).
 """
 
 from pathlib import Path
@@ -17,11 +15,11 @@ from repro.cpu.pipeline import PipelineConfig
 from repro.eval.machines import XR_DEFAULT, machine_by_name
 from repro.eval.runner import run_kernel, run_suite
 from repro.experiments import (
-    BatchBackend,
     ExperimentSpec,
     PlanError,
     ProcessBackend,
     RunConfig,
+    SerialBackend,
     get_backend,
     run_experiment,
 )
@@ -90,23 +88,6 @@ class TestMerging:
 
 
 class TestRunKernelConfig:
-    def test_config_engine_matches_legacy_engine(self):
-        kernel = registry().get("vec_sum")
-        via_config = run_kernel(kernel, XR_DEFAULT,
-                                RunConfig(engine="fast"))
-        with pytest.warns(DeprecationWarning, match="run_kernel"):
-            via_legacy = run_kernel(kernel, XR_DEFAULT, engine="fast")
-        assert via_config.record() == via_legacy.record()
-
-    def test_legacy_positional_pipeline_still_works(self):
-        kernel = registry().get("vec_sum")
-        pipeline = PipelineConfig(branch_penalty=3)
-        with pytest.warns(DeprecationWarning, match="pipeline"):
-            legacy = run_kernel(kernel, XR_DEFAULT, pipeline)
-        modern = run_kernel(kernel, XR_DEFAULT,
-                            RunConfig(pipeline=pipeline))
-        assert legacy.cycles == modern.cycles
-
     def test_config_max_steps_budget_enforced(self):
         from repro.cpu import WatchdogError
 
@@ -116,14 +97,8 @@ class TestRunKernelConfig:
 
 
 class TestRunSuiteConfig:
-    def test_legacy_jobs_kwarg_warns(self):
-        kernels = [registry().get("vec_sum")]
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            suite = run_suite(kernels, [XR_DEFAULT], jobs=1)
-        assert suite.get("vec_sum", "XRdefault").verified
-
     def test_config_engine_reaches_serial_cells(self, monkeypatch):
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         calls = spy_run_traced(monkeypatch)
         kernels = [registry().get("vec_sum")]
@@ -134,19 +109,8 @@ class TestRunSuiteConfig:
 
 
 class TestRunExperimentConfig:
-    def test_legacy_kwargs_warn_once_with_names(self, tmp_path):
-        with pytest.warns(DeprecationWarning,
-                          match="backend, engine, jobs, store"):
-            run_experiment(small_spec(), backend="serial", jobs=1,
-                           engine="fast", store=str(tmp_path))
-
-    def test_legacy_positional_backend_string(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            result = run_experiment(small_spec(), "serial")
-        assert result.simulated == 1
-
     def test_backend_instance_stays_undeprecated(self, recwarn):
-        result = run_experiment(small_spec(), backend=BatchBackend())
+        result = run_experiment(small_spec(), backend=SerialBackend())
         assert result.simulated == 1
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
@@ -156,7 +120,7 @@ class TestRunExperimentConfig:
             run_experiment(small_spec(), 42)
 
     def test_config_overrides_fold_into_the_spec(self, monkeypatch):
-        from strategies import spy_run_traced
+        from repro.synth.strategies import spy_run_traced
 
         calls = spy_run_traced(monkeypatch)
         run_experiment(small_spec(engine="step"),
@@ -180,13 +144,12 @@ class TestBackendConstruction:
         assert get_backend().name == "serial"
 
     def test_explicit_args_beat_the_config(self):
-        backend = get_backend("batch",
-                              config=RunConfig(backend="process", jobs=2))
-        assert isinstance(backend, BatchBackend) and backend.jobs == 2
+        backend = get_backend("process",
+                              config=RunConfig(backend="serial", jobs=2))
+        assert isinstance(backend, ProcessBackend) and backend.jobs == 2
 
     def test_backends_take_config_jobs(self):
         assert ProcessBackend(config=RunConfig(jobs=5)).jobs == 5
-        assert BatchBackend(config=RunConfig(jobs=5)).jobs == 5
 
 
 class TestPlanRunConfig:

@@ -13,7 +13,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.eval.machines import M_ZOLC_LITE, XR_DEFAULT
-from repro.experiments import ExperimentSpec, RunConfig
+from repro.experiments import ExperimentSpec, RunConfig, SerialBackend
 from repro.service import (
     JobManager,
     ServiceClient,
@@ -46,7 +46,8 @@ class TestPlanFingerprint:
 
 class TestJobManager:
     def test_submit_runs_to_done_with_events(self, tmp_path):
-        with JobManager(store=tmp_path, backend="serial") as manager:
+        with JobManager(store=tmp_path,
+                        backend=SerialBackend()) as manager:
             job, coalesced = manager.submit(tiny_spec())
             assert not coalesced
             manager.wait(job.id, timeout=60)
@@ -58,7 +59,8 @@ class TestJobManager:
             assert job.summary()["records"] == 1
 
     def test_second_submission_serves_from_store(self, tmp_path):
-        with JobManager(store=tmp_path, backend="serial") as manager:
+        with JobManager(store=tmp_path,
+                        backend=SerialBackend()) as manager:
             first, _ = manager.submit(tiny_spec())
             manager.wait(first.id, timeout=60)
             second, coalesced = manager.submit(tiny_spec())
@@ -111,7 +113,8 @@ class TestJobManager:
             assert finished and events[-1]["event"] == "failed"
 
     def test_events_since_paginates(self, tmp_path):
-        with JobManager(store=tmp_path, backend="serial") as manager:
+        with JobManager(store=tmp_path,
+                        backend=SerialBackend()) as manager:
             job, _ = manager.submit(tiny_spec(repeats=3))
             manager.wait(job.id, timeout=60)
             first, finished_early = manager.events_since(job.id, 0,
@@ -125,12 +128,13 @@ class TestJobManager:
             assert sources.count("deduplicated") == 2
 
     def test_unknown_job_raises(self, tmp_path):
-        with JobManager(store=tmp_path, backend="serial") as manager:
+        with JobManager(store=tmp_path,
+                        backend=SerialBackend()) as manager:
             with pytest.raises(KeyError, match="unknown job"):
                 manager.get("nope")
 
     def test_closed_manager_refuses_submissions(self, tmp_path):
-        manager = JobManager(store=tmp_path, backend="serial")
+        manager = JobManager(store=tmp_path, backend=SerialBackend())
         manager.close()
         with pytest.raises(RuntimeError, match="closed"):
             manager.submit(tiny_spec())
@@ -138,7 +142,8 @@ class TestJobManager:
 
 @pytest.fixture()
 def service(tmp_path):
-    manager = JobManager(store=tmp_path / "results", backend="serial")
+    manager = JobManager(store=tmp_path / "results",
+                         backend=SerialBackend())
     handle = start_in_thread(manager)
     try:
         yield ServiceClient(handle.url)
@@ -221,7 +226,7 @@ class TestResultBeforeDone:
             submission = client.submit(tiny_spec().to_json(), "json")
             assert started.wait(timeout=60)
             pending = client._json("GET",
-                                   f"/jobs/{submission['job']}/result")
+                                   f"/v1/jobs/{submission['job']}/result")
             assert pending["state"] in ("pending", "running")
             gate.set()
             list(client.events(submission["job"]))  # wait via the stream
@@ -297,22 +302,17 @@ class TestJobManagerRunConfig:
 
 
 class TestV1Api:
-    def test_unversioned_path_redirects_permanently(self, service):
+    def test_unversioned_path_is_404(self, service):
         conn = HTTPConnection(service.host, service.port, timeout=10)
         try:
             conn.request("GET", "/healthz")
             response = conn.getresponse()
-            assert response.status == 308
-            assert response.getheader("Location") == "/v1/healthz"
-            assert json.loads(response.read())["redirect"] == "/v1/healthz"
+            assert response.status == 404
+            assert response.getheader("Location") is None
+            assert json.loads(response.read())["error"] \
+                == "no route for GET /healthz"
         finally:
             conn.close()
-
-    def test_legacy_unversioned_client_still_works(self, service):
-        legacy = ServiceClient(f"{service.host}:{service.port}", api="")
-        payload = legacy.run(tiny_spec().to_json(), "json")
-        assert payload["state"] == "done"
-        assert payload["result"]["records"]
 
     def test_submit_envelope_with_run_config(self, service):
         payload = service.run(tiny_spec().to_json(), "json",

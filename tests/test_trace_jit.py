@@ -1,6 +1,6 @@
 """Deterministic tests for the guard-based trace JIT.
 
-The 5-way fuzz (``test_engine_fuzz.py``) samples branchy loop bodies at
+The 4-way fuzz (``test_engine_fuzz.py``) samples branchy loop bodies at
 random; this module pins the specific trace-JIT behaviours with
 hand-written kernels whose control flow is known exactly:
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro.eval.machines import M_UZOLC, M_ZOLC_FULL, M_ZOLC_LITE
 
-from strategies import controller_tuple, memory_image, state_tuple
+from repro.synth.strategies import controller_tuple, memory_image, state_tuple
 
 MAX_STEPS = 200_000
 
