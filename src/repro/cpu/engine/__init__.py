@@ -18,7 +18,10 @@ slot), and each engine tier is a *lowering pass* over that array:
   megahandlers — memory accesses inlined, bounds-checked, against the
   raw memory buffer — executing a whole block per Python call, and
   chains canonical ZOLC loops *loop-resident* (the trigger-fire →
-  region-re-entry cycle runs inside generated code);
+  region-re-entry cycle runs inside generated code).  Compilation is
+  tiered: a span is fused only once it is hot (entered
+  ``trace.HOT_THRESHOLD`` times) or its code is already cached on the
+  Program; cold spans run on the fast tier's per-slot path;
 * all generated text comes from the one shared emitter
   (:mod:`~repro.cpu.engine.emit`), so operand formatting, immediate
   masking, the ``r0``-write drop and the inlined memory fast paths

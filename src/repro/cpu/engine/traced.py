@@ -16,6 +16,13 @@ pending load remains a runtime check.  Per-slot retirement counts
 accumulate per region and are expanded into per-slot counts once, at
 sync time.
 
+Compilation is tiered (:func:`_hot_region`): a region start counts its
+entries, and its megahandler is fused only once the count reaches
+:data:`~repro.cpu.engine.trace.HOT_THRESHOLD` — the constant that also
+gates trace promotion — or on first entry when the Program already
+holds the region's code.  Until then the slot runs on the single-slot
+path, so a cold cell pays codegen only for its hot loops.
+
 Region tables are sliced per controller plan state (keyed by the plan's
 watch-set content key, ``None`` while unarmed) and re-resolved at exactly
 the points the fast engine re-queries the plan: after every trigger fire
@@ -52,6 +59,7 @@ from repro.cpu.engine.fast import (
     run_fast,
 )
 from repro.cpu.engine.trace import (
+    HOT_THRESHOLD,
     abandon_recording,
     note_fire,
     note_side_exit,
@@ -189,9 +197,9 @@ def _slice_regions(predecoded: PredecodedProgram, base: int, plan) -> list:
 
     One delegation to the shared :func:`straightline_terms` scan:
     ``None`` for slots that cannot begin a region of at least two
-    instructions, else the terminator slot index (an ``int``) —
-    megahandlers are fused lazily on first arrival, so cold slots never
-    pay codegen.
+    instructions, else the terminator slot index (an ``int``) — a
+    region start not yet fused, which :func:`_hot_region` replaces by
+    its :class:`TraceRegion` once the region is hot.
     """
     watched_next: frozenset[int] | set[int] = frozenset()
     if plan is not None:
@@ -200,20 +208,46 @@ def _slice_regions(predecoded: PredecodedProgram, base: int, plan) -> list:
 
 
 def _trace_regions(sim: "Simulator", predecoded: PredecodedProgram,
-                   plan) -> list:
+                   plan) -> tuple[list, list[int]]:
     """Resolve (or slice) the region table for one plan state.
 
-    Cached on the simulator by the plan's watch-set content key
-    (``None`` while unarmed), so re-arming the same tables re-uses both
-    the slicing *and* every lazily fused megahandler.  The cache is
+    Returns ``(regions, heat)``: the region table and, beside it, one
+    entry counter per slot for :func:`_hot_region`.  Both are cached on
+    the simulator by the plan's watch-set content key (``None`` while
+    unarmed), so re-arming the same tables re-uses the slicing, every
+    fused megahandler *and* the heat gathered so far.  The cache is
     cleared whenever the program is re-predecoded (ZOLC port swap).
     """
     key = None if plan is None else plan.key
-    regions = sim._trace_region_cache.get(key)
-    if regions is None:
+    table = sim._trace_region_cache.get(key)
+    if table is None:
         regions = _slice_regions(predecoded, sim.program.text_base, plan)
-        sim._trace_region_cache[key] = regions
-    return regions
+        table = sim._trace_region_cache[key] = (regions, [0] * len(regions))
+    return table
+
+
+def _hot_region(sim: "Simulator", predecoded: PredecodedProgram,
+                regions: list, heat: list[int], idx: int, term: int,
+                load_use: int) -> TraceRegion | None:
+    """Tiering policy for an unfused region start: its region, or ``None``.
+
+    A region is fused once it is hot — its entry count at ``idx``
+    reaches :data:`~repro.cpu.engine.trace.HOT_THRESHOLD`, the constant
+    that also gates trace promotion — or on first entry when the
+    Program already holds its compiled code, since only ``exec`` is
+    left to pay.  Otherwise the entry is counted and ``None`` sends the
+    caller down the single-slot path, which retires exactly what the
+    fused region would have.
+    """
+    count = heat[idx] + 1
+    if count < HOT_THRESHOLD:
+        compiled = sim.program.__dict__.get("_trace_region_code")
+        if compiled is None or (idx, term) not in compiled:
+            heat[idx] = count
+            return None
+    region = _build_region(sim, predecoded, idx, term, load_use)
+    regions[idx] = region
+    return region
 
 
 def _fault_member(exc: BaseException, filename: str,
@@ -485,15 +519,18 @@ def _traced_dispatch_state(plan, sim: "Simulator",
     there is no compiled plan (traces only exist against one — their
     chain leaves fire the plan's trigger handler directly); ``jit`` is
     the :class:`~repro.cpu.engine.trace.TraceTable` or ``None``.
+    ``heat`` is the region table's entry counters (``None`` beside the
+    all-``None`` table, which has no region start to count).
     """
     (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger, zepoch,
      zactive) = _plan_dispatch_state(plan, sim, n, base, zolc)
     if znext is None and zactive:
         regions = no_regions
+        heat = None
         traces: list = no_regions
         jit = None
     else:
-        regions = _trace_regions(sim, predecoded, plan)
+        regions, heat = _trace_regions(sim, predecoded, plan)
         if plan is None or not sim._trace_jit_enabled:
             traces = no_regions
             jit = None
@@ -501,7 +538,7 @@ def _traced_dispatch_state(plan, sim: "Simulator",
             jit = trace_table(sim, predecoded, plan)
             traces = jit.slots
     return (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
-            zepoch, zactive, regions, traces, jit)
+            zepoch, zactive, regions, heat, traces, jit)
 
 
 def run_traced(sim: "Simulator", max_steps: int,
@@ -575,7 +612,7 @@ def run_traced(sim: "Simulator", max_steps: int,
     try:
       if plan_fn is None:
         # -- no ZOLC port: pure region dispatch -------------------------
-        regions = _trace_regions(sim, predecoded, None)
+        regions, heat = _trace_regions(sim, predecoded, None)
         while not halted:
             if steps >= max_steps:
                 raise WatchdogError(
@@ -585,11 +622,10 @@ def run_traced(sim: "Simulator", max_steps: int,
                 raise InvalidFetchError(pc)
             idx = offset >> 2
             region = regions[idx]
+            if region is not None and region.__class__ is int:
+                region = _hot_region(sim, predecoded, regions, heat, idx,
+                                     region, load_use)
             if region is not None:
-                if region.__class__ is int:
-                    region = _build_region(sim, predecoded, idx, region,
-                                           load_use)
-                    regions[idx] = region
                 (mega, size, rcycles, rstall, first_uses, out_pending,
                  term_pc, _term_idx, term_penalty, _term_zolc, rid,
                  _start, rmembers, _lines, _chain_ok) = region
@@ -626,8 +662,8 @@ def run_traced(sim: "Simulator", max_steps: int,
                         cycles += term_penalty
                         flush += term_penalty
                     continue
-            # -- single-slot path (jump into a region, tiny region,
-            #    watchdog boundary) -----------------------------------
+            # -- single-slot path (jump into a region, tiny or cold
+            #    region, watchdog boundary) ----------------------------
             fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
             res = fn(pc)
             steps += 1
@@ -653,7 +689,7 @@ def run_traced(sim: "Simulator", max_steps: int,
         irops = predecoded.ir
         no_regions: list = [None] * n
         (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
-         zepoch, zactive, regions, traces, jit) = _traced_dispatch_state(
+         zepoch, zactive, regions, heat, traces, jit) = _traced_dispatch_state(
             plan_fn(), sim, predecoded, n, base, zolc, no_regions)
         while not halted:
             if steps >= max_steps:
@@ -777,7 +813,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                         plan = plan_fn()
                         if plan is None or plan.epoch != zepoch:
                             (znext, zexit, zfar, fire_exit, fire_entry,
-                             fire_trigger, zepoch, zactive, regions,
+                             fire_trigger, zepoch, zactive, regions, heat,
                              traces, jit) = _traced_dispatch_state(
                                 plan, sim, predecoded, n, base, zolc,
                                 no_regions)
@@ -856,7 +892,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                     plan = plan_fn()
                     if plan is None or plan.epoch != zepoch:
                         (znext, zexit, zfar, fire_exit, fire_entry,
-                         fire_trigger, zepoch, zactive, regions,
+                         fire_trigger, zepoch, zactive, regions, heat,
                          traces, jit) = _traced_dispatch_state(
                             plan, sim, predecoded, n, base, zolc,
                             no_regions)
@@ -866,11 +902,10 @@ def run_traced(sim: "Simulator", max_steps: int,
                 pc = decision.next_pc
                 continue
             region = regions[idx]
+            if region is not None and region.__class__ is int:
+                region = _hot_region(sim, predecoded, regions, heat, idx,
+                                     region, load_use)
             if region is not None:
-                if region.__class__ is int:
-                    region = _build_region(sim, predecoded, idx, region,
-                                           load_use)
-                    regions[idx] = region
                 (mega, size, rcycles, rstall, first_uses, out_pending,
                  term_pc, term_idx, term_penalty, term_zolc, rid,
                  _start, rmembers, _lines, chain_ok) = region
@@ -983,7 +1018,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                                 (znext, zexit, zfar,
                                                  fire_exit, fire_entry,
                                                  fire_trigger, zepoch,
-                                                 zactive, regions,
+                                                 zactive, regions, heat,
                                                  traces, jit) = \
                                                     _traced_dispatch_state(
                                                         plan, sim,
@@ -1087,7 +1122,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                             (znext, zexit, zfar,
                                              fire_exit, fire_entry,
                                              fire_trigger, zepoch,
-                                             zactive, regions,
+                                             zactive, regions, heat,
                                              traces, jit) = \
                                                 _traced_dispatch_state(
                                                     plan, sim,
@@ -1111,7 +1146,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                             plan = plan_fn()
                             if plan is None or plan.epoch != zepoch:
                                 (znext, zexit, zfar, fire_exit, fire_entry,
-                                 fire_trigger, zepoch, zactive, regions,
+                                 fire_trigger, zepoch, zactive, regions, heat,
                                  traces, jit) = _traced_dispatch_state(
                                     plan, sim, predecoded, n, base,
                                     zolc, no_regions)
@@ -1134,7 +1169,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                         plan = plan_fn()
                         if plan is not None or zactive or zolc.active:
                             (znext, zexit, zfar, fire_exit, fire_entry,
-                             fire_trigger, zepoch, zactive, regions,
+                             fire_trigger, zepoch, zactive, regions, heat,
                              traces, jit) = _traced_dispatch_state(
                                 plan, sim, predecoded, n, base,
                                 zolc, no_regions)
@@ -1219,7 +1254,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                             or plan.epoch != zepoch:
                                         (znext, zexit, zfar, fire_exit,
                                          fire_entry, fire_trigger,
-                                         zepoch, zactive, regions,
+                                         zepoch, zactive, regions, heat,
                                          traces, jit) = \
                                             _traced_dispatch_state(
                                                 plan, sim, predecoded,
@@ -1241,7 +1276,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                     plan = plan_fn()
                     if plan is None or plan.epoch != zepoch:
                         (znext, zexit, zfar, fire_exit, fire_entry,
-                         fire_trigger, zepoch, zactive, regions,
+                         fire_trigger, zepoch, zactive, regions, heat,
                          traces, jit) = \
                             _traced_dispatch_state(plan, sim, predecoded,
                                                    n, base, zolc,
@@ -1263,7 +1298,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                 plan = plan_fn()
                 if plan is not None or zactive or zolc.active:
                     (znext, zexit, zfar, fire_exit, fire_entry,
-                     fire_trigger, zepoch, zactive, regions,
+                     fire_trigger, zepoch, zactive, regions, heat,
                      traces, jit) = \
                         _traced_dispatch_state(plan, sim, predecoded, n,
                                                base, zolc, no_regions)

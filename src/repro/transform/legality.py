@@ -14,7 +14,10 @@ are grouped:
   ZOLCfull registers them, up to ``entries_per_loop`` per loop;
 * capacity limits (``max_loops``, ``max_task_entries``) shed the
   *shallowest* loops first — inner loops carry the most overhead, so
-  they are the most profitable to keep.
+  they are the most profitable to keep;
+* a loop is declined when a selected inner loop's exit branch targets
+  its deleted latch (a ``break`` that "continues" the outer loop): the
+  exit record would land past the latch and the loop would stop.
 
 The output plan drives :mod:`repro.transform.zolc_rewrite`.
 """
@@ -110,6 +113,7 @@ def plan_transform(program: Program, cfg: ControlFlowGraph,
             eligible[forest_id] = pattern
 
     _reject_index_conflicts(eligible, forest, plan)
+    _reject_latch_exit_targets(eligible, forest, program, plan)
 
     if config.single_shot:
         _plan_single_shot(eligible, forest, plan)
@@ -233,6 +237,37 @@ def _reject_index_conflicts(eligible: dict[int, LoopPattern],
                     f"shared with nested loop@{forest.loops[other_id].header}")
                 del eligible[forest_id]
                 break
+
+
+def _reject_latch_exit_targets(eligible: dict[int, LoopPattern],
+                               forest: LoopForest, program: Program,
+                               plan: TransformPlan) -> None:
+    """Decline a loop whose deleted latch is a selected exit's target.
+
+    A ``break`` out of an inner loop that lands on its parent's latch
+    (``addi``/``slti``/``bne`` back to the parent header) means
+    "continue the parent".  Once the latch is deleted, the exit
+    record's target label forwards past the parent loop, and a fired
+    exit pre-empts the trigger watch there, so the parent would stop
+    after one iteration.  The parent keeps its latch instead; the
+    inner loop's exit then lands on it and the parent's software
+    loop-back runs as in the source.  (Patterns already reject an
+    outside branch that targets a loop's trigger point.)
+    """
+    targets = {(exit_branch.target_address - program.text_base) // 4:
+               (forest.loops[owner_id].header, exit_branch.branch_index)
+               for owner_id, owner in eligible.items()
+               for exit_branch in owner.exit_branches}
+    for forest_id, pattern in list(eligible.items()):
+        latch = pattern.deleted_indices.difference(pattern.init_indices)
+        hit = min(latch & targets.keys(), default=None)
+        if hit is not None:
+            header, branch_index = targets[hit]
+            plan.rejected[forest_id] = (
+                f"loop@{forest.loops[forest_id].header}: exit branch at "
+                f"index {branch_index} of loop@{header} targets the "
+                f"deleted latch")
+            del eligible[forest_id]
 
 
 def _plan_single_shot(eligible: dict[int, LoopPattern], forest: LoopForest,

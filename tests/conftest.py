@@ -7,6 +7,20 @@ import pytest
 from repro.workloads.suite import figure2_kernels, registry
 
 
+@pytest.fixture
+def eager_fusion(monkeypatch):
+    """Fuse every traced region on its first entry.
+
+    The traced tier fuses a region only once it is hot
+    (``trace.HOT_THRESHOLD`` entries).  Tests that pin fused-region and
+    chain corners on programs too short to get hot patch the threshold
+    to 1, so they keep exercising the megahandlers.
+    """
+    from repro.cpu.engine import traced
+
+    monkeypatch.setattr(traced, "HOT_THRESHOLD", 1)
+
+
 @pytest.fixture(scope="session")
 def kernel_registry():
     """The benchmark registry (built once per session)."""

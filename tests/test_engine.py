@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.cpu import Simulator, WatchdogError
 from repro.cpu.engine import predecode
+from repro.cpu.engine.trace import HOT_THRESHOLD
 from repro.eval.machines import ALL_MACHINES
 
 from repro.synth.strategies import alu_instructions, render_alu_program
@@ -534,6 +535,7 @@ class TestTracedEngine:
     two cache layers.
     """
 
+    @pytest.mark.usefixtures("eager_fusion")
     def test_traced_matches_step_on_rearm_programs(self):
         for source in (REARM_SRC, REINVOKE_SRC):
             traced = _zolc_sim(source)
@@ -565,6 +567,7 @@ class TestTracedEngine:
         else:
             pytest.fail("program did not halt")
 
+    @pytest.mark.usefixtures("eager_fusion")
     def test_fault_inside_fused_region_reconciles_exactly(self):
         """A mid-region memory fault retires its prefix, like the others."""
         from repro.cpu import MemoryAccessError
@@ -669,6 +672,144 @@ class TestTracedEngine:
         assert planless._trace_region_cache == {}
 
 
+def _region_spans(program):
+    """The (start, term) spans of the program's fused-region records."""
+    from repro.cpu.engine.emit import codegen_records
+
+    return sorted((start, term) for kind, start, term, _loop
+                  in codegen_records(program) if kind == "region")
+
+
+def _counted_loop(trips):
+    return (f"li t0, 0\nloop: addi t0, t0, 1\naddi t1, t1, 3\n"
+            f"add t2, t2, t1\nslti at, t0, {trips}\n"
+            f"bne at, zero, loop\nhalt\n")
+
+
+class TestTieredRegions:
+    """Tiered region compilation: a megahandler is fused once hot.
+
+    Every region start counts its entries beside the region table.  The
+    region is fused when the count reaches ``HOT_THRESHOLD`` (the
+    constant that also gates trace promotion), or on first entry when
+    the Program already holds its code; until then its slots run on
+    the single-slot path.
+    """
+
+    @pytest.mark.parametrize("trips, spans", [
+        (HOT_THRESHOLD - 1, []),
+        (HOT_THRESHOLD, [(1, 5)]),
+        (50, [(1, 5)]),
+    ])
+    def test_region_fuses_once_hot(self, trips, spans):
+        program = assemble(_counted_loop(trips))
+        traced = Simulator(program)
+        traced.run(engine="traced")
+        slow = Simulator(program)
+        slow.run(engine="step")
+        assert _state_tuple(traced) == _state_tuple(slow)
+        # The entry block (slot 0) runs once and is never fused.
+        assert _region_spans(program) == spans
+
+    @pytest.mark.parametrize("trips", [HOT_THRESHOLD - 1, 50])
+    def test_zolc_loop_fuses_and_chains_once_hot(self, trips):
+        from repro.cpu.engine.emit import codegen_records
+
+        machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
+        prepared = machine.prepare(_counted_loop(trips))
+        assert prepared.transformed_loops == 1
+        traced = prepared.make_simulator()
+        traced.run(engine="traced")
+        slow = prepared.make_simulator()
+        slow.run(engine="step")
+        assert _state_tuple(traced) == _state_tuple(slow)
+        assert _controller_tuple(traced) == _controller_tuple(slow)
+        kinds = sorted(kind for kind, *_rest
+                       in codegen_records(prepared.program))
+        if trips < HOT_THRESHOLD:
+            assert kinds == []
+            assert traced.chain_resident_steps == 0
+        else:
+            assert kinds == ["chain", "region"]
+            assert traced.chain_resident_steps > 0
+
+    def test_cached_region_code_fuses_on_first_entry(self):
+        from repro.cpu.engine import TraceRegion
+        from repro.cpu.engine.traced import _region_code
+
+        program = assemble("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
+                           "sub t3, t2, t0\nhalt\n")
+        cold = Simulator(program)
+        cold.run(engine="traced")
+        regions, heat = cold._trace_region_cache[None]
+        term = regions[0]
+        assert term.__class__ is int and heat[0] == 1
+        assert _region_spans(program) == []
+        _region_code(program, 0, term)
+        warm = Simulator(program)
+        warm.run(engine="traced")
+        regions, heat = warm._trace_region_cache[None]
+        assert isinstance(regions[0], TraceRegion)
+        assert heat[0] == 0
+        assert _state_tuple(warm) == _state_tuple(cold)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_side_entry_matches_step(self, eager, request):
+        """A ZOLCfull side entry, fired from a fused region terminator
+        (eager) or from the single-slot path (tiered)."""
+        from repro.core.config import ZOLC_FULL
+        from repro.transform.zolc_rewrite import rewrite_for_zolc
+        from repro.workloads.kernels.synthetic import multi_entry_kernel
+
+        if eager:
+            request.getfixturevalue("eager_fusion")
+        kernel = multi_entry_kernel(use_side_entry=True)
+        result = rewrite_for_zolc(kernel.source, ZOLC_FULL)
+        sims = {}
+        for engine in ("step", "traced"):
+            sims[engine] = result.make_simulator()
+            sims[engine].run(engine=engine)
+        kernel.check(sims["traced"])
+        assert sims["traced"].zolc.entry_events >= 1
+        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
+        assert _controller_tuple(sims["traced"]) \
+            == _controller_tuple(sims["step"])
+
+    def test_fault_in_unfused_region_post_mortems_like_step(self):
+        from repro.cpu import MemoryAccessError
+
+        program = assemble("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
+                           "sw t2, -5(zero)\nadd t3, t0, t1\nhalt\n")
+        sims = {}
+        for engine in ("step", "traced"):
+            sims[engine] = Simulator(program)
+            with pytest.raises(MemoryAccessError):
+                sims[engine].run(engine=engine)
+        assert _region_spans(program) == []
+        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
+        assert sims["traced"].stats.instructions == 3
+
+    def test_fault_in_unfused_zolc_region_post_mortems_like_step(self):
+        """The loop faults on its 4th iteration, before it is hot."""
+        from repro.cpu import MemoryAccessError
+
+        machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
+        prepared = machine.prepare(
+            "li t0, 1\nloop: sll t2, t0, 16\nlw t3, 0(t2)\n"
+            "add s0, s0, t3\naddi t0, t0, 1\nslti at, t0, 20\n"
+            "bne at, zero, loop\nhalt\n")
+        assert prepared.transformed_loops == 1
+        sims = {}
+        for engine in ("step", "traced"):
+            sims[engine] = prepared.make_simulator()
+            with pytest.raises(MemoryAccessError):
+                sims[engine].run(engine=engine)
+        assert _region_spans(prepared.program) == []
+        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
+        assert _controller_tuple(sims["traced"]) \
+            == _controller_tuple(sims["step"])
+
+
 class TestLoopResident:
     """The fire→re-entry chain: engagement, exactness, fault paths.
 
@@ -738,6 +879,7 @@ loop:
             assert _controller_tuple(traced) == _controller_tuple(slow), \
                 f"controller diverged at budget {budget}"
 
+    @pytest.mark.usefixtures("eager_fusion")
     def test_memory_fault_inside_chain_reconciles(self):
         """A store that faults mid-iteration lands on the exact state."""
         from repro.cpu import MemoryAccessError
@@ -769,6 +911,7 @@ loop:
             assert _controller_tuple(sims[engine]) == \
                 _controller_tuple(sims["step"])
 
+    @pytest.mark.usefixtures("eager_fusion")
     def test_fire_fault_inside_chain_reconciles(self):
         """A controller fault raised by a chained fire stays exact.
 
@@ -803,12 +946,14 @@ loop:
             assert _state_tuple(sims[engine]) == _state_tuple(sims["step"])
 
 
+@pytest.mark.usefixtures("eager_fusion")
 class TestInlinedMemory:
     """Byte/half/word access semantics of the fused-region codegen.
 
     The traced tier generates bounds-checked loads/stores against the
     raw memory buffer; these pin the sign-extension identities and the
     fault paths (misalignment, out-of-range) against the other engines.
+    The programs run once, so ``eager_fusion`` fuses them.
     """
 
     def _agree(self, source, fault=None):

@@ -218,3 +218,60 @@ loop:   add  s0, s0, t0
         plan, _ = plan_for(source, UZOLC)
         # Unknown trip count: assumed profitable.
         assert len(plan.groups) == 1
+
+
+# An inner-loop `break` that lands on the outer loop's latch means
+# "continue the outer loop".  In BREAK_TO_LATCH the inner loop cascades
+# into the outer one (nothing survives between the two latches); the
+# non-cascade variant keeps one instruction there.
+BREAK_TO_LATCH = """
+main:   li   s0, 0
+        li   s1, 2
+        li   t0, 0
+outer:  li   t1, 0
+inner:  addi s0, s0, 1
+        beq  t1, s1, brk
+        addi t1, t1, 1
+        slti at, t1, 5
+        bne  at, zero, inner
+brk:    addi t0, t0, 1
+        slti at, t0, 4
+        bne  at, zero, outer
+        halt
+"""
+
+BREAK_TO_LATCH_NO_CASCADE = BREAK_TO_LATCH.replace(
+    "brk:    addi t0", "        addi s0, s0, 100\nbrk:    addi t0")
+
+
+class TestBreakToOuterLatch:
+    """ZOLCfull declines an outer loop whose deleted latch is the target
+    of a selected inner loop's exit branch."""
+
+    def test_outer_loop_declined(self):
+        for source in (BREAK_TO_LATCH, BREAK_TO_LATCH_NO_CASCADE):
+            plan, forest = plan_for(source, ZOLC_FULL)
+            kept = [forest.loops[p.forest_id].depth
+                    for p in plan.all_planned()]
+            assert kept == [2]
+            assert any("targets the deleted latch" in reason
+                       for reason in plan.rejected.values())
+
+    def test_zolcfull_matches_xrdefault(self):
+        from repro.eval.machines import ALL_MACHINES
+
+        machines = {m.name: m for m in ALL_MACHINES}
+        for source in (BREAK_TO_LATCH, BREAK_TO_LATCH_NO_CASCADE):
+            results = {}
+            for name in ("XRdefault", "ZOLCfull"):
+                sim = machines[name].prepare(source).make_simulator()
+                sim.run(engine="step")
+                results[name] = sim.state.regs["s0"]
+            assert results["ZOLCfull"] == results["XRdefault"]
+
+    def test_lite_keeps_the_outer_loop(self):
+        # ZOLClite rejects the inner loop for its exit, so the outer
+        # latch is no exit target and stays eligible.
+        plan, forest = plan_for(BREAK_TO_LATCH, ZOLC_LITE)
+        kept = [forest.loops[p.forest_id].depth for p in plan.all_planned()]
+        assert kept == [1]
