@@ -7,7 +7,10 @@ targets — into :class:`~repro.isa.instructions.Instruction` objects and
 validates each by round-tripping through the binary encoder.
 
 The result is a :class:`Program`: the linked image the CPU simulator,
-CFG analysis and code transforms all operate on.
+CFG analysis and code transforms all operate on.  An assembled program
+keeps the words validation encoded, so loading the image never
+re-encodes it; one assembled from source also keeps the parse, which
+the code transforms edit instead of re-parsing the source.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ class Program:
     data_base: int = DATA_BASE
     symbols: dict[str, int] = field(default_factory=dict)
     source: str | None = None
+    #: The parse of ``source`` (``None`` unless assembled from source).
+    module: ParsedModule | None = field(default=None, repr=False,
+                                        compare=False)
+    #: The encoded text segment, kept by the assembler.
+    _words: list[int] | None = field(default=None, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_address = {
@@ -62,6 +71,8 @@ class Program:
 
     def words(self) -> list[int]:
         """The encoded text segment."""
+        if self._words is not None:
+            return list(self._words)
         return [encode(inst) for inst in self.instructions]
 
     def label_at(self, address: int) -> str | None:
@@ -201,6 +212,7 @@ def assemble(source: str, text_base: int = TEXT_BASE,
     module = parse(source)
     program = assemble_module(module, text_base, data_base)
     program.source = source
+    program.module = module
     return program
 
 
@@ -214,15 +226,16 @@ def assemble_module(module: ParsedModule, text_base: int = TEXT_BASE,
     """
     layout = _Layout(module, text_base, data_base)
     instructions: list[Instruction] = []
+    words: list[int] = []
     for entry, address in zip(module.text, layout.instruction_addresses):
         inst = _build_instruction(entry.instruction, address, layout.symbols)
         try:
-            encode(inst)  # validates field ranges
+            words.append(encode(inst))  # validates field ranges
         except ValueError as exc:
             raise AsmError(str(exc), entry.instruction.line) from exc
         instructions.append(inst)
     data = _emit_data(module, layout, layout.symbols)
-    return Program(
+    program = Program(
         instructions=instructions,
         text_base=text_base,
         data=data,
@@ -230,3 +243,5 @@ def assemble_module(module: ParsedModule, text_base: int = TEXT_BASE,
         symbols=layout.symbols,
         source=None,
     )
+    program._words = words
+    return program

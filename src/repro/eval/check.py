@@ -26,12 +26,13 @@ from repro.cpu.analysis.verify import (
     verify_program,
 )
 from repro.cpu.ir import build_ir, ir_failure
-from repro.eval.machines import MachineSpec, machine_registry
+from repro.eval.machines import MachineSpec, kernel_front, machine_registry
 from repro.isa.registers import register_index
 from repro.workloads.suite import registry
 
 if TYPE_CHECKING:
     from repro.eval.machines import PreparedKernel
+    from repro.transform.front import KernelFront
     from repro.workloads.api import Kernel
 
 
@@ -89,9 +90,14 @@ def static_plan(prepared: PreparedKernel) -> StaticZolcPlan | None:
 
 
 def check_kernel(kernel: Kernel, machine: MachineSpec,
-                 audit: bool = False) -> list[Diagnostic]:
-    """Verify (and optionally audit) one kernel on one machine."""
-    prepared = machine.prepare(kernel.source)
+                 audit: bool = False,
+                 front: KernelFront | None = None) -> list[Diagnostic]:
+    """Verify (and optionally audit) one kernel on one machine.
+
+    ``front`` is the kernel's shared front end, when the caller checks
+    it on several machines.
+    """
+    prepared = machine.prepare(kernel.source if front is None else front)
     program = prepared.program
     ir = build_ir(program)
     if ir is None:
@@ -173,7 +179,8 @@ def run_check(kernel_names: list[str] | None = None,
                          machines=[m.name for m in machines],
                          audited=audit)
     for kernel in kernels:
+        front = kernel_front(kernel.source)
         for machine in machines:
             report.diagnostics.extend(
-                check_kernel(kernel, machine, audit=audit))
+                check_kernel(kernel, machine, audit=audit, front=front))
     return report

@@ -8,6 +8,13 @@ user-defined ZOLC variants) pickles to worker processes and serializes
 to/from plan files.  A spec knows how to *prepare* a kernel (apply its
 code transform) and how to build the simulator that runs it.
 
+Preparation splits into a per-source front end and a per-machine back
+end.  :func:`kernel_front` assembles a source once; the CFG, loop
+forest and matched loop patterns it carries are shared by every
+machine prepared from it (:class:`~repro.transform.front.KernelFront`).
+So a row of five machines analyses its kernel once, and XRdefault's
+program *is* the front's baseline image.
+
 The five paper machines are pre-registered in the module-level
 :class:`MachineRegistry`; ablation studies register their own variants
 with :func:`register_machine` and everything downstream (suite runner,
@@ -22,6 +29,7 @@ from repro.asm.assembler import Program, assemble
 from repro.core.config import UZOLC, ZOLC_FULL, ZOLC_LITE, ZolcConfig
 from repro.cpu.pipeline import PipelineConfig
 from repro.cpu.simulator import Simulator
+from repro.transform.front import KernelFront
 from repro.transform.hwlp_rewrite import HwlpTransformResult, rewrite_for_hwlp
 from repro.transform.zolc_rewrite import ZolcTransformResult, rewrite_for_zolc
 
@@ -51,16 +59,24 @@ class MachineSpec:
             raise ValueError(f"machine {self.name!r}: kind 'zolc' needs "
                              "a zolc_config")
 
-    def prepare(self, source: str) -> "PreparedKernel":
-        """Apply this machine's code transform to a kernel source."""
+    def prepare(self, kernel: str | KernelFront) -> "PreparedKernel":
+        """Apply this machine's code transform to a kernel.
+
+        ``kernel`` is the assembly source or the :class:`KernelFront`
+        of one (see :func:`kernel_front`); preparing several machines
+        from one front assembles and analyses the source once.
+        """
+        front = (kernel if isinstance(kernel, KernelFront)
+                 else kernel_front(kernel))
         if self.kind == "default":
-            return PreparedKernel(self, assemble(source))
+            return PreparedKernel(self, front.program, front=front)
         if self.kind == "hwlp":
-            result = rewrite_for_hwlp(source)
-            return PreparedKernel(self, result.program, hwlp=result)
+            result = rewrite_for_hwlp(front)
+            return PreparedKernel(self, result.program, front=front,
+                                  hwlp=result)
         assert self.zolc_config is not None
-        result = rewrite_for_zolc(source, self.zolc_config)
-        return PreparedKernel(self, result.program, zolc=result)
+        result = rewrite_for_zolc(front, self.zolc_config)
+        return PreparedKernel(self, result.program, front=front, zolc=result)
 
     def to_dict(self) -> dict:
         """Plain-data form for plan files and cache keys."""
@@ -102,14 +118,23 @@ class MachineSpec:
         return cls(name=name, kind=kind, zolc_config=config)
 
 
+def kernel_front(source: str) -> KernelFront:
+    """Assemble a kernel source once, for every machine to prepare from."""
+    return KernelFront.of(assemble(source))
+
+
 @dataclass
 class PreparedKernel:
-    """A kernel after machine-specific preparation."""
+    """A kernel after machine-specific preparation.
+
+    ``front`` is the shared front end it was prepared from.
+    """
 
     machine: MachineSpec
     program: Program
     hwlp: HwlpTransformResult | None = None
     zolc: ZolcTransformResult | None = None
+    front: KernelFront | None = None
 
     def make_simulator(self, pipeline: PipelineConfig | None = None) -> Simulator:
         if self.zolc is not None:

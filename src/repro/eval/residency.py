@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from repro.eval.machines import machine_registry
+from repro.eval.machines import kernel_front, machine_registry
 from repro.workloads.suite import registry
 
 #: Kernels whose watched loop bodies contain forward branches — the
@@ -44,10 +44,10 @@ def residency_report(kernel_names: tuple[str, ...] = BRANCHY_KERNELS,
     machines = machine_registry()
     report: dict[str, dict] = {}
     for name in expand_kernel_selectors(kernel_names):
-        source = kernels.get(name).source
+        front = kernel_front(kernels.get(name).source)
         for machine_name in machine_names:
             machine = machines.get(machine_name)
-            sim = machine.prepare(source).make_simulator()
+            sim = machine.prepare(front).make_simulator()
             sim.run(max_steps=max_steps, engine="traced")
             total = sim.stats.instructions or 1
             report[f"{name}@{machine_name}"] = {

@@ -99,19 +99,33 @@ class ExecutionBackend(Protocol):
 # touches a (kernel, machine) pair a worker has seen recompiles
 # nothing.  The cache is bounded because a long-lived service sees
 # arbitrarily many ad-hoc machine variants.
+#
+# The kernel's machine-independent front end (assembly, CFG, loop
+# match) lives in the same FIFO, keyed without a machine, so the other
+# machines of a row prepare from it.  Fronts count against the same
+# budget: a round of more distinct kernels than fit still re-prepares
+# (and re-analyses) every cell, so a cold round stays cold.
 
 _PREPARE_CACHE: dict = {}
 _PREPARE_CACHE_LIMIT = 128
+
+
+def _cache_put(key: tuple, value) -> None:
+    if len(_PREPARE_CACHE) >= _PREPARE_CACHE_LIMIT:
+        _PREPARE_CACHE.pop(next(iter(_PREPARE_CACHE)))
+    _PREPARE_CACHE[key] = value
 
 
 def _prepare_cached(machine: MachineSpec, kernel_name: str, source: str):
     key = (machine, kernel_name, source)
     prepared = _PREPARE_CACHE.get(key)
     if prepared is None:
-        prepared = machine.prepare(source)
-        if len(_PREPARE_CACHE) >= _PREPARE_CACHE_LIMIT:
-            _PREPARE_CACHE.pop(next(iter(_PREPARE_CACHE)))
-        _PREPARE_CACHE[key] = prepared
+        front_key = (kernel_name, source)
+        front = _PREPARE_CACHE.get(front_key)
+        prepared = machine.prepare(source if front is None else front)
+        if front is None:
+            _cache_put(front_key, prepared.front)
+        _cache_put(key, prepared)
     return prepared
 
 

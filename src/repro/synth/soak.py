@@ -25,7 +25,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.synth.corpus import (
     FAMILY_NAMES,
@@ -36,6 +36,9 @@ from repro.synth.corpus import (
 )
 from repro.synth.draw import GENERATOR_VERSION
 from repro.synth.observe import observe
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.eval.machines import MachineSpec
 
 #: Engine order for the 4-way comparison; the first entry is the
 #: reference the others are diffed against.
@@ -166,7 +169,9 @@ class SoakReport:
 def write_regression(kernel: SynthKernel, engine: str,
                      regressions_dir: str | Path,
                      engines: tuple[str, ...] = SOAK_ENGINES,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> Path:
+                     max_steps: int = DEFAULT_MAX_STEPS,
+                     machine: MachineSpec | None = None,
+                     oracle: str | None = None) -> Path:
     """Pin a reproducer as a self-contained ``.s`` + manifest pair.
 
     The manifest carries everything a replay needs — machine spec,
@@ -174,23 +179,34 @@ def write_regression(kernel: SynthKernel, engine: str,
     (family/seed/index/knobs) for archaeology; the source rides in the
     sibling ``.s`` file.  ``tests/test_regressions.py`` replays every
     pair in the directory.
+
+    ``machine`` overrides the machine the generator drew (a transform
+    bug pins the machine it failed on); ``oracle="machine"`` makes the
+    replay also check that machine's live-outs against a stepped
+    XRdefault run of the same source.
     """
+    if oracle not in (None, "machine"):
+        raise ValueError(f"unknown regression oracle {oracle!r}")
     regressions_dir = Path(regressions_dir)
     regressions_dir.mkdir(parents=True, exist_ok=True)
     stem = slugify(kernel.name)
     source_path = regressions_dir / f"{stem}.s"
     manifest_path = regressions_dir / f"{stem}.json"
     source_path.write_text(kernel.source)
-    manifest_path.write_text(json.dumps({
+    manifest = {
         "kernel": kernel.name,
         "source_file": source_path.name,
-        "machine": kernel.machine.to_dict(),
+        "machine": (machine or kernel.machine).to_dict(),
         "pipeline": kernel.provenance["pipeline"],
         "engines": list(engines),
         "max_steps": max_steps,
         "mismatching_engine": engine,
         "provenance": kernel.provenance,
-    }, indent=2, sort_keys=True) + "\n")
+    }
+    if oracle is not None:
+        manifest["oracle"] = oracle
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 

@@ -1,6 +1,7 @@
 """Code transforms retargeting programs to ZOLC or hardware-loop ISAs."""
 
 from repro.transform.edit import EditError, EditPlan, apply_edits
+from repro.transform.front import KernelFront
 from repro.transform.hwlp_rewrite import HwlpTransformResult, rewrite_for_hwlp
 from repro.transform.legality import (
     PlannedLoop,
@@ -27,6 +28,7 @@ __all__ = [
     "EditPlan",
     "ExitBranch",
     "HwlpTransformResult",
+    "KernelFront",
     "LoopPattern",
     "OperandSource",
     "PatternError",

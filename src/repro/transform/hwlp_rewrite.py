@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program, assemble, assemble_module
-from repro.asm.parser import ParsedModule, SourceInstruction, parse
-from repro.cfg.graph import build_cfg
-from repro.cfg.loops import find_loops
+from repro.asm.parser import ParsedModule, SourceInstruction
 from repro.isa.registers import register_name
 from repro.transform import analysis
 from repro.transform.edit import EditPlan, apply_edits
-from repro.transform.patterns import LoopPattern, match_all_loops
+from repro.transform.front import KernelFront
+from repro.transform.patterns import LoopPattern
 
 
 @dataclass
@@ -107,18 +106,21 @@ def _convert(program: Program, cfg, module: ParsedModule,
     return None
 
 
-def rewrite_for_hwlp(source: str,
+def rewrite_for_hwlp(kernel: str | KernelFront,
                      innermost_only: bool = True) -> HwlpTransformResult:
-    """Retarget an assembly program to branch-decrement hardware loops."""
-    baseline = assemble(source)
-    module = parse(source)
-    cfg = build_cfg(baseline)
-    forest = find_loops(cfg)
-    patterns, failures = match_all_loops(baseline, cfg, forest)
+    """Retarget an assembly program to branch-decrement hardware loops.
+
+    ``kernel`` is the assembly source or its :class:`KernelFront`; the
+    front is only read.
+    """
+    front = (kernel if isinstance(kernel, KernelFront)
+             else KernelFront.of(assemble(kernel)))
+    baseline, module, cfg = front.program, front.module, front.cfg
+    patterns = front.patterns
 
     edits = EditPlan()
     converted: list[int] = []
-    skipped: dict[int, str] = dict(failures)
+    skipped: dict[int, str] = dict(front.failures)
     for forest_id in sorted(patterns):
         pattern = patterns[forest_id]
         if innermost_only and not pattern.loop.is_innermost():

@@ -24,6 +24,7 @@ The output plan drives :mod:`repro.transform.zolc_rewrite`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program
@@ -93,8 +94,8 @@ class TransformPlan:
 
 
 def plan_transform(program: Program, cfg: ControlFlowGraph,
-                   forest: LoopForest, patterns: dict[int, LoopPattern],
-                   failures: dict[int, str],
+                   forest: LoopForest, patterns: Mapping[int, LoopPattern],
+                   failures: Mapping[int, str],
                    config: ZolcConfig) -> TransformPlan:
     """Build the transformation plan for one program and configuration."""
     plan = TransformPlan(rejected=dict(failures))

@@ -1,7 +1,9 @@
 """The ZOLC code transform.
 
-Takes XR32 assembly source, recognises its loop structure, and produces
-the program a ZOLC-aware toolchain would emit:
+Takes XR32 assembly source (or its shared
+:class:`~repro.transform.front.KernelFront`, which already holds the
+recognised loop structure) and produces the program a ZOLC-aware
+toolchain would emit:
 
 * every loop-overhead instruction of a selected loop (induction init,
   induction update, compare, backward branch) is **deleted**;
@@ -21,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program, assemble, assemble_module
-from repro.asm.parser import ParsedModule, parse
+from repro.asm.parser import ParsedModule
 from repro.cfg.dominators import DominatorTree
-from repro.cfg.graph import build_cfg
-from repro.cfg.loops import find_loops
 from repro.core.config import ZolcConfig
 from repro.core.controller import ZolcController
 from repro.core.init_seq import (
@@ -40,8 +40,9 @@ from repro.cpu.simulator import Simulator
 from repro.isa.registers import register_name
 from repro.transform import analysis
 from repro.transform.edit import EditPlan, apply_edits
+from repro.transform.front import KernelFront
 from repro.transform.legality import RegionGroup, TransformPlan, plan_transform
-from repro.transform.patterns import OperandSource, match_all_loops
+from repro.transform.patterns import OperandSource
 
 
 class TransformError(ValueError):
@@ -191,16 +192,18 @@ def _dominating_insertion_index(baseline: Program, cfg, dom: DominatorTree,
     return term_index + 1
 
 
-def rewrite_for_zolc(source: str, config: ZolcConfig) -> ZolcTransformResult:
-    """Retarget an assembly program to a ZOLC configuration."""
-    baseline = assemble(source)
-    module = parse(source)
-    if len(module.text) != len(baseline.instructions):  # pragma: no cover
-        raise TransformError("parser/assembler instruction count mismatch")
-    cfg = build_cfg(baseline)
-    forest = find_loops(cfg)
-    patterns, failures = match_all_loops(baseline, cfg, forest)
-    plan = plan_transform(baseline, cfg, forest, patterns, failures, config)
+def rewrite_for_zolc(kernel: str | KernelFront,
+                     config: ZolcConfig) -> ZolcTransformResult:
+    """Retarget an assembly program to a ZOLC configuration.
+
+    ``kernel`` is the assembly source or its :class:`KernelFront`; the
+    front is only read, so one front serves every configuration.
+    """
+    front = (kernel if isinstance(kernel, KernelFront)
+             else KernelFront.of(assemble(kernel)))
+    baseline, module, cfg = front.program, front.module, front.cfg
+    plan = plan_transform(baseline, cfg, front.forest, front.patterns,
+                          front.failures, config)
 
     edits = EditPlan()
     labels_for: dict[tuple[int, int], dict[str, str]] = {}
@@ -245,7 +248,6 @@ def rewrite_for_zolc(source: str, config: ZolcConfig) -> ZolcTransformResult:
     exit_record_base = 0
     entry_record_base = 0
     specs: list[ZolcProgramSpec] = []
-    dom = None
     for group_index, group in enumerate(plan.groups):
         spec = _group_spec(group, group_index, labels_for, exit_record_base,
                            entry_record_base)
@@ -259,10 +261,8 @@ def rewrite_for_zolc(source: str, config: ZolcConfig) -> ZolcTransformResult:
             # Multi-entry nest: the initialization must dominate *every*
             # entry, not just the preheader path.
             _require_imm_sources(spec)
-            if dom is None:
-                dom = DominatorTree(cfg)
             insert_at = _dominating_insertion_index(
-                baseline, cfg, dom, root_pattern)
+                baseline, cfg, front.forest.dom, root_pattern)
         else:
             insert_at = root_pattern.header_index
         edits.insert_before(insert_at, init_block)

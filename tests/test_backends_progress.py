@@ -126,10 +126,11 @@ class TestWarmPrepareCache:
         monkeypatch.setattr(backends_module, "_PREPARE_CACHE", {})
         cell = _cell("dot_product", M_ZOLC_LITE)
         cold = backends_module._run_cell(cell)
-        assert len(backends_module._PREPARE_CACHE) == 1
+        # The kernel's front end and its prepared program.
+        assert len(backends_module._PREPARE_CACHE) == 2
         warm = backends_module._run_cell(cell)
         assert warm.record() == cold.record()
-        assert len(backends_module._PREPARE_CACHE) == 1
+        assert len(backends_module._PREPARE_CACHE) == 2
 
     def test_cache_is_bounded(self, monkeypatch):
         import repro.experiments.backends as backends_module

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cpu.pipeline import PipelineConfig
-from repro.eval.machines import XR_DEFAULT, MachineSpec
+from repro.eval.machines import M_ZOLC_FULL, XR_DEFAULT, MachineSpec
 from repro.synth import generate_kernel
 from repro.synth.observe import memory_image, observe
 from repro.synth.soak import write_regression
@@ -94,6 +94,35 @@ def test_replay_harness_accepts_a_fresh_pin(tmp_path):
     kernel = generate_kernel("rearm_storm", 0, 0)
     manifest_path = write_regression(kernel, "traced", tmp_path)
     replay(manifest_path)
+
+
+def test_write_regression_pins_a_machine_oracle(tmp_path, monkeypatch):
+    """A pin written with the machine oracle replays, oracle leg included."""
+    from repro.transform import legality
+
+    kernel = generate_kernel("rearm_storm", 0, 19)
+    manifest_path = write_regression(kernel, "step", tmp_path,
+                                     machine=M_ZOLC_FULL, oracle="machine")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["oracle"] == "machine"
+    assert manifest["machine"]["name"] == "ZOLCfull"
+    # The checked-in pin of the same bug is exactly what the writer
+    # produces.
+    pinned = REGRESSIONS_DIR / manifest_path.name
+    assert manifest_path.read_text() == pinned.read_text()
+    replay(manifest_path)
+    monkeypatch.setattr(legality, "_reject_latch_exit_targets",
+                        lambda *args: None)
+    with pytest.raises(AssertionError, match="XRdefault oracle"):
+        replay(manifest_path)
+
+
+def test_write_regression_omits_the_oracle_by_default(tmp_path):
+    kernel = generate_kernel("rearm_storm", 0, 0)
+    manifest_path = write_regression(kernel, "traced", tmp_path)
+    assert "oracle" not in json.loads(manifest_path.read_text())
+    with pytest.raises(ValueError, match="oracle"):
+        write_regression(kernel, "traced", tmp_path, oracle="golden")
 
 
 def test_every_source_file_is_claimed_by_a_manifest():
