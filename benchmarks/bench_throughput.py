@@ -10,21 +10,21 @@ transform front end:
   traced engine matrix;
 * ``test_zolc_fast_path_throughput`` — every Figure 2 kernel plus
   ``viterbi`` on the three ZOLC machines, benchmarking the
-  **loop-resident** traced tier with the guard-based trace JIT
-  (fire→re-entry chaining over regions *and* traces, the ``auto``
-  default) against five references on identical work: the no-JIT
-  loop-resident tier (PR 5's algorithm), the unchained region tier
-  (PR 4's), the compiled-plan fast path, the legacy per-retirement
-  ``on_retire`` fast loop (a shim port that hides ``zolc_plan``) and
-  the unpredecoded stepped interpreter — the six recorded engine
-  columns, plus per-kernel trace/chain residency.  Four regression
-  gates fail CI: the compiled-plan fast path must stay >= 1.5x the
-  stepped interpreter, the region tier must stay ahead of the fast
-  path it batches over, the loop-resident tier must not fall behind
-  the region tier it chains over, and the trace-JIT tier must stay
-  >= 1.25x the no-JIT loop-resident tier on the branchy kernels
-  (best-of-3 per column; the other kernels have no trace candidates,
-  so a suite-wide ratio would measure mostly noise).
+  **loop-resident** traced tier (every hot ZOLC loop runs as a
+  fire→re-entry trace, straight-line bodies as zero-guard traces —
+  the ``auto`` default) against four references on identical work:
+  the region tier without resident traces, the compiled-plan fast
+  path, the legacy per-retirement ``on_retire`` fast loop (a shim port
+  that hides ``zolc_plan``) and the unpredecoded stepped interpreter —
+  the five recorded engine columns, plus per-kernel residency.  Four
+  regression gates fail CI: the compiled-plan fast path must stay >=
+  1.5x the stepped interpreter, the region tier must stay ahead of
+  the fast path it batches over, the loop-resident tier must not fall
+  behind the region tier, and on the branchy kernels the loop-resident
+  tier must stay >= 1.25x the region tier (best-of-3 per column; the
+  branchy kernels are where guarded traces act).  In smoke mode every
+  reference column is timed best-of-3 too, so one scheduler hiccup
+  on a small CI host cannot fail the trajectory gate.
 
 Where the numbers land depends on the invocation (see
 ``benchmarks/conftest.py``): smoke runs write
@@ -132,7 +132,7 @@ def prepared_zolc_suite(request):
             for machine in ZOLC_MACHINES]
 
 
-def _simulate_all(prepared, engine, planless=False, chain=True, jit=True):
+def _simulate_all(prepared, engine, planless=False, resident=True):
     from repro.cpu import PlanlessZolcPort
 
     total = 0
@@ -140,32 +140,53 @@ def _simulate_all(prepared, engine, planless=False, chain=True, jit=True):
         simulator = kernel.make_simulator()
         if planless and simulator.zolc is not None:
             simulator.zolc = PlanlessZolcPort(simulator.zolc)
-        if engine == "traced" and not (chain and jit):
-            # The unchained region tier (PR 4's traced algorithm) and
-            # the no-JIT loop-resident tier (PR 5's): internal API,
+        if engine == "traced" and not resident:
+            # The region tier without resident traces: internal API,
             # reached through the benchmark only.
             predecoded = simulator._ensure_predecoded()
             run_traced(simulator, DEFAULT_MAX_STEPS, predecoded,
-                       chain=chain, jit=jit)
+                       resident=False)
         else:
             simulator.run(engine=engine)
         total += simulator.stats.instructions
     return total
 
 
-def _timed(prepared, engine, planless=False, chain=True, jit=True):
+def _timed(prepared, engine, planless=False, resident=True):
     t0 = time.perf_counter()
-    total = _simulate_all(prepared, engine, planless=planless, chain=chain,
-                          jit=jit)
+    total = _simulate_all(prepared, engine, planless=planless,
+                          resident=resident)
     return total, time.perf_counter() - t0
 
 
+def _references(prepared, columns):
+    """Time reference columns: one pass each, best-of-3 in smoke mode.
+
+    ``columns`` maps a column name to its ``_timed`` keyword arguments;
+    returns name -> ``(total, elapsed)``.  A smoke run times every
+    column once, so on a small shared host one scheduler hiccup — or a
+    slow stretch of the host — in a reference column can swing a
+    recorded ratio past the trajectory gate's tolerance.  Smoke mode
+    therefore takes each column's minimum over three rounds, the
+    columns interleaved within a round so every column samples the
+    same stretch of host time.
+    """
+    best: dict[str, tuple[int, float]] = {}
+    for _ in range(3 if SMOKE else 1):
+        for name, kwargs in columns.items():
+            total, elapsed = _timed(prepared, **kwargs)
+            if name not in best or elapsed < best[name][1]:
+                best[name] = (total, elapsed)
+    return best
+
+
 def _zolc_residency(prepared):
-    """Per-kernel trace/chain residency on the default traced tier.
+    """Per-kernel residency on the default traced tier.
 
     The fraction of retired instructions executed inside a compiled
-    trace, and inside a loop-resident chain (region or trace chains),
-    per (kernel, machine) cell of the ZOLC bench matrix.
+    (loop-resident) trace, per (kernel, machine) cell of the ZOLC bench
+    matrix.  Every trace is loop-resident, so the ``trace`` and
+    ``chain`` shares are equal.
     """
     residency: dict[str, dict] = {}
     cells = iter(prepared)
@@ -202,8 +223,10 @@ def test_fast_engine_throughput(benchmark, prepared_suite):
 
     # Reference runs of the fast engine and the stepped interpreter on
     # the same work: the recorded plain / fast / traced matrix.
-    fast_total, fast_elapsed = _timed(prepared_suite, "fast")
-    step_total, step_elapsed = _timed(prepared_suite, "step")
+    refs = _references(prepared_suite, {"fast": {"engine": "fast"},
+                                        "step": {"engine": "step"}})
+    fast_total, fast_elapsed = refs["fast"]
+    step_total, step_elapsed = refs["step"]
     assert fast_total == step_total == total  # same retirement stream
     fast_ips = round(fast_total / fast_elapsed)
     stepped_ips = round(step_total / step_elapsed)
@@ -231,22 +254,20 @@ def test_fast_engine_throughput(benchmark, prepared_suite):
 def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
     """Steps/second on the ZOLC machines: loop-resident tier vs the rest.
 
-    Benchmarks the loop-resident traced tier with the guard-based trace
-    JIT (the ``auto`` default) and records six engine columns over
-    identical work — trace-JIT loop-resident, no-JIT loop-resident
-    (PR 5's algorithm), the unchained region tier (PR 4's), the
-    compiled-plan fast path, the legacy per-retirement fast loop, and
-    the unpredecoded stepped interpreter.  Four CI regression gates:
-    the plan fast path must stay >= 1.5x the stepped interpreter, the
-    region tier must not fall behind the fast path it batches over,
-    the loop-resident tier must not fall behind the region tier it
-    chains over, and the trace-JIT tier must stay >= 1.25x the no-JIT
-    loop-resident tier on the branchy kernels (best-of-3 per column).
-    Per-kernel trace/chain residency is recorded alongside the
-    columns.
+    Benchmarks the loop-resident traced tier (the ``auto`` default) and
+    records five engine columns over identical work — loop-resident,
+    the region tier without resident traces, the compiled-plan fast
+    path, the legacy per-retirement fast loop, and the unpredecoded
+    stepped interpreter.  Four CI regression gates: the plan fast path
+    must stay >= 1.5x the stepped interpreter, the region tier must not
+    fall behind the fast path it batches over, the loop-resident tier
+    must not fall behind the region tier, and on the branchy kernels
+    the loop-resident tier must stay >= 1.25x the region tier
+    (best-of-3 per column).  Per-kernel residency is recorded alongside
+    the columns.
     """
     # Always warm up the traced benchmark (even in smoke mode): the
-    # first pass compiles each program's region and chain code, which
+    # first pass compiles each program's region and trace code, which
     # is cached on the Program and amortised across every later
     # simulation — the steady state is what the gate measures.
     total = benchmark.pedantic(_simulate_all,
@@ -256,21 +277,19 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
     mean = benchmark.stats.stats.mean
     resident_ips = round(total / mean)
 
-    # The no-JIT loop-resident tier (PR 5's algorithm), suite-wide —
-    # recorded as a throughput column alongside the rest.
-    nojit_total, nojit_elapsed = _timed(prepared_zolc_suite, "traced",
-                                        jit=False)
-    traced_total, traced_elapsed = _timed(prepared_zolc_suite, "traced",
-                                          chain=False, jit=False)
-    plan_total, plan_elapsed = _timed(prepared_zolc_suite, "fast")
-    legacy_total, legacy_elapsed = _timed(prepared_zolc_suite, "fast",
-                                          planless=True)
-    step_total, step_elapsed = _timed(prepared_zolc_suite, "step")
-    assert nojit_total == traced_total == plan_total == legacy_total \
-        == step_total == total
+    refs = _references(prepared_zolc_suite, {
+        "region": {"engine": "traced", "resident": False},
+        "plan": {"engine": "fast"},
+        "legacy": {"engine": "fast", "planless": True},
+        "step": {"engine": "step"}})
+    traced_total, traced_elapsed = refs["region"]
+    plan_total, plan_elapsed = refs["plan"]
+    legacy_total, legacy_elapsed = refs["legacy"]
+    step_total, step_elapsed = refs["step"]
+    assert traced_total == plan_total == legacy_total == step_total \
+        == total
 
     traced_ips = round(traced_total / traced_elapsed)
-    nojit_ips = round(nojit_total / nojit_elapsed)
     plan_ips = round(plan_total / plan_elapsed)
     legacy_ips = round(legacy_total / legacy_elapsed)
     stepped_ips = round(step_total / step_elapsed)
@@ -279,17 +298,17 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
     resident_vs_step = (step_elapsed / mean) if mean else float("inf")
     resident_vs_traced = (traced_elapsed / mean) if mean else float("inf")
 
-    # The trace-JIT gate, measured on the branchy subset where the JIT
-    # acts (identical work and hardware in both columns, so the ratio
-    # is box-independent).  Best-of-3 on each column keeps one
+    # The trace gate, measured on the branchy subset where guarded
+    # traces act (identical work and hardware in both columns, so the
+    # ratio is box-independent).  Best-of-3 on each column keeps one
     # scheduler hiccup from failing the gate.
     branchy = [p for name, p in
                zip([n for n in ZOLC_BENCH_KERNELS
                     for _ in ZOLC_MACHINES], prepared_zolc_suite)
                if name in BRANCHY_BENCH_KERNELS]
-    _timed(branchy, "traced")  # warm the trace/chain code caches
+    _timed(branchy, "traced")  # warm the region/trace code caches
     jit_elapsed = min(_timed(branchy, "traced")[1] for _ in range(3))
-    branchy_nojit = min(_timed(branchy, "traced", jit=False)[1]
+    branchy_nojit = min(_timed(branchy, "traced", resident=False)[1]
                         for _ in range(3))
     jit_vs_nojit = (branchy_nojit / jit_elapsed) if jit_elapsed \
         else float("inf")
@@ -310,7 +329,6 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
         "kernels": list(ZOLC_BENCH_KERNELS),
         "simulated_instructions": total,
         "loop_resident_instructions_per_second": resident_ips,
-        "loop_resident_nojit_instructions_per_second": nojit_ips,
         "traced_instructions_per_second": traced_ips,
         "plan_instructions_per_second": plan_ips,
         "legacy_fast_instructions_per_second": legacy_ips,
@@ -339,20 +357,19 @@ def test_zolc_fast_path_throughput(benchmark, prepared_zolc_suite):
         f"region tier is only {traced_vs_plan:.2f}x the compiled-plan "
         f"fast path")
     # And the loop-resident tier must never fall behind the region tier
-    # it chains over.  The steady-state ratio on an idle host is ~1.02x
-    # suite-wide (~1.08x on chain-heavy kernels), so this floor is set
-    # with generous jitter headroom for the single-round smoke
-    # comparison of two back-to-back traced runs — it exists to catch a
-    # chain regression that makes residency a real loss, not to police
-    # noise.
+    # it keeps loops out of.  The steady-state ratio on an idle host is
+    # ~1.2x suite-wide, so this floor is set with generous jitter
+    # headroom for the smoke comparison of two back-to-back traced runs
+    # — it exists to catch a trace regression that makes residency a
+    # real loss, not to police noise.
     assert resident_vs_traced > 0.8, (
         f"loop-resident tier is only {resident_vs_traced:.2f}x the "
         f"unchained region tier")
-    # The trace-JIT acceptance gate: on the branchy kernels the JIT
-    # tier must run >= 1.25x the no-JIT loop-resident tier on identical
+    # The guarded-trace acceptance gate: on the branchy kernels the
+    # loop-resident tier must run >= 1.25x the region tier on identical
     # work (the measured steady-state ratio on an idle host is ~1.5-
     # 1.7x).  Comparing two in-run columns keeps the gate
     # box-independent.
     assert jit_vs_nojit > 1.25, (
-        f"trace-JIT tier is only {jit_vs_nojit:.2f}x the no-JIT "
-        f"loop-resident tier on the branchy kernels")
+        f"loop-resident tier is only {jit_vs_nojit:.2f}x the region "
+        f"tier on the branchy kernels")

@@ -63,7 +63,6 @@ from repro.cpu.analysis.verify import (
     StaticZolcPlan,
     VerifyContext,
     WatchedLoop,
-    chain_candidates,
     trace_candidate_bodies,
     verify_program,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "audit_trace_record",
     "block_def_use",
     "build_cfg",
-    "chain_candidates",
     "dominates",
     "dominators",
     "expected_touches",

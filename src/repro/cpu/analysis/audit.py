@@ -25,15 +25,16 @@ AU005  a trace record's guard table matches the IR: replaying the
        branch exactly where each guard sits (one guard per recorded
        divergence), every side exit re-enters per-slot dispatch inside
        the watched body, and the per-outcome step constants baked into
-       the chain driver equal the replay's member counts.
+       the trace driver equal the replay's member counts.
 
 Member ordinals emitted as fallback closures (``_h<k>(...)``) are
 opaque to the parser and are excluded from AU001/AU002 expectations
 (the record names them, so the exclusion is itself audited input).
-Trace records (kinds ``trace`` and ``trace_chain``) are not register
-/displacement audited — their member lowering is the region emitters'
-(AU001/AU002 cover the shared templates) — but their guard geometry
-and outcome accounting are AU005's.
+Every trace record gets AU005.  A zero-guard trace (a straight-line
+body: one path, no guard) is additionally AU001/AU002/AU004 audited
+over that path, every member through the interior templates; a
+guarded trace's member lowering is the same shared templates, so
+AU001/AU002 over regions and zero-guard traces cover it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def source_touches(source: str) -> SourceTouches:
     """Parse generated source and collect its constant accesses.
 
     Register file accesses are ``_g[<constant>]`` subscripts (dynamic
-    subscripts — the chain epilogue's controller index writes — carry
+    subscripts — a trace leaf's controller index writes — carry
     no constant and are skipped); addressing displacements are the
     constant addend of the canonical ``_a = (_g[rs] + imm) & MASK``
     statement the emitter produces for every load/store.
@@ -175,16 +176,16 @@ def expected_touches(ops: Sequence[IROp], kind: str,
 
     ``ops`` is the span's member slice in ordinal order.  ``kind``
     selects the tier's lowering shape: megahandler regions emit their
-    last member through the terminator templates; chain drivers emit
-    *every* member through the interior templates (the trigger fire
-    replaces the terminator).
+    last member through the terminator templates; traces emit *every*
+    member through the interior templates (the trigger fire replaces
+    the terminator).
     """
     excluded = frozenset(fallbacks)
     expect = ExpectedTouches()
     for ordinal, op in enumerate(ops):
         if ordinal in excluded:
             continue
-        if kind != "chain" and ordinal == len(ops) - 1:
+        if kind == "region" and ordinal == len(ops) - 1:
             _term_expect(op, expect)
         else:
             _member_expect(op, expect)
@@ -219,12 +220,13 @@ def audit_record(record: CodegenRecord,
             f"{sorted(actual.mem_offsets)} do not match the IR "
             f"multiset {sorted(expect.mem_offsets)}",
             pc_lo=pc_lo, pc_hi=pc_hi))
-    out.extend(_audit_line_map(record, len(ops), label, pc_lo, pc_hi))
+    out.extend(_audit_line_map(record, ops, label, pc_lo, pc_hi))
     return out
 
 
-def _audit_line_map(record: CodegenRecord, size: int, label: str,
-                    pc_lo: int, pc_hi: int) -> list[Diagnostic]:
+def _audit_line_map(record: CodegenRecord, ops: Sequence[IROp],
+                    label: str, pc_lo: int,
+                    pc_hi: int) -> list[Diagnostic]:
     """AU004: the line map is total over source lines and ordinals."""
     out: list[Diagnostic] = []
     nlines = record.source.count("\n") + 1
@@ -235,12 +237,19 @@ def _audit_line_map(record: CodegenRecord, size: int, label: str,
             f"lines but the source has {nlines}",
             pc_lo=pc_lo, pc_hi=pc_hi))
     mapped = [m for m in record.line_member if m is not None]
-    if sorted(set(mapped)) != list(range(size)):
+    expected = list(range(len(ops)))
+    if record.kind == "trace":
+        # A trace's line map names slots, and a plain jump emits no
+        # line: the path position is the ordinal.
+        ordinal = {op.index: k for k, op in enumerate(ops)}
+        mapped = [ordinal.get(m, -1) for m in mapped]
+        expected = [k for k, op in enumerate(ops) if op.mnemonic != "j"]
+    if sorted(set(mapped)) != expected:
         out.append(Diagnostic(
             "AU004", "error",
             f"{label}: line map reaches ordinals "
-            f"{sorted(set(mapped))}, expected every ordinal in "
-            f"0..{size - 1}", pc_lo=pc_lo, pc_hi=pc_hi))
+            f"{sorted(set(mapped))}, expected {expected}",
+            pc_lo=pc_lo, pc_hi=pc_hi))
     if mapped != sorted(mapped):
         out.append(Diagnostic(
             "AU004", "error",
@@ -295,7 +304,7 @@ def _replay_guards(ir: Sequence[IROp], base: int, entry_slot: int,
     Returns ``(escapes, leaves, problems)``: ``escapes`` maps guard
     ordinal to ``(outcome index, steps retired before the guard)``,
     ``leaves`` lists ``(outcome index, steps per iteration)`` per
-    chain leaf, and ``problems`` collects replay inconsistencies (the
+    leaf, and ``problems`` collects replay inconsistencies (the
     walk meeting a branch with no guard, a guard sitting on the wrong
     slot, a path leaving the text section or never reaching the
     trigger).
@@ -412,7 +421,7 @@ def _scan_blocks(node: ast.stmt) -> list[tuple[list, int | None]]:
 
 
 def _bump_sites(source: str) -> list[tuple[int | None, int, int]]:
-    """Outcome bumps in a chain source: ``(if lineno, k, steps)``.
+    """Outcome bumps in a trace source: ``(if lineno, k, steps)``.
 
     A site is one ``_o<k> += 1`` statement; its steps delta is the
     constant of the adjacent ``_steps += n`` (0 when elided).  The
@@ -443,27 +452,10 @@ def _bump_sites(source: str) -> list[tuple[int | None, int, int]]:
     return sites
 
 
-def _return_sites(source: str) -> list[tuple[int | None, int]]:
-    """Outcome returns in a standalone trace source: ``(lineno, k)``."""
-    sites: list[tuple[int | None, int]] = []
-
-    def scan(stmts: list, owner: int | None) -> None:
-        for node in stmts:
-            if (isinstance(node, ast.Return)
-                    and isinstance(node.value, ast.Constant)
-                    and type(node.value.value) is int):
-                sites.append((owner, node.value.value))
-            for block, block_owner in _scan_blocks(node):
-                scan(block, block_owner)
-
-    scan(ast.parse(source).body[0].body, None)
-    return sites
-
-
 def audit_trace_record(record: CodegenRecord, ir: Sequence[IROp],
                        base: int,
                        trigger_pc: int) -> list[Diagnostic]:
-    """AU005 for one ``trace``/``trace_chain`` record against the IR."""
+    """AU005 for one ``trace`` record against the IR."""
     entry_pc = base + 4 * record.start
     label = f"{record.kind} loop {record.loop_id} @ {hex(entry_pc)}"
     out: list[Diagnostic] = []
@@ -507,25 +499,9 @@ def audit_trace_record(record: CodegenRecord, ir: Sequence[IROp],
     escape_guard = {lineno + 1: idx
                     for idx, (lineno, _slot, hot)
                     in enumerate(record.guards) if hot is not None}
-    if record.kind == "trace":
-        sites = _return_sites(record.source)
-        if sorted(k for _owner, k in sites) != \
-                list(range(len(escapes) + len(leaves))):
-            flag(f"outcome returns {sorted(k for _o, k in sites)} do "
-                 f"not enumerate the replay's "
-                 f"{len(escapes) + len(leaves)} outcomes")
-            return out
-        by_guard = {escape_guard[owner]: k for owner, k in sites
-                    if owner in escape_guard}
-        for idx, (k, _steps) in escapes.items():
-            if by_guard.get(idx) != k:
-                flag(f"guard {idx}'s escape returns outcome "
-                     f"{by_guard.get(idx)}, the replay allocates {k}")
-        return out
-    sites3 = _bump_sites(record.source)
     seen: dict[int, tuple[int, int]] = {}
     leaf_sites: list[tuple[int, int]] = []
-    for owner, k, delta in sites3:
+    for owner, k, delta in _bump_sites(record.source):
         idx = escape_guard.get(owner) if owner is not None else None
         if idx is not None:
             seen[idx] = (k, delta)
@@ -565,26 +541,38 @@ def span_starts(ir: Sequence[IROp], base: int,
 TRACE_AUDIT_BUDGET = 2_000_000
 
 
+def _straight_path(ir: Sequence[IROp], base: int, start: int,
+                   trigger_pc: int) -> list[IROp]:
+    """A zero-guard trace's members: its one path from the entry slot
+    to the trigger (already replayed by AU005, so it ends there)."""
+    path: list[IROp] = []
+    slot = start
+    while True:
+        op = ir[slot]
+        path.append(op)
+        next_pc = op.link
+        if op.mnemonic in ("j", "jal") and op.target is not None:
+            next_pc = op.target
+        if next_pc == trigger_pc:
+            return path
+        slot = (next_pc - base) >> 2
+
+
 def audit_codegen(sim: Simulator,
                   watched: frozenset[int] = frozenset(),
-                  chains: Iterable[tuple[int, int, int]] = (),
                   traces: Iterable[tuple[int, int, int]] = ()
                   ) -> list[Diagnostic]:
     """Force codegen over the canonical span cover and audit it all.
 
     ``watched`` is the plan's next-pc watch set (it shapes the span
-    slicing exactly as it does at run time); ``chains`` lists the
-    ``(start slot, term slot, loop id)`` triples the traced tier would
-    promote to loop-resident chains (see
-    :func:`repro.cpu.analysis.verify.chain_candidates`); ``traces``
-    lists the ``(entry slot, trigger slot, loop id)`` triples of
-    multi-region watched bodies the trace JIT may promote (see
-    :func:`repro.cpu.analysis.verify.trace_candidate_bodies`).
-    Unlike regions and chains, trace codegen cannot be forced
-    statically — a trace exists only after its path went hot — so a
-    non-empty ``traces`` triggers one bounded warm-up run of ``sim``
-    before the AU005 pass; candidates that never promote are reported
-    as ``info``.
+    slicing exactly as it does at run time); ``traces`` lists the
+    ``(entry slot, trigger slot, loop id)`` triples of the watched
+    loops the traced tier may promote to loop-resident traces (see
+    :func:`repro.cpu.analysis.verify.trace_candidate_bodies`).  Unlike
+    regions, trace codegen cannot be forced statically — a trace
+    exists only after its loop went hot — so a non-empty ``traces``
+    triggers one bounded warm-up run of ``sim`` before the trace
+    audit; candidates that never promote are reported as ``info``.
     """
     from repro.cpu.engine import traced as traced_mod
     from repro.cpu.engine.emit import codegen_records
@@ -619,11 +607,6 @@ def audit_codegen(sim: Simulator,
         out.extend(_audit_region_timing(
             sim, ops, region.cycles, region.stall,
             region.term_taken_penalty))
-    for start, term, loop_id in chains:
-        traced_mod._chain_code(program, start, term, loop_id)
-        record = codegen_records(program)[("chain", start, term,
-                                           loop_id)]
-        out.extend(audit_record(record, ir[start:term + 1]))
     trace_rows = list(traces)
     if trace_rows:
         records = codegen_records(program)
@@ -643,20 +626,12 @@ def audit_codegen(sim: Simulator,
                     "AU005", "info",
                     f"trace candidate loop {loop_id} at "
                     f"{hex(entry_pc)} never promoted during the "
-                    "audit run, no guard code to audit",
+                    "audit run, no generated code to audit",
                     pc_lo=entry_pc, pc_hi=trigger_pc))
                 continue
-            out.extend(audit_trace_record(record, ir, base,
-                                          trigger_pc))
-            chain_rec = records.get(
-                ("trace_chain", start, start, loop_id))
-            if chain_rec is None:
-                out.append(Diagnostic(
-                    "AU005", "error",
-                    f"trace loop {loop_id} at {hex(entry_pc)} has no "
-                    "chain-driver record beside its trace record",
-                    pc_lo=entry_pc, pc_hi=trigger_pc))
-            else:
-                out.extend(audit_trace_record(chain_rec, ir, base,
-                                              trigger_pc))
+            findings = audit_trace_record(record, ir, base, trigger_pc)
+            out.extend(findings)
+            if not record.guards and not findings:
+                out.extend(audit_record(record, _straight_path(
+                    ir, base, start, trigger_pc)))
     return out

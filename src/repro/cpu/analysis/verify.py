@@ -17,9 +17,9 @@ ZV001   error     every straight-line span from ``straightline_terms``
 ZV002   error     ZOLC watch addresses are word-aligned text
                   addresses; triggers and entry targets are CFG block
                   leaders; exit watches sit on branch instructions
-ZV003   error     chain legality (DESIGN.md §9) holds for each loop
-                  the traced tier would promote to a loop-resident
-                  chain (info when a body is simply not chainable)
+ZV003   error     straight-line legality (DESIGN.md §9) holds for each
+                  loop body the traced tier runs as a zero-guard trace
+                  (info when a body is guarded instead)
 ZV004   error     no instruction inside a watched loop body writes a
                   register the controller's index unit owns
 ZV005   warning   watched loop bodies without an entry record are
@@ -52,8 +52,8 @@ RULES: dict[str, str] = {
              "cross a transfer, mtz/mfz, or ZOLC watch address",
     "ZV002": "ZOLC watch addresses are word-aligned block leaders; "
              "exit watches sit on branches",
-    "ZV003": "chain legality (DESIGN.md §9) holds for every loop the "
-             "traced tier would chain",
+    "ZV003": "straight-line legality (DESIGN.md §9) holds for every "
+             "loop body the traced tier runs as a zero-guard trace",
     "ZV004": "no instruction in a watched loop body writes a register "
              "the controller's index unit owns",
     "ZV005": "watched loop bodies without an entry record are "
@@ -340,100 +340,16 @@ def check_watch_addresses(ctx: VerifyContext) -> list[Diagnostic]:
     return out
 
 
-def chain_candidates(ctx: VerifyContext) -> list[tuple[int, int, int]]:
-    """``(start slot, term slot, loop_id)`` for loops the traced tier
-    would promote to a loop-resident chain: the watched body is one
-    maximal straight-line span ending right before the trigger, and
-    the terminator is ``chain_ok`` (a plain sequential instruction, so
-    every execution falls through into the trigger — a branch
-    terminator reaches it only on the not-taken path and never
-    chains)."""
-    plan = ctx.plan
-    assert plan is not None
-    terms = ctx.terms
-    assert terms is not None
-    out: list[tuple[int, int, int]] = []
-    for lp in plan.loops:
-        if lp.trigger_pc is None:
-            continue
-        start = ctx.slot_of(lp.body_pc)
-        tslot = ctx.slot_of(lp.trigger_pc)
-        if start is None or tslot is None or tslot <= start:
-            continue
-        term_op = ctx.ir[tslot - 1]
-        if terms[start] == tslot - 1 and not (
-                term_op.can_transfer or term_op.is_zolc_init):
-            out.append((start, tslot - 1, lp.loop_id))
-    return out
-
-
-def check_chain_legality(ctx: VerifyContext) -> list[Diagnostic]:
-    """ZV003: re-prove DESIGN.md §9 chain legality per chained loop.
-
-    For each loop whose body the traced tier would chain: the body
-    holds no ``mtz``/``mfz`` (condition 1), no *other* watch address
-    lands strictly inside it (condition 2, so interior members stay
-    unwatched), and the terminator cannot transfer control (condition
-    3, the region falls through into the trigger).  Loops whose bodies
-    are not single spans are reported at info severity — they simply
-    run unchained.
-    """
-    plan = ctx.plan
-    assert plan is not None
-    watched = plan.watched_next_pcs()
-    out: list[Diagnostic] = []
-    chained = {loop_id: (start, term)
-               for start, term, loop_id in chain_candidates(ctx)}
-    for lp in plan.loops:
-        if lp.trigger_pc is None:
-            continue
-        if lp.loop_id not in chained:
-            out.append(Diagnostic(
-                "ZV003", "info",
-                f"loop {lp.loop_id} body at {hex(lp.body_pc)} is not "
-                "a single straight-line span; the traced tier runs it "
-                "unchained", pc_lo=lp.body_pc, pc_hi=lp.trigger_pc))
-            continue
-        start, term = chained[lp.loop_id]
-        span = (ctx.ir[start].address, ctx.ir[term].address)
-        for k in range(start, term + 1):
-            if ctx.ir[k].is_zolc_init:
-                out.append(Diagnostic(
-                    "ZV003", "error",
-                    f"chained body of loop {lp.loop_id} contains "
-                    f"{ctx.ir[k].mnemonic} at {hex(ctx.ir[k].address)}"
-                    " (chain condition 1 violated)",
-                    pc_lo=span[0], pc_hi=span[1]))
-        for pc in watched:
-            if span[0] < pc <= span[1]:
-                out.append(Diagnostic(
-                    "ZV003", "error",
-                    f"watch address {hex(pc)} lands inside the "
-                    f"chained body of loop {lp.loop_id} (chain "
-                    "condition 2 violated)",
-                    pc_lo=span[0], pc_hi=span[1]))
-        if ctx.ir[term].can_transfer:
-            out.append(Diagnostic(
-                "ZV003", "error",
-                f"chained body of loop {lp.loop_id} ends in "
-                f"{ctx.ir[term].mnemonic}, which can transfer control "
-                "(chain condition 3 violated)",
-                pc_lo=span[0], pc_hi=span[1]))
-    return out
-
-
 def trace_candidate_bodies(ctx: VerifyContext) -> list[
         tuple[int, int, WatchedLoop]]:
-    """``(start slot, trigger slot, loop)`` for loops whose watched
-    body spans *multiple* regions — the guard-based trace JIT's domain
-    (the complement of :func:`chain_candidates` over resolvable
-    trigger-watched loops)."""
+    """``(start slot, trigger slot, loop)`` for every resolvable
+    trigger-watched loop — the loop-resident trace tier's domain, from
+    straight-line bodies (zero-guard traces) to branchy ones."""
     plan = ctx.plan
     assert plan is not None
-    chained = {loop_id for _, _, loop_id in chain_candidates(ctx)}
     out: list[tuple[int, int, WatchedLoop]] = []
     for lp in plan.loops:
-        if lp.trigger_pc is None or lp.loop_id in chained:
+        if lp.trigger_pc is None:
             continue
         start = ctx.slot_of(lp.body_pc)
         tslot = ctx.slot_of(lp.trigger_pc)
@@ -443,10 +359,68 @@ def trace_candidate_bodies(ctx: VerifyContext) -> list[
     return out
 
 
-def check_trace_guards(ctx: VerifyContext) -> list[Diagnostic]:
-    """ZV006: multi-region bodies are guardable end to end.
+def check_chain_legality(ctx: VerifyContext) -> list[Diagnostic]:
+    """ZV003: re-prove DESIGN.md §9 legality per straight-line trace.
 
-    For each loop body the trace JIT may record across: every
+    A trace candidate whose watched body is one span of the span
+    table ending right before the trigger, in anything but a
+    conditional branch, must run as a zero-guard trace: every
+    iteration retires the whole body and fires the trigger.  For each
+    such body: it
+    holds no ``mtz``/``mfz`` (condition 1), no *other* watch address
+    lands strictly inside it (condition 2, so interior members stay
+    unwatched), and the terminator cannot transfer control (condition
+    3, the body falls through into the trigger).  Other bodies are
+    reported at info severity — they run as guarded traces, whose
+    divergences ZV006 covers.
+    """
+    plan = ctx.plan
+    assert plan is not None
+    terms = ctx.terms
+    assert terms is not None
+    watched = plan.watched_next_pcs()
+    out: list[Diagnostic] = []
+    for start, tslot, lp in trace_candidate_bodies(ctx):
+        term = tslot - 1
+        term_op = ctx.ir[term]
+        if terms[start] != term or term_op.is_branch:
+            out.append(Diagnostic(
+                "ZV003", "info",
+                f"loop {lp.loop_id} body at {hex(lp.body_pc)} is not "
+                "a single straight-line span; it runs as a guarded "
+                "trace", pc_lo=lp.body_pc, pc_hi=lp.trigger_pc))
+            continue
+        span = (ctx.ir[start].address, term_op.address)
+        for k in range(start, term + 1):
+            if ctx.ir[k].is_zolc_init:
+                out.append(Diagnostic(
+                    "ZV003", "error",
+                    f"straight-line body of loop {lp.loop_id} contains "
+                    f"{ctx.ir[k].mnemonic} at {hex(ctx.ir[k].address)}"
+                    " (condition 1 violated)",
+                    pc_lo=span[0], pc_hi=span[1]))
+        for pc in watched:
+            if span[0] < pc <= span[1]:
+                out.append(Diagnostic(
+                    "ZV003", "error",
+                    f"watch address {hex(pc)} lands inside the "
+                    f"straight-line body of loop {lp.loop_id} "
+                    "(condition 2 violated)",
+                    pc_lo=span[0], pc_hi=span[1]))
+        if term_op.can_transfer:
+            out.append(Diagnostic(
+                "ZV003", "error",
+                f"straight-line body of loop {lp.loop_id} ends in "
+                f"{term_op.mnemonic}, which can transfer control "
+                "(condition 3 violated)",
+                pc_lo=span[0], pc_hi=span[1]))
+    return out
+
+
+def check_trace_guards(ctx: VerifyContext) -> list[Diagnostic]:
+    """ZV006: trace bodies are guardable end to end.
+
+    For each loop body a trace may run across: every
     conditional branch (a divergence a guard must cover) has both
     destinations — the taken target and the fall-through, whichever a
     recorded path leaves through — resolving to CFG block leaders, so

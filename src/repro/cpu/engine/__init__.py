@@ -16,12 +16,14 @@ slot), and each engine tier is a *lowering pass* over that array:
 * :mod:`~repro.cpu.engine.traced` (``engine="traced"``, the ``auto``
   default) lowers maximal straight-line spans to generated Python
   megahandlers — memory accesses inlined, bounds-checked, against the
-  raw memory buffer — executing a whole block per Python call, and
-  chains canonical ZOLC loops *loop-resident* (the trigger-fire →
-  region-re-entry cycle runs inside generated code).  Compilation is
-  tiered: a span is fused only once it is hot (entered
+  raw memory buffer — executing a whole block per Python call.
+  Compilation is tiered: a span is fused only once it is hot (entered
   ``trace.HOT_THRESHOLD`` times) or its code is already cached on the
   Program; cold spans run on the fast tier's per-slot path;
+* :mod:`~repro.cpu.engine.trace` keeps hot ZOLC loops *loop-resident*:
+  one generated trace per loop runs the body → trigger fire → re-entry
+  cycle inside generated code — a straight-line body as a zero-guard
+  trace, a branchy body with guards on its recorded hot paths;
 * all generated text comes from the one shared emitter
   (:mod:`~repro.cpu.engine.emit`), so operand formatting, immediate
   masking, the ``r0``-write drop and the inlined memory fast paths
@@ -77,7 +79,7 @@ from repro.cpu.engine.fast import (
     run_fast,
 )
 from repro.cpu.engine.trace import Trace, TraceOutcome, trace_table
-from repro.cpu.engine.traced import _NO_CHAIN, TraceRegion, run_traced
+from repro.cpu.engine.traced import TraceRegion, run_traced
 
 __all__ = [
     "HALT",

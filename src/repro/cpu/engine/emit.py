@@ -1,7 +1,7 @@
 """The shared Python-text emitter: IR → generated statements.
 
-Every code-generating tier — traced megahandlers, loop-resident
-chains, traces — lowers :class:`~repro.cpu.ir.IROp` records through
+Every code-generating tier — traced megahandlers and loop-resident
+traces — lowers :class:`~repro.cpu.ir.IROp` records through
 this one module, so operand formatting, immediate masking, the
 ``r0``-write drop, the sign-bias comparison idiom and the inlined
 bounds-checked memory access exist exactly once.
@@ -276,14 +276,15 @@ class CodegenRecord(NamedTuple):
     object, keyed like the code caches, so
     :mod:`repro.cpu.analysis.audit` can re-parse what actually runs
     instead of re-running the generator.  ``loop_id`` is ``None``
-    except for chain drivers.
+    except for traces.
     """
 
-    kind: str                   # "region" | "chain" | "trace"
+    kind: str                   # "region" | "trace"
     start: int                  # first slot of the span
     term: int                   # terminator slot (inclusive)
     source: str                 # the compiled source text, verbatim
     line_member: tuple          # line index -> member ordinal | None
+                                # (traces: the member's slot)
     fallbacks: tuple            # member ordinals emitted as _h<k> calls
     loop_id: int | None = None
     #: Trace records only: one entry per emitted guard, as

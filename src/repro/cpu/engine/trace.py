@@ -1,40 +1,43 @@
-"""Guard-based trace JIT: multi-region hot paths for branchy loops.
+"""Loop-resident traces: the one mechanism that keeps a ZOLC loop's
+fire → re-entry cycle inside generated code.
 
-The loop-resident chain tier (:mod:`repro.cpu.engine.traced`) only
-batches loops whose entire body is one straight-line region.  Branchy
-bodies (``me_fss``, ``vecmax_early``, ``viterbi``) fall back to
-per-region dispatch: every forward branch ends a region and pays one
-full engine-loop round trip.  This module records the *hot path*
-through such a body — across its forward branches — and lowers it to
-one generated Python function with inlined **guards** at every
-divergence point, RPython-style (minus machine code: traces are Python
-source like the megahandlers, compiled once and cached).
+In hardware the ZOLC makes a loop's trigger fire and the jump back to
+the body free; the traced tier (:mod:`repro.cpu.engine.traced`) models
+that steady state with a *trace*: one generated Python function that
+runs whole ``body → fire → re-enter`` iterations without returning to
+the engine loop.  A straight-line body is the zero-guard case — one
+path, one outcome.  A branchy body (``me_fss``, ``vecmax_early``,
+``viterbi``) gets its *hot path* recorded across its forward branches
+and lowered with inlined **guards** at every divergence point,
+RPython-style (minus machine code: traces are Python source like the
+megahandlers, compiled once and cached).
 
-Recording.  A ZOLC trigger whose fire redirect re-enters a natural
+Promotion.  A ZOLC trigger whose fire redirect re-enters a natural
 loop (recovered by :func:`~repro.cpu.analysis.cfg.natural_loops` over
 the post-transform CFG, with the controller's redirect edges
-reinstated) makes that loop a *candidate*.  Once
-:data:`HOT_THRESHOLD` loop-back fires have been observed, the traced
-engine records one full iteration — the ``(slot, taken)`` outcome of
-every conditional branch between the loop entry and the next trigger
-fire — and the path is rebuilt from those events and lowered.  Any
-fire that is not the candidate's own direct loop-back ends the
-recording: an expiry or a fired exit/entry watch abandons it (the
-candidate re-arms, up to :data:`MAX_RETRIES` times); an indirect jump,
-``halt`` or ``mtz``/``mfz`` retired mid-recording kills the candidate
-for good.
+reinstated) makes that loop a *candidate*.  At its
+:data:`HOT_THRESHOLD`-th loop-back fire, a body with no conditional
+branch compiles straight from the empty event list.  A branchy body
+instead has the traced engine record one full iteration — the
+``(slot, taken)`` outcome of every conditional branch between the loop
+entry and the next trigger fire — and the path is rebuilt from those
+events and lowered.  Any fire that is not the candidate's own direct
+loop-back ends the recording: an expiry or a fired exit/entry watch
+abandons it (the candidate re-arms, up to :data:`MAX_RETRIES` times);
+an indirect jump, ``halt`` or ``mtz``/``mfz`` retired mid-recording
+kills the candidate for good.
 
 Guards.  A conditional branch on the hot path becomes a guard: the
 branch-condition expression (the one shared
 :func:`~repro.cpu.engine.emit.branch_cond_expr` idiom) is tested
 *before* the branch retires, and if the actual direction disagrees
-with the recorded one, the trace **side-exits**: it returns an outcome
-index whose statically precomputed deltas retire exactly the members
-*before* the guard, and the engine re-executes the branch itself on
-the per-region tier — so the side exit is architecturally exact
-(registers, memory, cycles, stats, controller counters), including
-``dbne``, whose counter decrement is only committed after its guard
-passes.  A guard whose opposite side turns hot
+with the recorded one, the trace **side-exits**: it returns the
+side-exit outcome, whose statically precomputed deltas retire exactly
+the members *before* the guard, and the engine re-executes the branch
+itself on the per-region tier — so the side exit is architecturally
+exact (registers, memory, cycles, stats, controller counters),
+including ``dbne``, whose counter decrement is only committed after
+its guard passes.  A guard whose opposite side turns hot
 (:data:`BRIDGE_THRESHOLD` side exits through it) gets a *bridge*
 recorded from the side exit to the next loop-back fire and spliced in:
 the trace is rebuilt from the merged path set, the once-guard becoming
@@ -70,16 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.simulator import Simulator
 
 #: compile() filename marker for generated traces; fault reconciliation
-#: and the AU005 auditor recognise trace frames/records by it.
+#: recognises trace frames by it.
 TRACE_FILENAME = "<trace-jit>"
 
-#: compile() filename marker for generated trace *chain drivers* — the
-#: loop-resident variant of the same tree, with the fire epilogue
-#: inlined at every leaf.  Distinct from the region chain driver's
-#: ``<trace-chain>`` marker in :mod:`repro.cpu.engine.traced`.
-TRACE_CHAIN_FILENAME = "<trace-jit-chain>"
-
-#: Loop-back fires observed before a candidate records its hot path.
+#: Loop-back fires observed before a candidate is promoted (compiled
+#: outright when its body has no conditional branch, else recorded).
 HOT_THRESHOLD = 8
 #: Side exits through one guard before a bridge is recorded for it.
 BRIDGE_THRESHOLD = 8
@@ -138,36 +136,32 @@ class TraceCandidate:
 
 
 class Trace:
-    """A compiled trace: the generated function plus its outcome table.
+    """A compiled trace: its loop-resident driver plus outcome table.
 
-    ``chain`` is the loop-resident driver — the same guard tree with
-    the trigger fire, index writes and loop-back test inlined at every
-    leaf, called as ``chain(fire_trigger, budget, cell)`` (everything
-    else binds as generated-function defaults).
+    ``run`` is the guard tree with the trigger fire, index writes and
+    loop-back test inlined at every leaf, called as ``run(fire_trigger,
+    budget, cell)`` (everything else binds as generated-function
+    defaults).  A straight-line body is the zero-guard case: one path,
+    one leaf outcome.
     """
 
-    __slots__ = ("fn", "chain", "outcomes", "first_uses", "max_steps",
+    __slots__ = ("run", "outcomes", "first_uses", "max_steps",
                  "loop_id", "entry_pc", "entry_slot", "trigger_pc",
-                 "line_fault", "line_member", "chain_line_fault",
-                 "fail", "bridge_fails", "no_bridge", "paths", "cand")
+                 "line_fault", "fail", "bridge_fails", "no_bridge",
+                 "paths", "cand")
 
-    def __init__(self, fn, chain, outcomes: tuple,
-                 first_uses: frozenset[int], loop_id: int, entry_pc: int,
-                 entry_slot: int, trigger_pc: int, line_fault: tuple,
-                 line_member: tuple, chain_line_fault: tuple,
-                 paths: list, cand: TraceCandidate) -> None:
-        self.fn = fn
-        self.chain = chain
+    def __init__(self, run, outcomes: tuple, first_uses: frozenset[int],
+                 cand: TraceCandidate, line_fault: tuple,
+                 paths: list) -> None:
+        self.run = run
         self.outcomes = outcomes
         self.first_uses = first_uses
         self.max_steps = max(o.steps for o in outcomes)
-        self.loop_id = loop_id
-        self.entry_pc = entry_pc
-        self.entry_slot = entry_slot
-        self.trigger_pc = trigger_pc
+        self.loop_id = cand.loop_id
+        self.entry_pc = cand.entry_pc
+        self.entry_slot = cand.entry_slot
+        self.trigger_pc = cand.trigger_pc
         self.line_fault = line_fault
-        self.line_member = line_member
-        self.chain_line_fault = chain_line_fault
         self.fail: dict = {}          # exit key -> side-exit count
         self.bridge_fails: dict = {}  # exit key -> abandoned bridges
         self.no_bridge: set = set()   # exit keys never to bridge
@@ -220,8 +214,7 @@ def _candidate_geometry(program, ir, base: int, plan,
     """Statically scope the plan's trigger loops to trace candidates.
 
     A candidate is a trigger whose fire redirect heads a natural loop
-    of at least two basic blocks (branchy — single-block bodies are
-    the chain tier's job) whose body retires no ``mtz``/``mfz``, no
+    (straight-line or branchy) whose body retires no ``mtz``/``mfz``, no
     indirect jump or ``halt``, and contains no *foreign* watched
     address — those would fire mid-trace, which a trace cannot model.
     The loop's own trigger slot is exempt: it is the dead latch, and
@@ -229,7 +222,7 @@ def _candidate_geometry(program, ir, base: int, plan,
     (loops sharing an entry pull the sibling's latch into the merged
     natural-loop body, which must not disqualify the innermost).  The
     trigger address itself must not double as an entry watch (the
-    trace fires ``fire_trigger`` directly at its chain leaf, exactly
+    trace fires ``fire_trigger`` directly at its leaf, exactly
     as the per-slot path would after its entry watch declined).  An
     outer ZOLC loop is rejected by the watched-address check (its body
     contains the inner loop's trigger), so only innermost loops trace.
@@ -263,15 +256,6 @@ def _candidate_geometry(program, ir, base: int, plan,
         loop = by_header.get(cfg.block_of_slot[entry_slot])
         if loop is None:
             continue
-        if len(loop.body) < 2:
-            # A single-block body falling through into its trigger is
-            # the chain tier's shape — nothing to guard.  A single
-            # block *ending in a conditional branch* (an early-exit
-            # latch, e.g. ``vecmax_early``) is trace territory: the
-            # hot path guards the exit branch and falls into the
-            # trigger.
-            if not ir[cfg.blocks[loop.header].end].is_branch:
-                continue
         if ir[entry_slot].is_branch:
             # A guard as the very first member could side-exit having
             # retired nothing, which has no exact out-pending state.
@@ -368,7 +352,7 @@ def _walk(cand: TraceCandidate, table: TraceTable, ir, base: int,
     Items: ``('m', slot)`` plain member, ``('j', slot)`` unconditional
     jump, ``('g', slot, taken)`` conditional branch with its recorded
     direction.  The path ends when a member's next pc is the trigger
-    address (the chain leaf).  ``None`` when the events are
+    address (the leaf).  ``None`` when the events are
     inconsistent with the IR or the path is untraceable (a watched or
     out-of-text address, a taken exit-watched branch — its fire must
     stay on the per-slot path —, an indirect jump, a ZOLC port access,
@@ -474,20 +458,18 @@ class _TraceAbort(Exception):
 class _EmitCtx:
     """Mutable emission state shared across the recursive tree walk.
 
-    One tree lowers twice: a *trace* pass (``chain is None``) that
-    allocates the outcome table, and a *chain* pass that re-walks the
-    identical tree — so guards, members and leaves reappear in the
-    same order and ``next_k`` re-derives each outcome index without
-    re-allocating.  ``chain`` carries the chain pass's static strings:
-    ``loop_id``, ``entry_pc`` and the counts-dict expression.
+    ``counts`` is the per-outcome counts-dict expression every return
+    of the driver carries; the outcome count is known before emission
+    (:func:`_outcome_count`), so one walk emits the driver and
+    allocates the outcome table together.
     """
 
     __slots__ = ("lines", "line_fault", "line_member", "outcomes",
                  "sites", "guards", "ops", "ir", "base", "load_use",
-                 "ord", "chain", "next_k")
+                 "ord", "loop_id", "entry_pc", "counts")
 
     def __init__(self, ops, ir, base: int, load_use: int,
-                 chain: dict | None = None) -> None:
+                 cand: TraceCandidate, counts: str) -> None:
         self.lines: list[str] = []
         # Index 0 is the def line (tb_lineno is 1-based), like the
         # region emitters' line_member convention.
@@ -501,8 +483,22 @@ class _EmitCtx:
         self.base = base
         self.load_use = load_use
         self.ord = 0
-        self.chain = chain
-        self.next_k = 0
+        self.loop_id = cand.loop_id
+        self.entry_pc = cand.entry_pc
+        self.counts = counts
+
+
+def _outcome_count(tree: list) -> int:
+    """Outcomes a guard tree lowers to: one per one-sided guard (its
+    side exit) plus one per leaf."""
+    count = 0
+    for item in tree:
+        if item[0] == "g":
+            count += 1
+        elif item[0] == "split":
+            return count + _outcome_count(item[2]) \
+                + _outcome_count(item[3])
+    return count + 1
 
 
 def _snapshot(acc: list, fault_pc: int) -> tuple:
@@ -517,7 +513,7 @@ def _clone(acc: list) -> list:
             acc[6], list(acc[7])]
 
 
-def _emit(ctx: _EmitCtx, depth: int, text: str, fault: tuple,
+def _emit(ctx: _EmitCtx, depth: int, text: str, fault: tuple | None,
           slot: int | None) -> int:
     """Append one source line; returns its 0-based source line index."""
     lineno = len(ctx.line_fault)
@@ -530,11 +526,9 @@ def _emit(ctx: _EmitCtx, depth: int, text: str, fault: tuple,
 def _member_source(ctx: _EmitCtx, slot: int) -> list[str]:
     """The member's statements, registering a fallback site if used."""
     fb: list[int] = []
-    ordinal = ctx.ord
-    ctx.ord += 1
-    lines = member_lines(ctx.ir[slot], ordinal, fb)
+    lines = member_lines(ctx.ir[slot], ctx.ord, fb)
     if fb:
-        ctx.sites.append((ordinal, slot))
+        ctx.sites.append((ctx.ord, slot))
     return lines
 
 
@@ -559,27 +553,21 @@ def _retire(acc: list, slot: int, bc: int, ss: int,
     acc[6] = load_dest
 
 
-def _side_exit(ctx: _EmitCtx, acc: list, slot: int, cold: bool) -> int:
-    """Reserve the side-exit outcome for a guard; returns its index.
-
-    The chain pass walks the same tree in the same order, so it only
-    advances the index counter — the outcome already exists."""
-    k = ctx.next_k
-    ctx.next_k += 1
-    if ctx.chain is None:
-        op = ctx.ir[slot]
-        ctx.outcomes.append(TraceOutcome(
-            rid=next(SPAN_IDS), steps=acc[0], cycles=acc[1],
-            stall=acc[2], flush=acc[3], taken=acc[4],
-            members=tuple(acc[5]), out_pending=acc[6], is_exit=True,
-            pc=op.address, prefix=tuple(acc[7]), key=(slot, cold)))
-    return k
+def _outcome(ctx: _EmitCtx, acc: list, is_exit: bool, pc: int,
+             key: tuple | None) -> int:
+    """Allocate the next outcome from the accumulator; its index."""
+    ctx.outcomes.append(TraceOutcome(
+        rid=next(SPAN_IDS), steps=acc[0], cycles=acc[1], stall=acc[2],
+        flush=acc[3], taken=acc[4], members=tuple(acc[5]),
+        out_pending=acc[6], is_exit=is_exit, pc=pc,
+        prefix=tuple(acc[7]) if is_exit else (), key=key))
+    return len(ctx.outcomes) - 1
 
 
 def _emit_acc(ctx: _EmitCtx, acc: list, k: int, depth: int,
               fault: tuple | None, slot: int | None) -> None:
-    """Chain pass: fold one outcome's static deltas into the running
-    totals (zero terms elided at generation time)."""
+    """Fold one outcome's static deltas into the running totals (zero
+    terms elided at generation time)."""
     _emit(ctx, depth, f"_o{k} += 1", fault, slot)
     for name, value in (("_steps", acc[0]), ("_cycles", acc[1]),
                         ("_stall", acc[2]), ("_flush", acc[3]),
@@ -590,16 +578,12 @@ def _emit_acc(ctx: _EmitCtx, acc: list, k: int, depth: int,
 
 def _emit_escape(ctx: _EmitCtx, acc: list, k: int, depth: int,
                  fault: tuple, slot: int) -> None:
-    """The guard's cold direction.  The trace pass returns the
-    side-exit outcome index; the chain pass additionally folds the
-    exit's deltas and returns the full accounting tuple (the engine
-    re-executes the guard per-slot either way)."""
-    if ctx.chain is None:
-        _emit(ctx, depth, f"return {k}", fault, slot)
-        return
+    """The guard's cold direction: fold the side exit's deltas and
+    return the accounting tuple (the engine re-executes the guard
+    per-slot)."""
     _emit_acc(ctx, acc, k, depth, fault, slot)
     _emit(ctx, depth,
-          f"return ({ctx.chain['counts']}, _steps, _cycles, _stall, "
+          f"return ({ctx.counts}, _steps, _cycles, _stall, "
           f"_flush, _taken, _fires, _iw, _out[{k}], None)",
           fault, slot)
 
@@ -614,7 +598,7 @@ def _emit_guard(ctx: _EmitCtx, acc: list, slot: int, hot: bool,
     _fn, bc, uses, _ld, pen = ctx.ops[slot]
     ss = _static_stall(ctx, acc, uses)
     fault = _snapshot(acc, op.address)
-    k = _side_exit(ctx, acc, slot, not hot)
+    k = _outcome(ctx, acc, True, op.address, (slot, not hot))
     if op.mnemonic == "dbne":
         _emit(ctx, depth, f"_v = (_g[{op.rs}] - 1) & {MASK32}", fault,
               slot)
@@ -638,7 +622,12 @@ def _emit_guard(ctx: _EmitCtx, acc: list, slot: int, hot: bool,
 
 def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
                depth: int) -> None:
-    """Recursively lower one tree level; leaves emit their outcome."""
+    """Recursively lower one tree level; leaves emit their outcome.
+
+    ``ctx.ord`` counts every path item, so along a zero-guard path a
+    member's ``_h`` ordinal is its position on the path (the ordinal
+    the AU001/AU002 audit of such a trace expects).
+    """
     for item in tree:
         kind = item[0]
         if kind == "m":
@@ -681,6 +670,7 @@ def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
                     raise _TraceAbort
             lineno = _emit(ctx, depth, f"if {test}:", fault, slot)
             ctx.guards.append((lineno, slot, None))
+            ctx.ord += 1
             taken_acc = _clone(acc)
             _retire(taken_acc, slot, bc, ss, None, pen, True)
             taken_acc[7].append((slot, True))
@@ -691,26 +681,16 @@ def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
             fall_acc[7].append((slot, False))
             _emit_tree(ctx, item[3], fall_acc, depth + 1)
             return
-    # Leaf: the last member's next pc is the trigger address.
-    k = ctx.next_k
-    ctx.next_k += 1
-    last_slot = acc[5][-1][0]
-    if ctx.chain is None:
-        ctx.outcomes.append(TraceOutcome(
-            rid=next(SPAN_IDS), steps=acc[0], cycles=acc[1],
-            stall=acc[2], flush=acc[3], taken=acc[4],
-            members=tuple(acc[5]), out_pending=acc[6], is_exit=False,
-            pc=ctx.base + 4 * last_slot, prefix=(), key=None))
-        _emit(ctx, depth, f"return {k}", _snapshot(acc, ctx.base), None)
-        return
-    # Chain pass: the fire epilogue is inlined at the leaf — account
-    # the iteration, fire the trigger (``_leaf`` marks the in-fire
-    # window for the fault cell), apply the index writes and either
-    # loop back or return the terminating decision.  None of the
-    # post-fire lines can raise synchronously, so their fault entries
-    # stay ``None`` (reconciliation then lands on the loop entry with
-    # no pending load — exactly the post-fire architectural state).
-    ch = ctx.chain
+        ctx.ord += 1
+    # Leaf: the last member's next pc is the trigger address.  The
+    # fire epilogue is inlined here — account the iteration, fire the
+    # trigger (``_leaf`` marks the in-fire window for the fault cell),
+    # apply the index writes and either loop back or return the
+    # terminating decision.  None of these lines can raise
+    # synchronously, so their fault entries stay ``None``
+    # (reconciliation then lands on the loop entry with no pending
+    # load — exactly the post-fire architectural state).
+    k = _outcome(ctx, acc, False, ctx.base + 4 * acc[5][-1][0], None)
     _emit_acc(ctx, acc, k, depth, None, None)
     # Loop-back fast path: with the engagement-hoisted record valid,
     # un-cascaded and still looping back, the task-selection decision
@@ -721,42 +701,38 @@ def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
     # through the budget return: the caller re-enters per-slot at the
     # loop entry and sees ``state.halted`` exactly as a terminating
     # decision would have left it.
-    _emit(ctx, depth, "if _fast:", None, None)
-    _emit(ctx, depth + 1, "_done = _stat.iterations_done + 1", None,
-          None)
-    _emit(ctx, depth + 1, "if _done < _trips:", None, None)
-    _emit(ctx, depth + 2, "_stat.iterations_done = _done", None, None)
-    _emit(ctx, depth + 2, "_ctl.task_switches += 1", None, None)
-    _emit(ctx, depth + 2, "_fires += 1", None, None)
-    _emit(ctx, depth + 2, "_iw += 1", None, None)
-    _emit(ctx, depth + 2, "if _ir:", None, None)
-    _emit(ctx, depth + 3,
-          f"_g[_ir] = (_init + _done * _stride) & {MASK32}", None,
-          None)
-    _emit(ctx, depth + 2, "if _state.halted:", None, None)
-    _emit(ctx, depth + 3, "break", None, None)
-    _emit(ctx, depth + 2, "continue", None, None)
-    _emit(ctx, depth, f"_leaf = {k}", None, None)
-    _emit(ctx, depth, f"_d = _fire({ch['loop_id']})", None, None)
-    _emit(ctx, depth, "_leaf = -1", None, None)
-    _emit(ctx, depth, "_fires += 1", None, None)
-    _emit(ctx, depth, "_w = _d.index_writes", None, None)
-    _emit(ctx, depth, "if len(_w) == 1:", None, None)
-    _emit(ctx, depth + 1, "_r, _v = _w[0]", None, None)
-    _emit(ctx, depth + 1, "if _r:", None, None)
-    _emit(ctx, depth + 2, f"_g[_r] = _v & {MASK32}", None, None)
-    _emit(ctx, depth, "else:", None, None)
-    _emit(ctx, depth + 1, "for _r, _v in _w:", None, None)
-    _emit(ctx, depth + 2, "if _r:", None, None)
-    _emit(ctx, depth + 3, f"_g[_r] = _v & {MASK32}", None, None)
-    _emit(ctx, depth, "_iw += len(_w)", None, None)
-    _emit(ctx, depth,
-          f"if _d.next_pc != {ch['entry_pc']} or _state.halted:",
-          None, None)
-    _emit(ctx, depth + 1,
-          f"return ({ch['counts']}, _steps, _cycles, _stall, _flush, "
-          f"_taken, _fires, _iw, _out[{k}], _d)", None, None)
-    _emit(ctx, depth, "continue", None, None)
+    for step, text in (
+            (0, "if _fast:"),
+            (1, "_done = _stat.iterations_done + 1"),
+            (1, "if _done < _trips:"),
+            (2, "_stat.iterations_done = _done"),
+            (2, "_ctl.task_switches += 1"),
+            (2, "_fires += 1"),
+            (2, "_iw += 1"),
+            (2, "if _ir:"),
+            (3, f"_g[_ir] = (_init + _done * _stride) & {MASK32}"),
+            (2, "if _state.halted:"),
+            (3, "break"),
+            (2, "continue"),
+            (0, f"_leaf = {k}"),
+            (0, f"_d = _fire({ctx.loop_id})"),
+            (0, "_leaf = -1"),
+            (0, "_fires += 1"),
+            (0, "_w = _d.index_writes"),
+            (0, "if len(_w) == 1:"),
+            (1, "_r, _v = _w[0]"),
+            (1, "if _r:"),
+            (2, f"_g[_r] = _v & {MASK32}"),
+            (0, "else:"),
+            (1, "for _r, _v in _w:"),
+            (2, "if _r:"),
+            (3, f"_g[_r] = _v & {MASK32}"),
+            (0, "_iw += len(_w)"),
+            (0, f"if _d.next_pc != {ctx.entry_pc} or _state.halted:"),
+            (1, f"return ({ctx.counts}, _steps, _cycles, _stall, "
+                f"_flush, _taken, _fires, _iw, _out[{k}], _d)"),
+            (0, "continue")):
+        _emit(ctx, depth + step, text, None, None)
 
 
 #: Program attribute holding compiled trace blueprints, keyed by
@@ -783,12 +759,24 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
                    paths: list) -> tuple | None:
     """Walk, merge and lower a path set into a trace blueprint.
 
-    Returns ``None`` when any path fails to replay against the IR or
-    the paths are unmergeable (divergence anywhere but a same-slot
-    guard) — the caller marks the candidate dead or the bridge
-    unbridgeable.  The record filed for AU005 uses ``term == start``
-    so a bridge rebuild overwrites its predecessor's entry.
+    The one emission pass builds the outcome table and the
+    loop-resident driver together.  The driver runs whole ``trace →
+    fire → re-enter`` iterations without returning to the engine loop:
+    per-outcome counters and the accounting totals accumulate in
+    locals, every leaf fires the trigger and applies the index writes
+    inline, and a single zero-cost ``try`` publishes progress into the
+    caller's ``_cell`` only when a fault unwinds (its last outcome is
+    set only for a fault raised by the fire itself, after the
+    iteration retired whole).  Returns ``None`` when any path fails to
+    replay against the IR or the paths are unmergeable (divergence
+    anywhere but a same-slot guard) — the caller marks the candidate
+    dead or the bridge unbridgeable.  The record filed for AU005 uses ``term ==
+    start`` so a bridge rebuild overwrites its predecessor's entry.
     """
+    # Function-level import: repro.core's package __init__ imports the
+    # controller, which reaches back into repro.cpu.engine.
+    from repro.core.tables import FLAG_VALID
+
     ir = predecoded.ir
     ops = predecoded.ops
     base = sim.program.text_base
@@ -804,64 +792,13 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
         tree = _merge(tree, path)
         if tree is None:
             return None
-    load_use = sim.timing.config.load_use_stall
-    ctx = _EmitCtx(ops, ir, base, load_use)
-    try:
-        _emit_tree(ctx, tree, [0, 0, 0, 0, 0, [], None, []], 0)
-    except _TraceAbort:
-        return None
-    params = ", ".join(
-        f"{name}={name}"
-        for name in REGION_HELPERS
-        + tuple(f"_h{k}" for k, _ in ctx.sites))
-    src = f"def _trace({params}):\n" + "\n".join(ctx.lines)
-    code = compile(src, TRACE_FILENAME, "exec")
-    entry = (tuple(paths), code, tuple(ctx.sites), tuple(ctx.outcomes),
-             tuple(ctx.line_fault), tuple(ctx.line_member),
-             *_compile_chain(sim, ctx, tree, cand))
-    record_codegen(sim.program, CodegenRecord(
-        kind="trace", start=cand.entry_slot, term=cand.entry_slot,
-        source=src, line_member=entry[5],
-        fallbacks=tuple(k for k, _ in ctx.sites),
-        loop_id=cand.loop_id, guards=tuple(ctx.guards)))
-    return entry
-
-
-def _compile_chain(sim: "Simulator", ctx: _EmitCtx, tree: list,
-                   cand: TraceCandidate) -> tuple:
-    """Lower the merged tree a second time as the chain driver.
-
-    The generated function runs whole ``trace → fire → re-enter``
-    iterations without returning to the engine loop: per-outcome
-    counters and the accounting totals accumulate in locals, every
-    leaf fires the trigger and applies the index writes inline, and a
-    single zero-cost ``try`` publishes progress into the caller's
-    ``cell`` only when a fault unwinds (``_leaf >= 0`` flags a fault
-    raised by the fire itself, after the iteration retired whole).
-    Iterations always enter post-fire, so the incoming pending-load
-    check the standalone trace needs does not exist here — the
-    outcome constants are exact.  Returns ``(code, sites,
-    line_fault, line_member)`` blueprint fields; the outcome table
-    and fallback sites are identical to the trace pass's (same tree,
-    same walk order).
-    """
-    # Function-level import: repro.core's package __init__ imports the
-    # controller, which reaches back into repro.cpu.engine.
-    from repro.core.tables import FLAG_VALID
-
-    outcomes = ctx.outcomes
-    pairs = ", ".join(f"({k}, _o{k})" for k in range(len(outcomes)))
-    counts = ("{_k: _c for _k, _c in (" + pairs + ",) if _c}")
-    max_out = max(o.steps for o in outcomes)
-    cctx = _EmitCtx(ctx.ops, ctx.ir, ctx.base, ctx.load_use, chain={
-        "loop_id": cand.loop_id, "entry_pc": cand.entry_pc,
-        "counts": counts})
-    zeros = " = ".join(f"_o{k}" for k in range(len(outcomes)))
-    _emit(cctx, 0, f"{zeros} = 0", None, None)
-    _emit(cctx, 0,
-          "_steps = _cycles = _stall = _flush = _taken = "
-          "_fires = _iw = 0", None, None)
-    _emit(cctx, 0, "_leaf = -1", None, None)
+    n_out = _outcome_count(tree)
+    counts = ("{_k: _c for _k, _c in ("
+              + ", ".join(f"({k}, _o{k})" for k in range(n_out))
+              + ",) if _c}")
+    ctx = _EmitCtx(ops, ir, base, sim.timing.config.load_use_stall,
+                   cand, counts)
+    loop_id = cand.loop_id
     # Engagement prelude: hoist the trigger loop's record and status
     # out of the compiled fire handler (``_fire`` is the controller's
     # bound method per the plan contract).  No ``mtz``/``mfz`` can
@@ -871,85 +808,87 @@ def _compile_chain(sim: "Simulator", ctx: _EmitCtx, tree: list,
     # valid descendants to re-initialise — can be inlined at the
     # leaves.  Anything unexpected (a port whose handler is not the
     # controller method) just disables the fast path.
-    loop_id = cand.loop_id
-    _emit(cctx, 0, "_fast = False", None, None)
-    _emit(cctx, 0, "try:", None, None)
-    _emit(cctx, 1, "_ctl = _fire.__self__", None, None)
-    _emit(cctx, 1, f"_rec = _ctl.tables.loops[{loop_id}]", None, None)
-    _emit(cctx, 1, f"_stat = _ctl.unit.status[{loop_id}]", None, None)
-    _emit(cctx, 1, "_trips = _rec.trips", None, None)
-    _emit(cctx, 1, "_init = _rec.initial", None, None)
-    _emit(cctx, 1, "_stride = _rec.step", None, None)
-    _emit(cctx, 1, "_ir = _rec.index_reg", None, None)
-    _emit(cctx, 1,
-          f"_fast = (bool(_rec.flags & {FLAG_VALID}) "
-          f"and _rec.body_pc == {cand.entry_pc} "
-          "and _fire.__func__ is _FT "
-          "and _ctl._decide.__func__ is _DEC)", None, None)
-    _emit(cctx, 1, "if _fast:", None, None)
-    _emit(cctx, 2, f"for _c in _ctl.unit.descendants({loop_id}):",
-          None, None)
-    _emit(cctx, 3,
-          f"if _ctl.tables.loops[_c].flags & {FLAG_VALID}:", None,
-          None)
-    _emit(cctx, 4, "_fast = False", None, None)
-    _emit(cctx, 4, "break", None, None)
-    _emit(cctx, 0, "except Exception:", None, None)
-    _emit(cctx, 1, "_fast = False", None, None)
-    _emit(cctx, 0, "try:", None, None)
-    _emit(cctx, 1, f"while _steps + {max_out} <= _budget:", None, None)
-    _emit_tree(cctx, tree, [0, 0, 0, 0, 0, [], None, []], 2)
-    _emit(cctx, 1,
-          f"return ({counts}, _steps, _cycles, _stall, _flush, "
-          f"_taken, _fires, _iw, None, None)", None, None)
-    _emit(cctx, 0, "except BaseException:", None, None)
-    _emit(cctx, 1,
-          f"_cell[:] = [{counts}, _steps, _cycles, _stall, _flush, "
-          f"_taken, _fires, _iw, _leaf >= 0, "
-          f"_out[_leaf] if _leaf >= 0 else None]", None, None)
-    _emit(cctx, 1, "raise", None, None)
+    for depth, text in (
+            (0, " = ".join(f"_o{k}" for k in range(n_out)) + " = 0"),
+            (0, "_steps = _cycles = _stall = _flush = _taken = "
+                "_fires = _iw = 0"),
+            (0, "_leaf = -1"),
+            (0, "_fast = False"),
+            (0, "try:"),
+            (1, "_ctl = _fire.__self__"),
+            (1, f"_rec = _ctl.tables.loops[{loop_id}]"),
+            (1, f"_stat = _ctl.unit.status[{loop_id}]"),
+            (1, "_trips = _rec.trips"),
+            (1, "_init = _rec.initial"),
+            (1, "_stride = _rec.step"),
+            (1, "_ir = _rec.index_reg"),
+            (1, f"_fast = (bool(_rec.flags & {FLAG_VALID}) "
+                f"and _rec.body_pc == {cand.entry_pc} "
+                "and _fire.__func__ is _FT "
+                "and _ctl._decide.__func__ is _DEC)"),
+            (1, "if _fast:"),
+            (2, f"for _c in _ctl.unit.descendants({loop_id}):"),
+            (3, f"if _ctl.tables.loops[_c].flags & {FLAG_VALID}:"),
+            (4, "_fast = False"),
+            (4, "break"),
+            (0, "except Exception:"),
+            (1, "_fast = False"),
+            (0, "try:")):
+        _emit(ctx, depth, text, None, None)
+    # The loop header bounds each iteration by its longest outcome,
+    # known once the tree is lowered: emit a placeholder, fill it in.
+    header = _emit(ctx, 1, "", None, None) - 1
+    try:
+        _emit_tree(ctx, tree, [0, 0, 0, 0, 0, [], None, []], 2)
+    except _TraceAbort:
+        return None
+    max_out = max(o.steps for o in ctx.outcomes)
+    ctx.lines[header] = f"        while _steps + {max_out} <= _budget:"
+    for depth, text in (
+            (1, f"return ({counts}, _steps, _cycles, _stall, _flush, "
+                "_taken, _fires, _iw, None, None)"),
+            (0, "except BaseException:"),
+            (1, f"_cell[:] = [{counts}, _steps, _cycles, _stall, _flush, "
+                "_taken, _fires, _iw, "
+                "_out[_leaf] if _leaf >= 0 else None, None]"),
+            (1, "raise")):
+        _emit(ctx, depth, text, None, None)
     params = ", ".join(
         f"{name}={name}"
         for name in REGION_HELPERS
-        + tuple(f"_h{k}" for k, _ in cctx.sites)
+        + tuple(f"_h{k}" for k, _ in ctx.sites)
         + ("_out", "_FT", "_DEC"))
-    src = (f"def _trace_chain(_fire, _budget, _cell, {params}):\n"
-           + "\n".join(cctx.lines))
-    code = compile(src, TRACE_CHAIN_FILENAME, "exec")
+    src = (f"def _trace(_fire, _budget, _cell, {params}):\n"
+           + "\n".join(ctx.lines))
+    code = compile(src, TRACE_FILENAME, "exec")
     record_codegen(sim.program, CodegenRecord(
-        kind="trace_chain", start=cand.entry_slot,
-        term=cand.entry_slot, source=src,
-        line_member=tuple(cctx.line_member),
-        fallbacks=tuple(k for k, _ in cctx.sites),
-        loop_id=cand.loop_id, guards=tuple(cctx.guards)))
-    return (code, tuple(cctx.sites), tuple(cctx.line_fault),
-            tuple(cctx.line_member))
+        kind="trace", start=cand.entry_slot, term=cand.entry_slot,
+        source=src, line_member=tuple(ctx.line_member),
+        fallbacks=tuple(k for k, _ in ctx.sites),
+        loop_id=loop_id, guards=tuple(ctx.guards)))
+    return (tuple(paths), code, tuple(ctx.sites), tuple(ctx.outcomes),
+            tuple(ctx.line_fault))
 
 
 def _instantiate_trace(sim: "Simulator", predecoded: PredecodedProgram,
                        entry: tuple, cand: TraceCandidate) -> Trace:
     """Bind a blueprint to one simulator's architectural state."""
-    (paths, code, sites, outcomes, line_fault, line_member,
-     chain_code, chain_sites, chain_line_fault, _chain_lm) = entry
-    ops = predecoded.ops
-    ns = region_namespace(sim)
-    for ordinal, slot in sites:
-        ns[f"_h{ordinal}"] = ops[slot][0]
-    exec(code, ns)
     # Imported here, not at module level: repro.core.__init__ pulls in
     # the controller, which reaches back into cpu.engine.
     from repro.core.controller import ZolcController
     from repro.core.task_select import TaskSelectionUnit
-    for ordinal, slot in chain_sites:
+
+    paths, code, sites, outcomes, line_fault = entry
+    ops = predecoded.ops
+    ns = region_namespace(sim)
+    for ordinal, slot in sites:
         ns[f"_h{ordinal}"] = ops[slot][0]
     ns["_out"] = outcomes
     ns["_FT"] = ZolcController.fire_trigger
     ns["_DEC"] = TaskSelectionUnit.decide
-    exec(chain_code, ns)
-    return Trace(ns["_trace"], ns["_trace_chain"], outcomes,
-                 ops[cand.entry_slot][2], cand.loop_id, cand.entry_pc,
-                 cand.entry_slot, cand.trigger_pc, line_fault,
-                 line_member, chain_line_fault, list(paths), cand)
+    exec(code, ns)
+    return Trace(ns["_trace"], outcomes, ops[cand.entry_slot][2], cand,
+                 line_fault, list(paths))
 
 
 def build_trace(sim: "Simulator", predecoded: PredecodedProgram,
@@ -1044,8 +983,9 @@ def note_fire(sim: "Simulator", predecoded: PredecodedProgram,
     With a recorder active, any fire ends it: the candidate's own
     direct loop-back completes the path (built, or spliced into the
     existing trace); anything else abandons it.  Without one, a
-    loop-back fire advances the candidate's counter and starts the
-    initial recording at :data:`HOT_THRESHOLD`.  Returns the (new)
+    loop-back fire advances the candidate's counter; at
+    :data:`HOT_THRESHOLD` a straight-line body is compiled on the spot
+    and a branchy one starts its initial recording.  Returns the (new)
     recorder state — recording always ends at a fire, so this is
     either ``None`` or a freshly started initial recording.
     """
@@ -1058,7 +998,16 @@ def note_fire(sim: "Simulator", predecoded: PredecodedProgram,
         cand.count += 1
         if cand.count < HOT_THRESHOLD:
             return None
-        return TraceRecorder(cand, None, None, ())
+        # A body with no conditional branch has exactly one path, so
+        # it compiles from the empty event list with no recording — a
+        # recording could be abandoned every time (a 3-trip inner
+        # loop's HOT_THRESHOLD-th loop-back can always precede its
+        # expiry).  A branchy body fails that walk at its first branch.
+        trace = build_trace(sim, predecoded, table, cand, [()])
+        if trace is None:
+            return TraceRecorder(cand, None, None, ())
+        table.slots[cand.entry_slot] = trace
+        return None
     cand = rec.cand
     if loop_id != cand.loop_id or decision.next_pc != cand.entry_pc:
         _kill_soft(rec)
@@ -1112,43 +1061,37 @@ def note_side_exit(trace: Trace, out: TraceOutcome,
 # Execution: fault reconciliation
 # ---------------------------------------------------------------------------
 #
-# The loop-resident trace chain itself is *generated* per trace (see
-# :func:`_compile_chain` and ``Trace.chain``): one plain Python loop
+# The loop-resident driver itself is *generated* per trace (see
+# :func:`_compile_trace` and ``Trace.run``): one plain Python loop
 # executing whole ``trace → fire → re-enter`` iterations without
 # returning to the engine loop, until the fire decision stops looping
 # back, a guard side-exits, or the (watchdog-derived) step budget
 # cannot fit another worst-case iteration.  It is called as
-# ``chain(fire_trigger, budget, cell)`` and returns ``(counts, steps,
+# ``run(fire_trigger, budget, cell)`` and returns ``(counts, steps,
 # cycles, stall, flush, taken, fires, index_writes, last_outcome,
 # decision)`` — ``decision`` is ``None`` when the budget ran out or
-# ``last_outcome`` is a side exit; ``cell`` publishes the same
-# accounting (plus a fault-in-fire flag) only when a fault unwinds.
+# ``last_outcome`` is a side exit; ``cell`` publishes the same tuple
+# only when a fault unwinds, with ``last_outcome`` set only when the
+# fire itself raised.
 
 
 def reconcile_trace_fault(exc: BaseException, trace: Trace,
                           retired: list[int]) -> tuple:
-    """Account a fault raised inside a generated trace (or its chain).
+    """Account a fault raised inside a generated trace driver.
 
     Maps the generated frame's line number through the trace's
-    precomputed line → pre-fault-state table (the standalone trace's
-    and the chain driver's frames resolve against their own tables):
-    every member *before* the faulting one retires (``retired`` is
-    bumped in place) and the architectural pc lands on the faulting
-    member, exactly as the per-instruction engines leave it.  Returns
+    precomputed line → pre-fault-state table: every member *before*
+    the faulting one retires (``retired`` is bumped in place) and the
+    architectural pc lands on the faulting member, exactly as the
+    per-instruction engines leave it.  Returns
     ``(steps, cycles, stall, flush, taken, out_pending, pc)``; with
     ``steps == 0`` the caller must leave its pending state untouched.
     """
     fault = None
+    line_fault = trace.line_fault
     tb = exc.__traceback__
     while tb is not None:
-        filename = tb.tb_frame.f_code.co_filename
-        if filename == TRACE_FILENAME:
-            line_fault = trace.line_fault
-        elif filename == TRACE_CHAIN_FILENAME:
-            line_fault = trace.chain_line_fault
-        else:
-            line_fault = None
-        if line_fault is not None:
+        if tb.tb_frame.f_code.co_filename == TRACE_FILENAME:
             line = tb.tb_lineno - 1
             if 0 <= line < len(line_fault) \
                     and line_fault[line] is not None:

@@ -161,22 +161,16 @@ class Simulator:
         # fused handler closures from the predecoded program, so the
         # cache is cleared whenever the program is re-predecoded.
         self._trace_region_cache: dict = {}
-        # Loop-resident chain drivers, keyed by (region id, trigger
-        # loop id); lives and dies with the region cache above.
-        self._trace_chain_cache: dict = {}
-        # Guard-based trace JIT tables (per plan watch-set key): hot-path
+        # Loop-resident trace tables (per plan watch-set key): trace
         # candidates, recordings and compiled traces.  Traces also fuse
         # predecoded handlers, so the cache follows the region cache.
         self._trace_jit_cache: dict = {}
-        # Whether the traced tier may dispatch through compiled traces;
-        # run_traced() sets it from its ``jit`` flag on every entry (the
-        # benchmark's no-JIT reference column turns it off).
-        self._trace_jit_enabled = True
         # Residency tallies for the traced tier: how many retired
-        # instructions executed inside a compiled trace, and inside a
-        # loop-resident chain (region chains and trace chains).  These
-        # live on the simulator — not in Stats — so the cross-engine
-        # bit-identity contract over Stats is untouched.
+        # instructions executed inside a compiled trace.  Every trace
+        # is loop-resident, so the two tallies count the same steps;
+        # both stay for their readers.  They live on the simulator —
+        # not in Stats — so the cross-engine bit-identity contract over
+        # Stats is untouched.
         self.trace_resident_steps = 0
         self.chain_resident_steps = 0
         # The engine tier the last run() resolved to ("traced" / "fast"
@@ -256,10 +250,9 @@ class Simulator:
             self._predecoded = None
         if self._predecoded is None:
             # Trace regions fuse the predecoded handlers; a re-predecode
-            # (ZOLC port swap) invalidates every fused region — and
-            # every chain driver built over one — with them.
+            # (ZOLC port swap) invalidates every fused region and
+            # trace with them.
             self._trace_region_cache.clear()
-            self._trace_chain_cache.clear()
             self._trace_jit_cache.clear()
             try:
                 built = predecode(self)

@@ -21,7 +21,6 @@ from repro.cpu.analysis.verify import (
     StaticZolcPlan,
     VerifyContext,
     WatchedLoop,
-    chain_candidates,
     trace_candidate_bodies,
     verify_program,
 )
@@ -113,7 +112,6 @@ def check_kernel(kernel: Kernel, machine: MachineSpec,
     if audit:
         ctx = VerifyContext(ir=ir, base=base, entry_pc=entry,
                             plan=plan)
-        chains = chain_candidates(ctx) if plan is not None else []
         traces = ([(start, tslot, lp.loop_id)
                    for start, tslot, lp in trace_candidate_bodies(ctx)]
                   if plan is not None else [])
@@ -121,7 +119,7 @@ def check_kernel(kernel: Kernel, machine: MachineSpec,
                    else frozenset())
         sim = prepared.make_simulator()
         findings.extend(audit_codegen(sim, watched=watched,
-                                      chains=chains, traces=traces))
+                                      traces=traces))
     return [d.tagged(kernel.name, machine.name) for d in findings]
 
 

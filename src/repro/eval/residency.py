@@ -1,14 +1,16 @@
-"""Per-kernel trace/chain residency report.
+"""Per-kernel loop residency report.
 
 Runs each requested kernel on every ZOLC machine under the default
 traced tier and reports the fraction of retired instructions executed
-inside a compiled trace and inside a loop-resident chain — the
-coverage counters behind the trace JIT's "branchy bodies go
-loop-resident too" claim (DESIGN.md §12).  The CI ``check`` job runs
-``python -m repro.eval.residency --out residency.json`` over the
-branchy kernel set and uploads the JSON as an artifact; the same
-numbers ride the committed bench record (``BENCH_throughput.json``,
-``zolc.residency``).
+inside a compiled, loop-resident trace — the coverage counter behind
+the claim that hot ZOLC loops, straight-line and branchy, run their
+fire → re-entry cycle inside generated code (DESIGN.md §12).  Every
+trace is loop-resident, so the ``trace`` and ``chain`` columns are
+equal; both stay for their readers.  The CI ``check`` job runs
+``python -m repro.eval.residency --require-nonzero`` over the branchy
+kernel set and over ``-k @all`` and uploads the JSON as an artifact;
+the same numbers ride the committed bench record
+(``BENCH_throughput.json``, ``zolc.residency``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def residency_report(kernel_names: tuple[str, ...] = BRANCHY_KERNELS,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval.residency",
-        description="per-kernel trace/chain residency on the ZOLC "
+        description="per-kernel loop residency on the ZOLC "
                     "machines (traced tier)")
     parser.add_argument(
         "-k", "--kernel", action="append", metavar="NAME",
@@ -76,8 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the JSON report to FILE")
     parser.add_argument(
         "--require-nonzero", action="store_true",
-        help="exit 1 if any kernel reports zero combined trace+chain "
-             "residency on every ZOLC machine (the CI coverage gate; "
+        help="exit 1 if any kernel reports zero trace residency on "
+             "every ZOLC machine (the CI coverage gate; "
              "per-kernel, not per-cell — the smaller controller "
              "variants legitimately lack the resources to transform "
              "some loops)")
@@ -96,11 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         measured = sorted({cell.rsplit("@", 1)[0] for cell in report})
         dead = [name for name in measured
                 if not any(row["trace_resident_steps"]
-                           or row["chain_resident_steps"]
                            for cell, row in report.items()
                            if cell.startswith(f"{name}@"))]
         if dead:
-            print("zero trace/chain residency on every ZOLC machine: "
+            print("zero trace residency on every ZOLC machine: "
                   + ", ".join(dead), file=sys.stderr)
             return 1
     return 0

@@ -123,18 +123,18 @@ def pipeline_configs(draw):
 def spy_run_traced(monkeypatch):
     """Wrap ``repro.cpu.simulator.run_traced``, recording each call.
 
-    Returns the list the spy appends to (one ``chain`` flag per call),
-    so auto-resolution tests across the suite share one definition of
-    the traced entry point's call shape.
+    Returns the list the spy appends to (one ``resident`` flag per
+    call), so auto-resolution tests across the suite share one
+    definition of the traced entry point's call shape.
     """
     import repro.cpu.simulator as simulator_module
 
     calls = []
     real = simulator_module.run_traced
 
-    def spy(sim, max_steps, predecoded, chain=True):
-        calls.append(chain)
-        return real(sim, max_steps, predecoded, chain=chain)
+    def spy(sim, max_steps, predecoded, resident=True):
+        calls.append(resident)
+        return real(sim, max_steps, predecoded, resident=resident)
 
     monkeypatch.setattr(simulator_module, "run_traced", spy)
     return calls

@@ -9,16 +9,19 @@ from repro.workloads.suite import figure2_kernels, registry
 
 @pytest.fixture
 def eager_fusion(monkeypatch):
-    """Fuse every traced region on its first entry.
+    """Fuse every traced region on its first entry, promote every trace
+    on its first loop-back.
 
-    The traced tier fuses a region only once it is hot
-    (``trace.HOT_THRESHOLD`` entries).  Tests that pin fused-region and
-    chain corners on programs too short to get hot patch the threshold
-    to 1, so they keep exercising the megahandlers.
+    The traced tier fuses a region only once it is hot, and promotes a
+    loop to a resident trace only at its ``trace.HOT_THRESHOLD``-th
+    loop-back fire.  Tests that pin fused-region and resident-trace
+    corners on programs too short to get hot patch both thresholds to
+    1, so they keep exercising the megahandlers and trace drivers.
     """
-    from repro.cpu.engine import traced
+    from repro.cpu.engine import trace, traced
 
     monkeypatch.setattr(traced, "HOT_THRESHOLD", 1)
+    monkeypatch.setattr(trace, "HOT_THRESHOLD", 1)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 The negative tests corrupt one compiled artifact each — a register
 index in the emitted source (AU001), an addressing displacement
 (AU002), a predecoded per-op timing constant (AU003), a fault line map
-(AU004), a trace guard table or its baked step constants (AU005) — and
+(AU004), a trace guard table or its baked step constants (AU005), a
+zero-guard trace's registers or displacements (AU001/AU002) — and
 assert the auditor reports it under the documented rule id.  Tampering
 works because the code caches never re-record on a hit, so a corrupted
 record survives a fresh ``audit_codegen`` pass.
@@ -89,7 +90,7 @@ class TestPositive:
         # A non-memory op writing only r0 emits nothing, so the IR
         # expectation must drop its reads too.
         ir = build_ir(assemble("add zero, t0, t1\nhalt\n"))
-        expect = expected_touches(ir[:1], "chain", ())
+        expect = expected_touches(ir[:1], "trace", ())
         assert expect.reg_reads == set()
         assert expect.reg_writes == set()
 
@@ -176,7 +177,7 @@ class TestTraceAudit:
         assert rows, "me_fss has no multi-region watched body"
         assert _errors(findings) == []
         kinds = {k[0] for k in codegen_records(program)}
-        assert {"trace", "trace_chain"} <= kinds, (
+        assert kinds == {"region", "trace"}, (
             "the audit warm-up run promoted no trace")
 
     def test_check_kernel_audits_branchy_kernel_clean(self):
@@ -211,21 +212,20 @@ class TestTraceAudit:
         assert _errors(findings) == []
         records = codegen_records(program)
         for start, tslot, loop_id in rows:
-            record = records.get(("trace_chain", start, start,
-                                  loop_id))
+            record = records.get(("trace", start, start, loop_id))
             if record is None:
                 continue
             source, hits = re.subn(
                 r"_steps \+= (\d+)",
                 lambda m: f"_steps += {int(m.group(1)) + 1}",
                 record.source, count=1)
-            assert hits == 1, "chain source bakes no step constant"
+            assert hits == 1, "trace source bakes no step constant"
             findings = audit_trace_record(
                 record._replace(source=source), ir, base,
                 base + 4 * tslot)
             assert any(d.rule == "AU005" for d in _errors(findings))
             return
-        pytest.fail("no trace-chain record to tamper with")
+        pytest.fail("no trace record to tamper with")
 
 
 class TestSpanCover:
@@ -238,3 +238,68 @@ class TestSpanCover:
         starts = span_starts(ir, base, watched, terms)
         assert starts[0] == 0
         assert base + 4 * starts[1] == base + 8  # watch splits here
+
+
+#: A straight-line ZOLC loop: its body runs as a zero-guard trace.
+STRAIGHT_LOOP = """
+        .data
+scratch: .word 0, 0, 0, 0
+        .text
+main:
+        li   s0, 0
+        la   t8, scratch
+        li   t0, 0
+loop:
+        add  s0, s0, t0
+        sw   s0, 8(t8)
+        addi t0, t0, 1
+        slti at, t0, 40
+        bne  at, zero, loop
+        halt
+"""
+
+
+def _zero_guard_audit():
+    """Audit a straight-line loop; returns the sim and its trace key."""
+    machine = machine_registry().get("ZOLClite")
+    prepared = machine.prepare(STRAIGHT_LOOP)
+    program = prepared.program
+    plan = static_plan(prepared)
+    ctx = VerifyContext(ir=build_ir(program), base=program.text_base,
+                        entry_pc=program.entry_point(), plan=plan)
+    rows = [(start, tslot, lp.loop_id)
+            for start, tslot, lp in trace_candidate_bodies(ctx)]
+    sim = prepared.make_simulator()
+    kwargs = {"watched": plan.watched_next_pcs(), "traces": rows}
+    assert _errors(audit_codegen(sim, **kwargs)) == []
+    keys = [k for k, r in codegen_records(program).items()
+            if k[0] == "trace" and not r.guards]
+    assert len(keys) == 1, "the straight-line loop has no zero-guard trace"
+    return sim, kwargs, keys[0]
+
+
+class TestZeroGuardTraceAudit:
+    """AU001/AU002 hold zero-guard traces to the IR of their one path,
+    every member through the interior templates."""
+
+    def test_tampered_register_reported_au001(self):
+        sim, kwargs, key = _zero_guard_audit()
+        records = codegen_records(sim.program)
+        record = records[key]
+        victim = min(source_touches(record.source).reg_reads)
+        records[key] = record._replace(
+            source=record.source.replace(f"_g[{victim}]", "_g[30]"))
+        findings = audit_codegen(sim, **kwargs)
+        assert any(d.rule == "AU001" and "trace" in d.message
+                   for d in _errors(findings))
+
+    def test_tampered_offset_reported_au002(self):
+        sim, kwargs, key = _zero_guard_audit()
+        records = codegen_records(sim.program)
+        record = records[key]
+        assert "+ 8)" in record.source
+        records[key] = record._replace(
+            source=record.source.replace("+ 8)", "+ 12)"))
+        findings = audit_codegen(sim, **kwargs)
+        assert any(d.rule == "AU002" and "trace" in d.message
+                   for d in _errors(findings))

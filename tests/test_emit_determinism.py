@@ -16,7 +16,7 @@ import repro
 _DRIVER = """
 import hashlib
 
-from repro.cpu.analysis import audit_codegen, chain_candidates
+from repro.cpu.analysis import audit_codegen, trace_candidate_bodies
 from repro.cpu.analysis.verify import VerifyContext
 from repro.cpu.engine.emit import codegen_records
 from repro.cpu.ir import build_ir
@@ -33,7 +33,8 @@ ctx = VerifyContext(ir=ir, base=program.text_base,
                     entry_pc=program.entry_point(), plan=plan)
 audit_codegen(prepared.make_simulator(),
               watched=plan.watched_next_pcs(),
-              chains=chain_candidates(ctx))
+              traces=[(start, tslot, lp.loop_id) for start, tslot, lp
+                      in trace_candidate_bodies(ctx)])
 records = codegen_records(program)
 blob = "\\n===\\n".join(
     f"{key}\\n{record.source}\\n{record.line_member}"

@@ -730,7 +730,7 @@ class TestTieredRegions:
             assert kinds == []
             assert traced.chain_resident_steps == 0
         else:
-            assert kinds == ["chain", "region"]
+            assert kinds == ["region", "trace"]
             assert traced.chain_resident_steps > 0
 
     def test_cached_region_code_fuses_on_first_entry(self):
@@ -811,18 +811,19 @@ class TestTieredRegions:
 
 
 class TestLoopResident:
-    """The fire→re-entry chain: engagement, exactness, fault paths.
+    """The fire→re-entry trace: engagement, exactness, fault paths.
 
-    A loop whose whole body is one fused region executes iteration
-    batches inside a generated chain (engine.py `_chain_code`); these
-    tests pin that the chain actually engages on the canonical shape,
-    and that watchdog budgets, faults and counters stay bit-identical
-    to the per-instruction engines — batching must never be observable.
+    A loop whose whole body is straight-line code executes iteration
+    batches inside a zero-guard trace (trace.py `_compile_trace`);
+    these tests pin that the trace actually engages on the canonical
+    shape, and that watchdog budgets, faults and counters stay
+    bit-identical to the per-instruction engines — batching must never
+    be observable.
     """
 
     # A straight-line body of >= 2 instructions with an up-count latch:
-    # the transform converts it, the body fuses into one region, and
-    # every trigger fire loops back to the region entry.
+    # the transform converts it, and every trigger fire loops back to
+    # the body entry.
     LOOP_SRC = """
         .data
 scratch: .word 0, 0, 0, 0
@@ -847,14 +848,15 @@ loop:
         return prepared
 
     def test_chain_engages_and_matches_step(self):
-        from repro.cpu.engine import _NO_CHAIN
-
         prepared = self._prepared()
         traced = prepared.make_simulator()
         traced.run(engine="traced")
-        chains = [c for c in traced._trace_chain_cache.values()
-                  if c is not _NO_CHAIN]
-        assert chains, "the canonical loop-back did not chain"
+        traces = [t for table in traced._trace_jit_cache.values()
+                  for t in table.slots if t is not None]
+        assert [len(t.outcomes) for t in traces] == [1], \
+            "the canonical loop-back did not go resident as one " \
+            "zero-guard trace"
+        assert traced.chain_resident_steps > 0
         slow = prepared.make_simulator()
         slow.run(engine="step")
         assert _state_tuple(traced) == _state_tuple(slow)
@@ -862,6 +864,15 @@ loop:
 
     def test_chain_respects_every_watchdog_budget(self):
         """Cutting the run at every step count mid-chain stays exact."""
+        self._assert_every_budget_exact()
+
+    @pytest.mark.usefixtures("eager_fusion")
+    def test_eager_trace_respects_every_watchdog_budget(self):
+        """Resident from the second iteration, every budget cut lands
+        mid-driver — and stays exact."""
+        self._assert_every_budget_exact()
+
+    def _assert_every_budget_exact(self):
         prepared = self._prepared()
         for budget in range(1, 60):
             traced = prepared.make_simulator()
@@ -878,6 +889,46 @@ loop:
                 f"diverged at budget {budget}"
             assert _controller_tuple(traced) == _controller_tuple(slow), \
                 f"controller diverged at budget {budget}"
+
+    def test_short_inner_loop_goes_resident(self):
+        """A 3-trip inner loop (conv2d's shape) goes trace-resident.
+
+        Its HOT_THRESHOLD-th loop-back is always followed by an expiry
+        (the outer body has work of its own, so the expiry does not
+        cascade straight back to the inner entry): the straight-line
+        body must promote on that fire itself, since a recorded
+        iteration would be abandoned every time.
+        """
+        source = """
+main:
+        li   s0, 0
+        li   s1, 0
+        li   t0, 0
+outer:
+        addi s1, s1, 2
+        li   t1, 0
+inner:
+        add  s0, s0, t1
+        addi s0, s0, 1
+        addi t1, t1, 1
+        slti at, t1, 3
+        bne  at, zero, inner
+        add  s1, s1, s0
+        addi t0, t0, 1
+        slti at, t0, 12
+        bne  at, zero, outer
+        halt
+"""
+        machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
+        prepared = machine.prepare(source)
+        assert prepared.transformed_loops == 2
+        traced = prepared.make_simulator()
+        traced.run(engine="traced")
+        slow = prepared.make_simulator()
+        slow.run(engine="step")
+        assert _state_tuple(traced) == _state_tuple(slow)
+        assert _controller_tuple(traced) == _controller_tuple(slow)
+        assert traced.chain_resident_steps > 0
 
     @pytest.mark.usefixtures("eager_fusion")
     def test_memory_fault_inside_chain_reconciles(self):
@@ -910,13 +961,15 @@ loop:
             assert _state_tuple(sims[engine]) == _state_tuple(sims["step"])
             assert _controller_tuple(sims[engine]) == \
                 _controller_tuple(sims["step"])
+        # The fault struck inside the resident driver, not before it.
+        assert sims["traced"].chain_resident_steps > 0
 
     @pytest.mark.usefixtures("eager_fusion")
     def test_fire_fault_inside_chain_reconciles(self):
         """A controller fault raised by a chained fire stays exact.
 
         Rewriting the armed loop's trigger tables is not expressible
-        mid-chain (no mtz retires inside a region), so fault injection
+        mid-trace (no mtz retires inside one), so fault injection
         monkeypatches the decision path instead: the Nth task switch
         raises, in every engine, and the post-mortem states must agree.
         """
@@ -944,6 +997,8 @@ loop:
             sims[engine] = sim
         for engine in ("fast", "traced"):
             assert _state_tuple(sims[engine]) == _state_tuple(sims["step"])
+        # The fault struck inside the resident driver, not before it.
+        assert sims["traced"].chain_resident_steps > 0
 
 
 @pytest.mark.usefixtures("eager_fusion")

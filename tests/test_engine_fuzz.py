@@ -11,14 +11,16 @@ mid-run — and random straight-line ALU programs, each crossed with
 generated machines and pipeline timings.
 
 The sweep is 4-way: the three explicit engines plus ``auto``, which
-resolves to the loop-resident traced tier (fire→re-entry chains +
+resolves to the loop-resident traced tier (fire→re-entry traces +
 inlined memory access), so every generated ZOLC loop also exercises
-the chained dispatch against the per-instruction oracles.
+the resident dispatch against the per-instruction oracles.
 
-The traced tier fuses a region only once it is hot, and short
-generated programs rarely get there, so the traced leg runs a second
-time with ``HOT_THRESHOLD`` patched to 1: every region is fused on
-first entry, and the megahandlers stay under the fuzz.
+The traced tier fuses a region only once it is hot, and promotes a
+loop to a resident trace only at its ``HOT_THRESHOLD``-th loop-back;
+short generated programs rarely get there, so the traced leg runs a
+second time with both thresholds patched to 1: every region is fused
+on first entry, every loop promotes on its first loop-back, and the
+megahandlers and trace drivers stay under the fuzz.
 
 Any divergence fails with the generating source attached, so a
 counterexample is directly replayable.
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.cpu import Simulator
-from repro.cpu.engine import traced
+from repro.cpu.engine import trace, traced
 
 from repro.synth.strategies import (
     alu_instructions,
@@ -63,7 +65,8 @@ def _assert_engines_agree(make_simulator, source):
             # `auto` is the loop-resident traced tier.
             assert sim.last_engine == "traced", sim.last_engine
         observations[engine] = _observe(sim)
-    with mock.patch.object(traced, "HOT_THRESHOLD", 1):
+    with mock.patch.object(traced, "HOT_THRESHOLD", 1), \
+            mock.patch.object(trace, "HOT_THRESHOLD", 1):
         sim = make_simulator()
         sim.run(max_steps=MAX_STEPS, engine="traced")
         observations["traced (eager fusion)"] = _observe(sim)

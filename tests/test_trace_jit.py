@@ -8,8 +8,8 @@ hand-written kernels whose control flow is known exactly:
 * guard side exits leaving architectural state exactly where the
   per-slot engines would,
 * bridge traces spliced for a hot opposite side,
-* fault reconciliation when a trace body faults mid-chain,
-* the no-JIT tier (``jit=False``) staying bit-identical too.
+* fault reconciliation when a trace body faults mid-run,
+* the region-only tier (``resident=False``) staying bit-identical too.
 """
 
 import pytest
@@ -27,7 +27,7 @@ def _observe(sim):
     return (state_tuple(sim), memory_image(sim), controller_tuple(sim))
 
 
-def _run(prepared, engine="auto", jit=True):
+def _run(prepared, engine="auto"):
     sim = prepared.make_simulator()
     if engine == "auto":
         sim.run(max_steps=MAX_STEPS)
@@ -35,7 +35,7 @@ def _run(prepared, engine="auto", jit=True):
         from repro.cpu.engine import run_traced
 
         predecoded = sim._ensure_predecoded()
-        run_traced(sim, MAX_STEPS, predecoded, jit=False)
+        run_traced(sim, MAX_STEPS, predecoded, resident=False)
     else:
         sim.run(max_steps=MAX_STEPS, engine=engine)
     return sim
@@ -80,7 +80,7 @@ skip:
 """
 
 #: A guard that stays hot for 50 iterations, then diverges for the
-#: tail: the first side exit happens deep into chain residency.
+#: tail: the first side exit happens deep into loop residency.
 LATE_DIVERGE = """
         .data
 scratch: .word 0, 0, 0, 0
@@ -106,7 +106,7 @@ cont:
 
 #: The hot path loads through an address that leaves the memory image
 #: at iteration 17 (``t0 & 48`` turns non-zero at 16, shifted out of
-#: range), long after the trace went hot and chain-resident.
+#: range), long after the trace went hot and loop-resident.
 FAULTING = """
         .data
 scratch: .word 0, 0, 0, 0
@@ -150,7 +150,7 @@ class TestTraceFormation:
     @pytest.mark.parametrize("machine", ZOLC_MACHINES,
                              ids=lambda m: m.name)
     def test_nojit_tier_stays_bit_identical(self, machine):
-        """PR 5's no-JIT loop-resident tier is still exact."""
+        """The region-only tier (no resident traces) is still exact."""
         prepared = machine.prepare(BRANCHY)
         nojit = _run(prepared, engine="nojit")
         step = _run(prepared, engine="step")
@@ -163,7 +163,7 @@ class TestTraceFormation:
         prepared = M_ZOLC_LITE.prepare(BRANCHY)
         sim = _run(prepared)
         records = [r for r in codegen_records(sim.program).values()
-                   if r.kind in ("trace", "trace_chain")]
+                   if r.kind == "trace"]
         assert records, "no trace codegen records filed"
         assert all(r.guards for r in records)
 

@@ -2,7 +2,8 @@
 
 The negative tests corrupt exactly one verifier input each — a span
 slicing extended across a watch address (ZV001), a malformed watch
-(ZV002), a tampered span table that forces an illegal chain (ZV003),
+(ZV002), a tampered span table that forces an illegal zero-guard trace
+(ZV003),
 an index-register write inside a watched body (ZV004), an undeclared
 side entry (ZV005) — and assert the documented rule id fires.
 """
@@ -17,7 +18,7 @@ from repro.cpu.analysis import (
     StaticZolcPlan,
     VerifyContext,
     WatchedLoop,
-    chain_candidates,
+    trace_candidate_bodies,
     verify_program,
 )
 from repro.cpu.ir import build_ir
@@ -186,13 +187,18 @@ class TestZV002:
 
 class TestZV003:
     def test_plain_body_is_a_chain_candidate(self):
+        # A straight-line body is a trace candidate ZV003 re-proves
+        # (the zero-guard shape), so it gets no info finding.
         program = assemble(PLAIN_LOOP)
-        _, ctx = _context(PLAIN_LOOP, _plan(program))
-        assert chain_candidates(ctx) == [(0, 1, 0)]
+        plan = _plan(program)
+        _, ctx = _context(PLAIN_LOOP, plan)
+        assert trace_candidate_bodies(ctx) == [(0, 2, plan.loops[0])]
+        findings = _verify(program, plan)
+        assert [d for d in findings if d.rule == "ZV003"] == []
 
     def test_branch_terminated_body_never_chains(self):
         # The terminator reaches the trigger only on the not-taken
-        # path; promoting it to a chain would mis-count iterations.
+        # path, so the body needs a guard: it is no zero-guard trace.
         source = """
 body:
     addi t0, t0, 1
@@ -202,16 +208,30 @@ trigger:
     halt
 """
         program = assemble(source)
-        _, ctx = _context(source, _plan(program))
-        assert chain_candidates(ctx) == []
         findings = _verify(program, _plan(program))
         assert _errors(findings) == []
         assert any(d.rule == "ZV003" and d.severity == "info"
                    for d in findings)
 
+    def test_transfer_terminated_body_is_flagged(self):
+        # A straight-line body that jumps away right before its
+        # trigger never falls into it: condition 3 must fire.
+        source = """
+body:
+    addi t0, t0, 1
+    j    body
+trigger:
+    addi t2, t2, 1
+    halt
+"""
+        program = assemble(source)
+        findings = _verify(program, _plan(program))
+        assert any(d.rule == "ZV003" and "condition 3" in d.message
+                   for d in _errors(findings))
+
     def test_watch_inside_a_forced_chain(self):
-        # Corrupt the span table so the chain covers an entry watch:
-        # condition 2 must fire.
+        # Corrupt the span table so the straight-line body covers an
+        # entry watch: condition 2 must fire.
         source = """
 body:
     addi t0, t0, 1
