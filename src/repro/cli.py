@@ -23,11 +23,10 @@ Commands::
 ``run``, ``compare``, ``figure2``, ``sweep`` and ``experiment`` accept
 ``--json`` (machine-readable stdout) and ``--out FILE`` (write the JSON
 payload to a file, keeping the human-readable report on stdout).
-``run`` and ``experiment`` also accept ``--engine`` (auto / fast /
-traced / step — engines retire bit-identical results, so the choice
-only affects host time; an unknown engine exits 1).  ``auto`` (the
-default everywhere) resolves to the loop-resident ``traced`` tier;
-``fast`` and ``step`` remain explicit overrides.
+``run``, ``experiment`` and ``submit`` also accept ``--engine``
+(``auto``, the default everywhere, or ``step``, the stepped oracle —
+both retire bit-identical results, so the choice only affects host
+time; an unknown engine exits 1).
 """
 
 from __future__ import annotations
@@ -455,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("-m", "--machine", default=XR_DEFAULT.name)
     run_parser.add_argument(
         "--engine", default="auto", metavar="NAME",
-        help="simulator engine: auto (resolves to traced), fast, traced "
-             "or step (engines are bit-identical; invalid values exit 1)")
+        help="simulator engine: auto or step (engines are "
+             "bit-identical; invalid values exit 1)")
     _add_output_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
              "jobs keys (0 = one per CPU; invalid values exit 1)")
     experiment_parser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="simulator engine for every cell (auto/fast/traced/step), "
+        help="simulator engine for every cell (auto/step), "
              "overriding the plan's engine key (invalid values exit 1)")
     experiment_parser.add_argument(
         "--store", default="results", metavar="DIR",
@@ -540,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job worker-count override (invalid values exit 1)")
     submit_parser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="per-job engine override (auto/fast/traced/step)")
+        help="per-job engine override (auto/step)")
     submit_parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress the per-cell event lines")

@@ -47,8 +47,8 @@ Contract for engines (and for any port exposing ``zolc_plan()``):
   sets, and that its armed/pending state only changes through
   :meth:`write` or a fire handler;
 * a fire handler may halt the machine (set ``state.halted``); engines
-  observe the flag after every fired event, exactly as the legacy loop
-  observes it after ``on_retire``;
+  observe the flag after every fired event, exactly as the stepped
+  interpreter observes it after ``on_retire``;
 * any dispatch structure an engine *derives* from the plan — watch
   arrays, trace-region tables (see :func:`~repro.cpu.engine.run_traced`)
   — follows the same lifetime: it may be cached by ``key`` (content

@@ -1,4 +1,4 @@
-"""The XR32 execution-engine package: three tiers over one explicit IR.
+"""The XR32 execution-engine package: one run loop over one explicit IR.
 
 The straight interpreter (:meth:`Simulator.step`) pays, on every retired
 instruction, for a ``by_address`` dict probe, an ``EXECUTORS`` dict
@@ -7,19 +7,20 @@ allocation, a ``frozenset`` rebuild in ``Instruction.uses()`` and
 several attribute chases through the timing model.  All of that is
 static per instruction, so it is decoded **once** into the program's
 flat IR (:mod:`repro.cpu.ir`, one :class:`~repro.cpu.ir.IROp` per text
-slot), and each engine tier is a *lowering pass* over that array:
+slot), and the ``engine="auto"`` run loop's tiers are *lowering passes*
+over that array (``engine="step"`` is the stepped oracle):
 
-* :mod:`~repro.cpu.engine.fast` (``engine="fast"``) lowers each op to a
-  bound handler closure and runs the classic predecode-then-dispatch
-  loop — a dense array indexed by ``(pc - text_base) >> 2``, every hot
-  attribute hoisted into a local, no code generation;
-* :mod:`~repro.cpu.engine.traced` (``engine="traced"``, the ``auto``
-  default) lowers maximal straight-line spans to generated Python
-  megahandlers — memory accesses inlined, bounds-checked, against the
-  raw memory buffer — executing a whole block per Python call.
-  Compilation is tiered: a span is fused only once it is hot (entered
-  ``trace.HOT_THRESHOLD`` times) or its code is already cached on the
-  Program; cold spans run on the fast tier's per-slot path;
+* :mod:`~repro.cpu.engine.fast` lowers each op to a bound handler
+  closure — a dense array indexed by ``(pc - text_base) >> 2``, every
+  hot attribute hoisted into a default argument, no code generation.
+  Cold code retires through these closures one slot at a time;
+* :mod:`~repro.cpu.engine.traced` owns the run loop
+  (:func:`run_traced`) and lowers maximal straight-line spans to
+  generated Python megahandlers — memory accesses inlined,
+  bounds-checked, against the raw memory buffer — executing a whole
+  block per Python call.  Compilation is tiered: a span is fused only
+  once it is hot (entered ``trace.HOT_THRESHOLD`` times) or its code is
+  already cached on the Program; cold spans run on the per-slot path;
 * :mod:`~repro.cpu.engine.trace` keeps hot ZOLC loops *loop-resident*:
   one generated trace per loop runs the body → trigger fire → re-entry
   cycle inside generated code — a straight-line body as a zero-guard
@@ -40,9 +41,9 @@ Architectural side effects (register/memory writes) happen inside the
 lowered code through bound methods captured at lowering time.  Timing
 and statistics stay in the run loops, driven by static per-slot
 metadata, so every tier retires *identical* (pc, regs, cycles, stats)
-sequences to the legacy ``step()`` interpreter — a property pinned down
-by the differential tests in ``tests/test_engine.py`` and the four-way
-fuzz in ``tests/test_engine_fuzz.py``.
+sequences to the ``step()`` interpreter — a property pinned down by the
+differential tests in ``tests/test_engine.py`` and the cross-tier fuzz
+in ``tests/test_engine_fuzz.py``.
 
 **ZOLC fast path.**  On a ZOLC machine the dominant residual host cost
 is the per-retirement ``zolc.on_retire(pc, next_pc, taken)`` call: only
@@ -65,7 +66,8 @@ and re-query the plan (an arm-epoch compare) so re-arming, disarming,
 ``CTRL_RESET`` and single-shot expiry all invalidate the compiled
 dispatch state at the only points it can change.  Ports that do not
 expose a plan — any custom :class:`~repro.cpu.simulator.ZolcPort` —
-keep the legacy per-retirement ``on_retire`` treatment.
+run on the stepped interpreter, which offers every retirement to
+``on_retire``.
 
 The IR schema and the lowering-pass contract are documented in
 DESIGN.md §10.
@@ -76,7 +78,6 @@ from repro.cpu.engine.fast import (
     _compile_watch_arrays,
     _predecode_fn,
     predecode,
-    run_fast,
 )
 from repro.cpu.engine.trace import Trace, TraceOutcome, trace_table
 from repro.cpu.engine.traced import TraceRegion, run_traced
@@ -90,7 +91,6 @@ __all__ = [
     "TraceOutcome",
     "TraceRegion",
     "predecode",
-    "run_fast",
     "run_traced",
     "trace_table",
 ]

@@ -1,6 +1,6 @@
 """The engine package's shared dispatch protocol types.
 
-Every lowering pass — fast closures, traced megahandlers,
+Every lowering pass — per-slot closures, traced megahandlers,
 loop-resident traces — produces code speaking one handler protocol:
 
 * ``None``      — sequential retirement (``next_pc = pc + 4``, not taken);
@@ -46,7 +46,7 @@ class OpMeta(NamedTuple):
 class PredecodedProgram(NamedTuple):
     """Dense handler array plus parallel cold metadata and the IR.
 
-    ``ops`` carries the fast tier's hot per-slot records; ``metas`` the
+    ``ops`` carries the per-slot tier's hot records; ``metas`` the
     cold stat/slicing fields; ``ir`` the shared :class:`IROp` array the
     text-emitting tiers lower from (identical slot geometry).
     """

@@ -1,18 +1,20 @@
-"""The predecoded fast tier: IR → bound handler closures.
+"""The predecode lowering pass: IR → bound handler closures.
 
 :func:`predecode` lowers the program's :class:`~repro.cpu.ir.IROp`
 array into a dense list of handler closures (indexed by
-``(pc - text_base) >> 2``) plus per-slot timing metadata, and
-:func:`run_fast` is the fused fetch/execute/retire loop over it — the
-classic predecode-then-dispatch idiom of fast interpreters, applied
-interpreter-style with no code generation.
+``(pc - text_base) >> 2``) plus per-slot timing metadata — the
+classic predecode-then-dispatch idiom of fast interpreters, with no
+code generation.  The traced run loop
+(:func:`~repro.cpu.engine.traced.run_traced`) retires cold slots
+through these closures one at a time, and generated regions and
+traces call them for the members they do not inline.
 
 This module also owns the compiled-controller-plan dispatch helpers
 (:func:`_compile_watch_arrays`, :func:`_apply_action`,
-:func:`_plan_dispatch_state`) that the traced tier shares:
-the plan's watch sets fold into the same ``pc >> 2`` geometry as the
-dispatch array, so unwatched retirements skip the ``on_retire`` Python
-call entirely (see the package docstring and DESIGN.md §10).
+:func:`_plan_dispatch_state`) that the run loop uses: the plan's watch
+sets fold into the same ``pc >> 2`` geometry as the dispatch array, so
+unwatched retirements skip the ``on_retire`` Python call entirely (see
+the package docstring and DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.cpu import alu
-from repro.cpu.exceptions import (
-    InvalidFetchError,
-    SimulationError,
-    WatchdogError,
-)
+from repro.cpu.exceptions import SimulationError
 from repro.cpu.ir import (
     IROp,
     build_ir,
@@ -332,11 +330,11 @@ def _apply_action(action, regs_write, next_pc, pending, index_writes,
                   task_switches, cycles, zolc_switch_extra):
     """Apply one ZolcAction to the run loop's local counter bundle.
 
-    Shared by every tier's on_retire sites (mtz/mfz oracle path and the
-    transient arm-writes-pending window).  The legacy loop keeps this
-    logic inline — it runs per retirement there — so a change to action
-    semantics must touch the inline copy too (the differential tests
-    catch a drift).
+    Shared by the run loop's on_retire sites (mtz/mfz oracle path and
+    the transient arm-writes-pending window).  The stepped interpreter
+    (:meth:`~repro.cpu.simulator.Simulator.step`) applies the same
+    semantics to its own counters; the differential tests catch a
+    drift between the two.
     """
     writes = action.index_writes
     if writes:
@@ -356,14 +354,14 @@ def _apply_action(action, regs_write, next_pc, pending, index_writes,
 
 
 def _plan_dispatch_state(plan, sim: "Simulator", n: int, base: int, zolc):
-    """Resolve the fast loop's compiled dispatch state from a plan query.
+    """Resolve the run loop's compiled dispatch state from a plan query.
 
     Returns the full local-variable bundle the plan loop runs on:
     ``(next_watch, exit_watch, far_watch, fire_exit, fire_entry,
-    fire_trigger, epoch, legacy_active)``.  With no plan, the arrays
-    are ``None`` and ``legacy_active`` reports whether the port is
-    active anyway (the transient arm-writes-pending window), in which
-    case every retirement must still reach ``on_retire``.
+    fire_trigger, epoch, active_without_plan)``.  With no plan, the
+    arrays are ``None`` and ``active_without_plan`` reports whether the
+    port is active anyway (the transient arm-writes-pending window), in
+    which case every retirement must still reach ``on_retire``.
     """
     if plan is None:
         return None, None, None, None, None, None, None, bool(zolc.active)
@@ -372,264 +370,3 @@ def _plan_dispatch_state(plan, sim: "Simulator", n: int, base: int, zolc):
     return (next_watch, exit_watch, far_watch, plan.fire_exit,
             plan.fire_entry, plan.fire_trigger, plan.epoch, False)
 
-
-def run_fast(sim: "Simulator", max_steps: int,
-             predecoded: PredecodedProgram) -> None:
-    """Fused fetch/execute/retire loop over the predecoded program.
-
-    Accumulates cycles and counters in locals and syncs them back to
-    ``sim.stats`` / ``sim.timing`` on *every* exit path (halt, watchdog,
-    fetch/memory/ZOLC faults), so post-mortem state matches the stepped
-    interpreter exactly.
-
-    Two inner loops share that contract: the legacy loop (no ZOLC port,
-    or a port without ``zolc_plan``) offers every retirement to
-    ``on_retire`` exactly as before, and the plan-compiled loop (see
-    the package docstring) dispatches through dense watch arrays and
-    only falls back to ``on_retire`` for ``mtz``/``mfz`` retirements.
-    """
-    state = sim.state
-    timing = sim.timing
-    stats = sim.stats
-    zolc = sim.zolc
-    ops = predecoded.ops
-    metas = predecoded.metas
-
-    base = sim.program.text_base
-    limit = 4 * len(ops)
-    load_use = timing.config.load_use_stall
-    zolc_switch_extra = timing.config.zolc_switch_cycles
-
-    pc = state.pc
-    pending = timing._pending_load_dest
-    cycles = stats.cycles
-    stall = timing.stall_cycles
-    flush = timing.flush_cycles
-    taken_branches = stats.taken_branches
-    index_writes = 0
-    task_switches = 0
-    retired = [0] * len(ops)
-    steps = 0
-    halted = state.halted
-
-    plan_fn = getattr(zolc, "zolc_plan", None) if zolc is not None else None
-
-    try:
-      if plan_fn is None:
-        while not halted:
-            if steps >= max_steps:
-                raise WatchdogError(
-                    f"no halt after {max_steps} instructions (pc={pc:#x})")
-            offset = pc - base
-            if offset < 0 or offset >= limit or offset & 3:
-                raise InvalidFetchError(pc)
-            idx = offset >> 2
-            fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
-            res = fn(pc)
-            steps += 1
-            retired[idx] += 1
-            cycles += base_cycles
-            if pending is not None and pending in uses:
-                cycles += load_use
-                stall += load_use
-            if res is None:
-                next_pc = pc + 4
-                taken = False
-            elif res is HALT:
-                halted = True
-                next_pc = pc
-                taken = False
-            else:
-                next_pc = res
-                taken = True
-                taken_branches += 1
-                cycles += taken_penalty
-                flush += taken_penalty
-            pending = load_dest
-            if zolc is not None and not halted and zolc.active:
-                action = zolc.on_retire(pc, next_pc, taken=taken)
-                if action is not None:
-                    writes = action.index_writes
-                    if writes:
-                        write = state.regs.write
-                        for reg, value in writes:
-                            write(reg, value)
-                        index_writes += len(writes)
-                    if action.next_pc is not None:
-                        next_pc = action.next_pc
-                        # Any PC redirect crosses a fetch boundary: the
-                        # load-use pairing cannot survive it.
-                        pending = None
-                    if action.is_task_switch:
-                        task_switches += 1
-                        pending = None
-                        cycles += zolc_switch_extra
-                # A port may halt the machine from on_retire; observe it
-                # like the stepped loop's `while not state.halted` does.
-                halted = state.halted
-            pc = next_pc
-      else:
-        # -- plan-compiled ZOLC loop ------------------------------------
-        regs_write = state.regs.write
-        # Per-slot flag: retiring this slot may change ZOLC port state
-        # (mtz/mfz) and must take the full on_retire path.
-        zops = [meta.is_zolc_init for meta in metas]
-        n = len(ops)
-        # Dispatch state: `znext is not None` means a compiled plan is
-        # folded in (armed fast path).  `zactive` covers the transient
-        # active-without-plan window (arm-time writes pending), where
-        # every retirement must still reach on_retire.
-        (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
-         zepoch, zactive) = _plan_dispatch_state(plan_fn(), sim, n, base,
-                                                 zolc)
-        while not halted:
-            if steps >= max_steps:
-                raise WatchdogError(
-                    f"no halt after {max_steps} instructions (pc={pc:#x})")
-            offset = pc - base
-            if offset < 0 or offset >= limit or offset & 3:
-                raise InvalidFetchError(pc)
-            idx = offset >> 2
-            fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
-            res = fn(pc)
-            steps += 1
-            retired[idx] += 1
-            cycles += base_cycles
-            if pending is not None and pending in uses:
-                cycles += load_use
-                stall += load_use
-            if res is None:
-                next_pc = pc + 4
-                taken = False
-            elif res is HALT:
-                halted = True
-                next_pc = pc
-                taken = False
-            else:
-                next_pc = res
-                taken = True
-                taken_branches += 1
-                cycles += taken_penalty
-                flush += taken_penalty
-            pending = load_dest
-            if znext is not None:
-                if halted:
-                    pass
-                elif not zops[idx]:
-                    # Armed fast path: dispatch against the watch
-                    # arrays; unwatched retirements fall straight
-                    # through with no Python call.
-                    fired = False
-                    if taken:
-                        record_id = zexit[idx]
-                        if record_id is not None:
-                            fired = fire_exit(record_id, next_pc, True)
-                    if not fired:
-                        noffset = next_pc - base
-                        if 0 <= noffset < limit and not noffset & 3:
-                            watch = znext[noffset >> 2]
-                        elif zfar:
-                            watch = zfar.get(next_pc)
-                        else:
-                            watch = None
-                        if watch is not None:
-                            entry_id, trigger_loop = watch
-                            if entry_id is not None:
-                                fired = fire_entry(entry_id, pc, next_pc)
-                            if not fired and trigger_loop is not None:
-                                fired = True
-                                decision = fire_trigger(trigger_loop)
-                                writes = decision.index_writes
-                                if writes:
-                                    for reg, value in writes:
-                                        regs_write(reg, value)
-                                    index_writes += len(writes)
-                                # Every trigger decision is a task
-                                # switch (loop-back or expiry), exactly
-                                # as on_retire reports it.
-                                task_switches += 1
-                                pending = None
-                                cycles += zolc_switch_extra
-                                if decision.next_pc is not None:
-                                    next_pc = decision.next_pc
-                                else:
-                                    # A single-shot controller disarms
-                                    # on expiry; only a non-redirecting
-                                    # decision can be one, so re-query
-                                    # the plan exactly there.
-                                    plan = plan_fn()
-                                    if plan is None \
-                                            or plan.epoch != zepoch:
-                                        (znext, zexit, zfar, fire_exit,
-                                         fire_entry, fire_trigger,
-                                         zepoch, zactive) = \
-                                            _plan_dispatch_state(
-                                                plan, sim, n, base, zolc)
-                    if fired:
-                        # A port may halt the machine from a fire
-                        # handler, like the legacy loop observes after
-                        # on_retire.
-                        halted = state.halted
-                else:
-                    # mtz/mfz while armed: full oracle path (the
-                    # retirement may rewrite tables, disarm, re-arm, or
-                    # land on a watched address — on_retire covers all
-                    # of it), then re-sync the compiled dispatch state.
-                    if zolc.active:
-                        action = zolc.on_retire(pc, next_pc, taken=taken)
-                        if action is not None:
-                            (next_pc, pending, index_writes,
-                             task_switches, cycles) = _apply_action(
-                                action, regs_write, next_pc, pending,
-                                index_writes, task_switches, cycles,
-                                zolc_switch_extra)
-                        halted = state.halted
-                    plan = plan_fn()
-                    if plan is None or plan.epoch != zepoch:
-                        (znext, zexit, zfar, fire_exit, fire_entry,
-                         fire_trigger, zepoch, zactive) = \
-                            _plan_dispatch_state(plan, sim, n, base, zolc)
-            elif zactive or zops[idx]:
-                # No compiled plan: either the port is inactive (only a
-                # retired mtz/mfz can change that) or it is active with
-                # arm-time writes pending (every retirement must reach
-                # on_retire until the plan appears).
-                if not halted and zolc.active:
-                    action = zolc.on_retire(pc, next_pc, taken=taken)
-                    if action is not None:
-                        (next_pc, pending, index_writes,
-                         task_switches, cycles) = _apply_action(
-                            action, regs_write, next_pc, pending,
-                            index_writes, task_switches, cycles,
-                            zolc_switch_extra)
-                    halted = state.halted
-                # Unarmed and still inactive means nothing observable
-                # changed (the usual mtz table-streaming window): keep
-                # the dispatch state instead of re-deriving it per
-                # retirement.
-                plan = plan_fn()
-                if plan is not None or zactive or zolc.active:
-                    (znext, zexit, zfar, fire_exit, fire_entry,
-                     fire_trigger, zepoch, zactive) = \
-                        _plan_dispatch_state(plan, sim, n, base, zolc)
-            pc = next_pc
-    finally:
-        state.pc = pc
-        timing._pending_load_dest = pending
-        timing.stall_cycles = stall
-        timing.flush_cycles = flush
-        stats.cycles = cycles
-        stats.taken_branches = taken_branches
-        stats.instructions += steps
-        stats.stall_cycles = stall
-        stats.flush_cycles = flush
-        stats.zolc_index_writes += index_writes
-        stats.zolc_task_switches += task_switches
-        by_category = stats.by_category
-        for idx, count in enumerate(retired):
-            if count:
-                meta = metas[idx]
-                key = meta.category_key
-                by_category[key] = by_category.get(key, 0) + count
-                if meta.is_zolc_init:
-                    stats.zolc_init_instructions += count

@@ -1,11 +1,12 @@
-"""Trace-batched tier (``engine="traced"``): fused regions and the
+"""The predecoded run loop (``engine="auto"``): fused regions and the
 dispatch loop that drives loop-resident traces.
 
-The fast tier still pays one full dispatch iteration per retired
-instruction: a bounds check, a tuple unpack, a handler call, a pending
-load-use probe and the taken/not-taken triage.  For straight-line code all
-of that triage is static, so the traced tier partitions the ``pc >> 2``
-handler array into maximal *straight-line regions* — the shared
+Retiring one predecoded slot at a time still pays one full dispatch
+iteration per instruction: a bounds check, a tuple unpack, a handler
+call, a pending load-use probe and the taken/not-taken triage.  For
+straight-line code all of that triage is static, so the run loop
+partitions the ``pc >> 2`` handler array into maximal
+*straight-line regions* — the shared
 :func:`~repro.cpu.ir.straightline_terms` scan — and lowers each region
 through the shared emitter (:mod:`repro.cpu.engine.emit`) into one
 generated "megahandler" that executes the whole block with a single
@@ -26,7 +27,7 @@ path, so a cold cell pays codegen only for its hot loops.
 
 Region tables are sliced per controller plan state (keyed by the plan's
 watch-set content key, ``None`` while unarmed) and re-resolved at exactly
-the points the fast engine re-queries the plan: after every trigger fire
+the points the run loop re-queries the plan: after every trigger fire
 and after every retired ``mtz``/``mfz``.  A re-arm epoch change therefore
 invalidates and re-slices the regions before the next batched dispatch.
 
@@ -37,8 +38,8 @@ a straight-line body as a zero-guard trace, a branchy one with guards.
 
 A fault inside a fused region (memory access error, ZOLC fault) is
 reconciled from the traceback's line number back to the faulting member,
-so the partial retirement is accounted exactly as the per-instruction
-engines would have: members before the fault retire (steps, cycles,
+so the partial retirement is accounted exactly as the stepped
+interpreter would have: members before the fault retire (steps, cycles,
 stalls, counts), the faulting member does not, and ``state.pc`` lands on
 the faulting instruction.  See DESIGN.md §8, §9 and §12.
 """
@@ -59,11 +60,7 @@ from repro.cpu.engine.emit import (
     region_namespace,
     term_lines,
 )
-from repro.cpu.engine.fast import (
-    _apply_action,
-    _plan_dispatch_state,
-    run_fast,
-)
+from repro.cpu.engine.fast import _apply_action, _plan_dispatch_state
 from repro.cpu.engine.trace import (
     HOT_THRESHOLD,
     abandon_recording,
@@ -326,13 +323,15 @@ def run_traced(sim: "Simulator", max_steps: int,
     """Trace-batched run loop: fused regions over the predecoded array.
 
     Retires *identical* (pc, regs, memory, cycles, stats, controller
-    counters) sequences to :func:`run_fast` and the stepped oracle —
-    the invariant pinned by ``tests/test_engine_fuzz.py``.  Batching is
-    skipped wherever it could be observed: a region only executes when
-    its full length fits under the watchdog budget (so ``max_steps``
-    semantics are exact), ports without a compiled plan fall back to
-    :func:`run_fast` (their ``on_retire`` must see every retirement),
+    counters) sequences to the stepped oracle — the invariant pinned by
+    ``tests/test_engine_fuzz.py``.  Batching is skipped wherever it
+    could be observed: a region only executes when its full length fits
+    under the watchdog budget (so ``max_steps`` semantics are exact),
     and the transient armed-without-plan window runs per-instruction.
+    ``sim.zolc`` must be ``None`` or expose ``zolc_plan``: a port
+    without one needs every retirement offered to ``on_retire``, which
+    only the stepped interpreter does, so ``Simulator.run`` routes it
+    there (and a direct call with one raises ``AttributeError``).
 
     ``resident`` enables loop-resident traces
     (:mod:`~repro.cpu.engine.trace`): a hot ZOLC loop — straight-line
@@ -344,12 +343,7 @@ def run_traced(sim: "Simulator", max_steps: int,
     column; ``Simulator.run`` is always resident.
     """
     zolc = sim.zolc
-    plan_fn = getattr(zolc, "zolc_plan", None) if zolc is not None else None
-    if zolc is not None and plan_fn is None:
-        # A planless port's on_retire must be offered every retirement:
-        # nothing to batch.  The fast engine implements that contract.
-        run_fast(sim, max_steps, predecoded)
-        return
+    plan_fn = zolc.zolc_plan if zolc is not None else None
 
     state = sim.state
     timing = sim.timing
@@ -740,7 +734,8 @@ def run_traced(sim: "Simulator", max_steps: int,
                             jit_rec = None
                     pc = next_pc
                     continue
-            # -- single-slot path (identical to run_fast's plan loop) ---
+            # -- single-slot path (cold region, jump into a region,
+            #    watchdog boundary) ------------------------------------
             fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
             res = fn(pc)
             steps += 1
@@ -849,9 +844,12 @@ def run_traced(sim: "Simulator", max_steps: int,
                             index_writes, task_switches, cycles,
                             zolc_switch_extra)
                     halted = state.halted
-                # Same no-change shortcut as the fast loop: an unarmed,
+                # No compiled plan: either the port is inactive (only a
+                # retired mtz/mfz can change that) or it is active with
+                # arm-time writes pending (every retirement must reach
+                # on_retire until the plan appears).  An unarmed,
                 # inactive port retiring mtz table writes cannot have
-                # moved the dispatch state.
+                # moved the dispatch state, so it is not re-derived.
                 plan = plan_fn()
                 if plan is not None or zactive or zolc.active:
                     (znext, zexit, zfar, fire_exit, fire_entry,
@@ -872,8 +870,8 @@ def run_traced(sim: "Simulator", max_steps: int,
         stats.zolc_index_writes += index_writes
         stats.zolc_task_switches += task_switches
         # Residency tallies live on the Simulator, NOT in Stats: the
-        # 4-way harness pins Stats bit-identity across engines, and
-        # only the traced tier can be resident.  Every trace is
+        # fuzz harness pins Stats bit-identity across engines, and
+        # only this run loop can be resident.  Every trace is
         # loop-resident, so both tallies count the same steps.
         sim.trace_resident_steps += trace_steps
         sim.chain_resident_steps += trace_steps

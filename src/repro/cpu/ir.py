@@ -8,7 +8,7 @@ categories — each in its own translator.  This module decodes them
 package's tiers (:mod:`repro.cpu.engine`) become lowering passes over
 that array:
 
-* the fast tier lowers each ``IROp`` to a bound handler closure;
+* the per-slot tier lowers each ``IROp`` to a bound handler closure;
 * the traced/loop-resident tiers lower region spans to generated
   Python text through the shared emitter (:mod:`repro.cpu.engine.emit`).
 

@@ -22,12 +22,7 @@ from typing import Protocol, runtime_checkable
 from repro.asm.assembler import Program
 from repro.asm.disassembler import format_instruction
 from repro.cpu.datapath import ExecOutcome, execute
-from repro.cpu.engine import (
-    PredecodedProgram,
-    predecode,
-    run_fast,
-    run_traced,
-)
+from repro.cpu.engine import PredecodedProgram, predecode, run_traced
 from repro.cpu.exceptions import (
     InvalidFetchError,
     SimulationError,
@@ -81,7 +76,8 @@ class CompiledZolcPort(ZolcPort, Protocol):
     only for ``mtz``/``mfz`` retirements; everything else dispatches
     straight to the plan's fire handlers (or to nothing at all).  Ports
     that do not implement this method — any plain :class:`ZolcPort` —
-    get the legacy per-retirement ``on_retire`` treatment instead.
+    run on the stepped interpreter, which offers ``on_retire`` every
+    retirement.
 
     A port exposing ``zolc_plan()`` promises the contract documented in
     :mod:`repro.core.compiled`: the plan is valid until its epoch
@@ -93,13 +89,13 @@ class CompiledZolcPort(ZolcPort, Protocol):
 
 
 class PlanlessZolcPort:
-    """Adapter hiding a port's compiled plan from the fast engine.
+    """Adapter hiding a port's compiled plan from the simulator.
 
     Forwards the whole :class:`ZolcPort` surface to ``inner`` but does
-    not expose ``zolc_plan``, forcing the engine's legacy
-    per-retirement ``on_retire`` loop.  Used by the differential tests
-    and the throughput benchmark to pin the plan-compiled fast path
-    against the legacy path on identical work.
+    not expose ``zolc_plan``, so ``run()`` takes the stepped
+    interpreter, which offers every retirement to ``on_retire``.  Used
+    by the differential tests to pin the plan-compiled run loop
+    against the per-retirement protocol on identical work.
     """
 
     def __init__(self, inner: ZolcPort):
@@ -125,7 +121,7 @@ DEFAULT_MAX_STEPS = 20_000_000
 #: Valid ``Simulator.run(engine=...)`` strategies.  The experiment
 #: layer and the CLI's ``--engine`` override validate against this same
 #: tuple.
-ENGINES = ("auto", "fast", "traced", "step")
+ENGINES = ("auto", "step")
 
 
 class Simulator:
@@ -143,13 +139,13 @@ class Simulator:
         self.zolc = zolc
         self.tracer = tracer
         self.stats = Stats()
-        # Predecoded fast-engine program: built lazily on the first
+        # Predecoded program: built lazily on the first
         # `run()`; False caches "predecode unavailable, use step()".
         # Rebuilt if the ZOLC port is swapped after construction.
         self._predecoded: PredecodedProgram | None | bool = None
         self._predecoded_zolc: ZolcPort | None = zolc
         self._predecode_failure: str | None = None
-        # Watch-set compilation cache for the fast engine: maps a
+        # Watch-set compilation cache for the run loop: maps a
         # compiled controller plan's content key to the dense per-slot
         # dispatch arrays built from it, so repeated re-arms of the
         # same tables (kernel invoked in a loop, lockstep runs) do not
@@ -173,8 +169,8 @@ class Simulator:
         # Stats is untouched.
         self.trace_resident_steps = 0
         self.chain_resident_steps = 0
-        # The engine tier the last run() resolved to ("traced" / "fast"
-        # / "step"), so callers can observe what "auto" picked.
+        # The engine tier the last run() resolved to ("traced" /
+        # "step"), so callers can observe what "auto" picked.
         self.last_engine: str | None = None
         self._load_image()
         self.state.regs.write(SP_REG, memory_size - 16)
@@ -190,9 +186,10 @@ class Simulator:
     def step(self) -> None:
         """Fetch, execute and retire one instruction (slow-path API).
 
-        `run()` uses the predecoded fast engine; `step()` remains the
+        `run()` uses the predecoded run loop; `step()` remains the
         single-instruction interface for debuggers and tests, and the
-        fallback for traced runs.  Both retire identical sequences.
+        run loop of ``engine="step"`` and of every ``auto`` fallback.
+        Both retire identical sequences.
         """
         state = self.state
         pc = state.pc
@@ -274,41 +271,25 @@ class Simulator:
             engine: str = "auto") -> Stats:
         """Run until ``halt`` (or raise :class:`WatchdogError`).
 
-        ``engine`` selects the execution strategy: ``"auto"`` (default)
-        resolves to the trace-batched, loop-resident tier —
-        ``"traced"``, the fastest engine — unless a tracer is attached
-        or the program cannot be predecoded (both degrade to the
-        stepped interpreter).  ``"fast"`` and ``"step"`` remain
-        explicit overrides forcing the predecoded per-instruction
-        engine and the legacy one-instruction-at-a-time interpreter.
-        All engines retire bit-identical sequences; the tier a run
-        resolved to is recorded in :attr:`last_engine`.
+        ``engine="auto"`` (default) runs the predecoded, tiered,
+        loop-resident run loop (:func:`~repro.cpu.engine.run_traced`)
+        unless a tracer is attached, the program cannot be predecoded
+        or the ZOLC port has no ``zolc_plan`` — each of those takes the
+        stepped interpreter, which records every trace line and offers
+        every retirement to ``on_retire``.  ``engine="step"`` always
+        takes the stepped interpreter (the oracle).  Both retire
+        bit-identical sequences; the loop a run took is recorded in
+        :attr:`last_engine` (``"traced"`` or ``"step"``).
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: "
                              f"{', '.join(ENGINES)}")
-        if engine in ("fast", "traced") and self.tracer is not None:
-            raise ValueError(
-                f"the {engine} engine does not record traces; detach "
-                "the tracer or use engine='step'")
-        resolved = engine
-        if engine == "auto":
-            resolved = "step" if self.tracer is not None else "traced"
-        if resolved in ("traced", "fast"):
+        if (engine == "auto" and self.tracer is None
+                and (self.zolc is None or hasattr(self.zolc, "zolc_plan"))):
             predecoded = self._ensure_predecoded()
-            if predecoded is False:
-                if engine != "auto":
-                    raise ValueError(
-                        "program cannot be predecoded: "
-                        f"{self._predecode_failure}")
-                resolved = "step"
-            elif resolved == "traced":
+            if predecoded is not False:
                 self.last_engine = "traced"
                 run_traced(self, max_steps, predecoded)
-                return self.stats
-            else:
-                self.last_engine = "fast"
-                run_fast(self, max_steps, predecoded)
                 return self.stats
         self.last_engine = "step"
         return self._run_stepped(max_steps)

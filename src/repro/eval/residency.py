@@ -1,7 +1,7 @@
 """Per-kernel loop residency report.
 
 Runs each requested kernel on every ZOLC machine under the default
-traced tier and reports the fraction of retired instructions executed
+``auto`` engine and reports the fraction of retired instructions executed
 inside a compiled, loop-resident trace — the coverage counter behind
 the claim that hot ZOLC loops, straight-line and branchy, run their
 fire → re-entry cycle inside generated code (DESIGN.md §12).  Every
@@ -50,7 +50,7 @@ def residency_report(kernel_names: tuple[str, ...] = BRANCHY_KERNELS,
         for machine_name in machine_names:
             machine = machines.get(machine_name)
             sim = machine.prepare(front).make_simulator()
-            sim.run(max_steps=max_steps, engine="traced")
+            sim.run(max_steps=max_steps)
             total = sim.stats.instructions or 1
             report[f"{name}@{machine_name}"] = {
                 "instructions": sim.stats.instructions,
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval.residency",
         description="per-kernel loop residency on the ZOLC "
-                    "machines (traced tier)")
+                    "machines (auto engine)")
     parser.add_argument(
         "-k", "--kernel", action="append", metavar="NAME",
         help="kernel(s) to measure (repeatable; default: the branchy "

@@ -113,11 +113,10 @@ def run_kernel(kernel: Kernel, machine: MachineSpec,
     Host-side choices ride in ``config`` (a
     :class:`~repro.experiments.config.RunConfig`): ``pipeline`` (timing
     parameters), ``max_steps`` (step budget, default
-    ``DEFAULT_MAX_STEPS``) and ``engine`` (``"auto"`` / ``"fast"`` /
-    ``"traced"`` / ``"step"``, where ``"auto"`` — the default —
-    resolves to the loop-resident traced tier); engines are
-    bit-identical, so the choice affects host time only, never the
-    measurement.
+    ``DEFAULT_MAX_STEPS``) and ``engine`` (``"auto"``, the default
+    tiered loop-resident run loop, or ``"step"``, the stepped oracle);
+    engines are bit-identical, so the choice affects host time only,
+    never the measurement.
     """
     from repro.experiments.config import RunConfig
 

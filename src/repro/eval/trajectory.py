@@ -3,8 +3,8 @@
 ``BENCH_throughput.json`` at the repo root records the committed engine
 throughput baseline — absolute steps/sec *and* the engine-to-engine
 speedup ratios.  Absolute numbers are host-dependent and useless as a
-CI gate, but the *ratios* (traced vs fast, plan vs stepped, …) are
-largely host-independent: they measure how much the engine
+CI gate, but the *ratios* (auto vs stepped, resident vs region tier,
+…) are largely host-independent: they measure how much the engine
 architecture pays for itself.  This module compares a fresh (smoke)
 run's ratios against the committed baseline and fails when any
 recorded speedup regressed by more than a tolerance, then appends the

@@ -46,7 +46,7 @@ class RunConfig:
     "no opinion" value.
     """
 
-    #: Simulator engine (``auto``/``fast``/``traced``/``step``);
+    #: Simulator engine (``auto``/``step``);
     #: engines are bit-identical, so this only affects host time.
     engine: str | None = None
     #: Execution backend *name* (``serial``/``process``).

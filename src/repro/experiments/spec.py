@@ -17,9 +17,8 @@ first ``count`` members of a synthesized corpus — see
 inline definitions, including custom ZOLC variants.
 
 Plans also carry *host-side* execution choices — ``backend`` (serial /
-process), ``jobs`` and ``engine`` (auto / fast / traced / step, where
-``auto`` — the default — resolves to the loop-resident traced tier) —
-which never affect the measured results (all engines retire
+process), ``jobs`` and ``engine`` (``auto``, the default, or ``step``)
+— which never affect the measured results (all engines retire
 bit-identical sequences) and are therefore not part of any cell's
 cache identity; the CLI's ``--backend`` / ``--jobs`` / ``--engine``
 flags override them per invocation.

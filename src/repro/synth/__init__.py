@@ -2,7 +2,7 @@
 
 The product surface is :mod:`repro.synth.corpus` (named families of
 deterministic kernels, addressable as ``synth:<family>:<seed>:<n>``)
-and :mod:`repro.synth.soak` (budgeted 4-way differential soak with
+and :mod:`repro.synth.soak` (budgeted step-vs-auto differential soak with
 auto-shrunk regressions).  The Hypothesis adapter in
 :mod:`repro.synth.strategies` is imported lazily by the fuzz suites —
 this package itself never requires Hypothesis.

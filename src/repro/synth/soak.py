@@ -1,8 +1,8 @@
 """Budgeted differential soak: the discover → shrink → pin loop.
 
 ``repro soak`` walks the seeded corpus round-robin across families and
-runs every kernel through all four engines (``step`` as the reference,
-then ``fast``/``traced``/``auto``), asserting bit-identical
+runs every kernel through both engines (``step`` as the reference,
+then ``auto``), asserting bit-identical
 registers, memory, cycles, stats and controller counters via
 :mod:`repro.synth.observe`.  Engines that *fault* agree when they raise
 the same exception type and message (fault parity — the same contract
@@ -40,9 +40,9 @@ from repro.synth.observe import observe
 if TYPE_CHECKING:  # pragma: no cover
     from repro.eval.machines import MachineSpec
 
-#: Engine order for the 4-way comparison; the first entry is the
-#: reference the others are diffed against.
-SOAK_ENGINES: tuple[str, ...] = ("step", "fast", "traced", "auto")
+#: Engine order for the comparison; the first entry is the reference
+#: the others are diffed against.
+SOAK_ENGINES: tuple[str, ...] = ("step", "auto")
 
 #: Generous step budget, matching the property suites.
 DEFAULT_MAX_STEPS = 200_000

@@ -175,8 +175,8 @@ class TestExperimentCommand:
         seen = {}
         self._fake_run_plan(monkeypatch, seen)
         assert main(["experiment", str(self._plan(tmp_path)),
-                     "--engine", "traced"]) == 0
-        assert seen == {"backend": None, "jobs": None, "engine": "traced"}
+                     "--engine", "step"]) == 0
+        assert seen == {"backend": None, "jobs": None, "engine": "step"}
 
     def test_plan_with_backend_and_jobs_keys_runs(self, capsys, tmp_path):
         import json
@@ -184,7 +184,7 @@ class TestExperimentCommand:
         plan.write_text(
             '{"name": "t", "kernels": ["vec_sum"],'
             ' "machines": ["XRdefault"], "backend": "serial",'
-            ' "jobs": 1, "engine": "fast"}')
+            ' "jobs": 1, "engine": "step"}')
         assert main(["experiment", str(plan), "--no-cache", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulated"] == 1
@@ -211,41 +211,49 @@ class TestExperimentCommand:
 
     def test_unknown_engine_flag_exits_one(self, capsys, tmp_path):
         plan = self._plan(tmp_path)
-        assert main(["experiment", str(plan), "--engine", "warp"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown engine 'warp'" in err
-        assert "auto" in err and "traced" in err
+        for engine in ("warp", "fast", "traced"):
+            assert main(["experiment", str(plan), "--engine", engine]) == 1
+            err = capsys.readouterr().err
+            assert f"unknown engine '{engine}'; known: auto, step" in err
 
     def test_plan_with_unknown_engine_key_exits_one(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
-        plan.write_text(
-            '{"name": "t", "kernels": ["vec_sum"],'
-            ' "machines": ["XRdefault"], "engine": "warp"}')
-        assert main(["experiment", str(plan)]) == 1
-        assert "unknown engine 'warp'" in capsys.readouterr().err
+        for engine in ("warp", "fast", "traced"):
+            plan.write_text(
+                '{"name": "t", "kernels": ["vec_sum"],'
+                f' "machines": ["XRdefault"], "engine": "{engine}"}}')
+            assert main(["experiment", str(plan)]) == 1
+            assert f"unknown engine '{engine}'" in capsys.readouterr().err
 
-    def test_traced_engine_runs_plan(self, capsys, tmp_path):
+    def test_traced_engine_runs_plan(self, capsys, tmp_path, monkeypatch):
         import json
+
+        from repro.synth.strategies import spy_run_traced
+
+        calls = spy_run_traced(monkeypatch)
         plan = self._plan(tmp_path)
         assert main(["experiment", str(plan), "--no-cache", "--json",
-                     "--engine", "traced"]) == 0
+                     "--engine", "auto"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulated"] == 2
+        assert calls == [True, True]
 
 
 class TestRunEngineFlag:
     def test_every_engine_reports_identical_measurements(self, capsys):
         import json
         records = []
-        for engine in ("auto", "fast", "traced", "step"):
+        for engine in ("auto", "step"):
             assert main(["run", "vec_sum", "-m", "ZOLClite", "--json",
                          "--engine", engine]) == 0
             records.append(json.loads(capsys.readouterr().out))
         assert all(record == records[0] for record in records[1:])
 
     def test_unknown_engine_exits_one(self, capsys):
-        assert main(["run", "vec_sum", "--engine", "warp"]) == 1
-        assert "unknown engine 'warp'" in capsys.readouterr().err
+        for engine in ("warp", "fast", "traced"):
+            assert main(["run", "vec_sum", "--engine", engine]) == 1
+            assert f"unknown engine '{engine}'; known: auto, step" \
+                in capsys.readouterr().err
 
     def test_default_engine_resolves_to_traced(self, capsys, monkeypatch):
         """`repro run` without --engine rides the loop-resident tier."""

@@ -1,7 +1,7 @@
 """Unit tests for the compiled controller plan (core/compiled.py).
 
 The differential suites in ``test_engine.py`` prove the plan-compiled
-fast path retires bit-identical sequences; these tests pin the plan's
+run loop retires bit-identical sequences; these tests pin the plan's
 lifecycle contract directly — when it exists, what invalidates it, and
 what its watch sets contain.
 """

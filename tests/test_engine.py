@@ -1,17 +1,20 @@
-"""Differential tests: the fast and traced engines vs the interpreter.
+"""Differential tests: the ``auto`` run loop vs the interpreter.
 
-Every engine must retire *identical* (pc, regs, cycles, stats)
-sequences to ``step()`` — that invariant is what makes the engines pure
+The ``auto`` engine must retire *identical* (pc, regs, cycles, stats)
+sequences to ``step()`` — that invariant is what makes its tiers pure
 optimisations.  We check it four ways: final-state equivalence across
 the full kernel suite on every machine (ZOLC and non-ZOLC), lockstep
 per-retirement equivalence on representative kernels, a hypothesis
-sweep over random ALU programs, and the deterministic traced-tier
-corners (watchdog-exact batching, mid-region fault reconciliation,
-cache invalidation).  Generated-program coverage for all three engines
-lives in ``tests/test_engine_fuzz.py``.
+sweep over random ALU programs, and the deterministic tier corners
+(watchdog-exact batching, mid-region fault reconciliation, cache
+invalidation).  Generated-program coverage for every tier lives in
+``tests/test_engine_fuzz.py``.
 """
 
+import contextlib
+import sys
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.cpu import Simulator, WatchdogError
 from repro.cpu.engine import predecode
+from repro.cpu.engine import trace as trace_module
+from repro.cpu.engine import traced as traced_module
 from repro.cpu.engine.trace import HOT_THRESHOLD
 from repro.eval.machines import ALL_MACHINES
 
@@ -32,12 +37,33 @@ def _state_tuple(sim):
             sim.timing.flush_cycles, sim.timing._pending_load_dest)
 
 
+@contextlib.contextmanager
+def _cold_tiers():
+    """Patch both tiering thresholds out of reach: no region fuses and
+    no loop promotes, so every instruction retires on the per-slot path.
+
+    Holds only for a Program no earlier run has fused code on: cached
+    region code fuses on first entry whatever the threshold.
+    """
+    with mock.patch.object(traced_module, "HOT_THRESHOLD", sys.maxsize), \
+            mock.patch.object(trace_module, "HOT_THRESHOLD", sys.maxsize):
+        yield
+
+
+def _run_leg(sim, leg, **run_kwargs):
+    """Run ``sim`` on one differential leg: ``"step"`` (the oracle),
+    ``"auto"`` as configured, or ``"cold"`` — ``auto`` with every tier
+    held cold, which needs ``sim`` on a Program of its own."""
+    with _cold_tiers() if leg == "cold" else contextlib.nullcontext():
+        sim.run(engine="step" if leg == "step" else "auto", **run_kwargs)
+
+
 def _run_pair(prepared, max_steps=20_000_000):
-    fast = prepared.make_simulator()
-    fast.run(max_steps=max_steps, engine="fast")
+    auto = prepared.make_simulator()
+    auto.run(max_steps=max_steps)
     slow = prepared.make_simulator()
     slow.run(max_steps=max_steps, engine="step")
-    return fast, slow
+    return auto, slow
 
 
 class TestSuiteEquivalence:
@@ -46,26 +72,27 @@ class TestSuiteEquivalence:
         """Every kernel retires to the same final state on both engines."""
         for kernel in kernel_registry.all():
             prepared = machine.prepare(kernel.source)
-            fast, slow = _run_pair(prepared)
-            assert _state_tuple(fast) == _state_tuple(slow), \
+            auto, slow = _run_pair(prepared)
+            assert _state_tuple(auto) == _state_tuple(slow), \
                 f"{kernel.name} on {machine.name} diverged"
-            kernel.check(fast)  # the golden model holds on the fast engine
+            kernel.check(auto)  # the golden model holds on auto
 
 
 class TestLockstepEquivalence:
     """Per-retirement equivalence, via the watchdog's single-step trick.
 
     ``run(max_steps=1)`` executes exactly one instruction before the
-    watchdog fires, and the fast engine syncs all counters on every exit
+    watchdog fires, and the run loop syncs all counters on every exit
     path — so catching :class:`WatchdogError` yields a legal retire-by-
-    retire observation of the fast loop.
+    retire observation of the ``auto`` loop (a one-step budget never
+    lets a region or trace run, so this pins the per-slot path).
     """
 
     @pytest.mark.parametrize("machine_name,kernel_name", [
         ("XRdefault", "vec_sum"),
         ("ZOLClite", "vec_sum"),
         # Single-shot controller: disarms/re-arms across the run, so the
-        # fast engine's compiled dispatch state churns per loop.
+        # run loop's compiled dispatch state churns per loop.
         ("uZOLC", "matmul"),
         # Multi-exit kernel on ZOLCfull: exit-record and entry-record
         # dispatch under the compiled plan, retire by retire.
@@ -75,22 +102,22 @@ class TestLockstepEquivalence:
                                         kernel_name):
         machine = next(m for m in ALL_MACHINES if m.name == machine_name)
         prepared = machine.prepare(kernel_registry.get(kernel_name).source)
-        fast = prepared.make_simulator()
+        auto = prepared.make_simulator()
         slow = prepared.make_simulator()
         for retirement in range(50_000):
             if slow.state.halted:
                 break
             slow.step()
             if slow.state.halted:
-                fast.run(max_steps=1, engine="fast")  # halt retires cleanly
+                auto.run(max_steps=1)  # halt retires cleanly
             else:
                 with pytest.raises(WatchdogError):
-                    fast.run(max_steps=1, engine="fast")
-            assert _state_tuple(fast) == _state_tuple(slow), \
+                    auto.run(max_steps=1)
+            assert _state_tuple(auto) == _state_tuple(slow), \
                 f"diverged at retirement {retirement}"
         else:
             pytest.fail("kernel did not halt")
-        assert fast.state.halted and slow.state.halted
+        assert auto.state.halted and slow.state.halted
 
 
 class TestRandomPrograms:
@@ -101,11 +128,11 @@ class TestRandomPrograms:
                           min_size=4, max_size=4))
     def test_engines_agree_on_random_alu_programs(self, spec, seeds):
         source = render_alu_program(spec, seeds)
-        fast = Simulator(assemble(source))
-        fast.run(engine="fast")
+        auto = Simulator(assemble(source))
+        auto.run()
         slow = Simulator(assemble(source))
         slow.run(engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
+        assert _state_tuple(auto) == _state_tuple(slow)
 
 
 class TestEngineSelection:
@@ -116,12 +143,12 @@ class TestEngineSelection:
         assert sim._predecoded is not None and sim._predecoded is not False
         assert sim.state.regs["t0"] == 3
 
-    def test_explicit_fast_and_step_remain_overrides(self):
-        for engine in ("fast", "step"):
-            sim = Simulator(assemble("li t0, 3\nhalt\n"))
-            sim.run(engine=engine)
-            assert sim.last_engine == engine
-            assert sim.state.regs["t0"] == 3
+    def test_explicit_step_remains_an_override(self):
+        sim = Simulator(assemble("li t0, 3\nhalt\n"))
+        sim.run(engine="step")
+        assert sim.last_engine == "step"
+        assert sim._predecoded is None      # never predecoded
+        assert sim.state.regs["t0"] == 3
 
     def test_tracer_falls_back_to_step(self):
         from repro.cpu import Tracer
@@ -132,10 +159,17 @@ class TestEngineSelection:
         assert len(tracer.records) == 2
 
     def test_forced_fast_with_tracer_rejected(self):
+        # The run loop's tiers are not public engines: "fast" and
+        # "traced" are unknown values, with a tracer attached or not.
         from repro.cpu import Tracer
-        sim = Simulator(assemble("halt\n"), tracer=Tracer(limit=10))
-        with pytest.raises(ValueError, match="does not record traces"):
-            sim.run(engine="fast")
+        for tracer in (None, Tracer(limit=10)):
+            for engine in ("fast", "traced"):
+                sim = Simulator(assemble("halt\n"), tracer=tracer)
+                with pytest.raises(ValueError,
+                                   match=f"unknown engine '{engine}'; "
+                                         "known: auto, step"):
+                    sim.run(engine=engine)
+                assert not sim.state.halted and sim.last_engine is None
 
     def test_unknown_engine_rejected(self):
         sim = Simulator(assemble("halt\n"))
@@ -149,7 +183,7 @@ class TestEngineSelection:
         assert len(predecoded.ops) == len(sim.program.instructions)
 
     def test_predecoder_covers_every_executor_mnemonic(self):
-        """The fast engine's tables must track datapath.EXECUTORS.
+        """The predecoder's tables must track datapath.EXECUTORS.
 
         A gap would silently demote programs using the missing mnemonic
         to the stepped interpreter; this pins the two op tables together.
@@ -216,7 +250,7 @@ class _HaltingPort:
 
 
 class TestExternalHalt:
-    @pytest.mark.parametrize("engine", ["fast", "step"])
+    @pytest.mark.parametrize("engine", ["auto", "step"])
     def test_port_halting_from_on_retire_stops_both_engines(self, engine):
         source = "li t0, 100\nloop: addi t0, t0, -1\nbne t0, zero, loop\nhalt\n"
         port = _HaltingPort(after=5)
@@ -329,7 +363,7 @@ def _zolc_sim(source):
 
 
 class TestReArm:
-    """Differential coverage for mid-run re-arming through the fast path.
+    """Differential coverage for mid-run re-arming through the plan path.
 
     The suite-equivalence tests above re-arm too (multi-group kernels,
     uZOLC's one-arm-per-loop discipline), but these programs pin the
@@ -338,49 +372,49 @@ class TestReArm:
     """
 
     def test_rearm_with_rewritten_tables_matches_step(self):
-        fast = _zolc_sim(REARM_SRC)
-        fast.run(max_steps=10_000, engine="fast")
+        auto = _zolc_sim(REARM_SRC)
+        auto.run(max_steps=10_000)
         slow = _zolc_sim(REARM_SRC)
         slow.run(max_steps=10_000, engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
-        assert _controller_tuple(fast) == _controller_tuple(slow)
-        assert fast.zolc.arm_count == 2
-        assert fast.state.regs["s0"] == 10
-        assert fast.state.regs["s1"] == 33
+        assert _state_tuple(auto) == _state_tuple(slow)
+        assert _controller_tuple(auto) == _controller_tuple(slow)
+        assert auto.zolc.arm_count == 2
+        assert auto.state.regs["s0"] == 10
+        assert auto.state.regs["s1"] == 33
 
     def test_repeated_invocation_matches_step(self):
-        fast = _zolc_sim(REINVOKE_SRC)
-        fast.run(max_steps=10_000, engine="fast")
+        auto = _zolc_sim(REINVOKE_SRC)
+        auto.run(max_steps=10_000)
         slow = _zolc_sim(REINVOKE_SRC)
         slow.run(max_steps=10_000, engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
-        assert _controller_tuple(fast) == _controller_tuple(slow)
-        assert fast.zolc.arm_count == 3
-        assert fast.state.regs["s0"] == 18
+        assert _state_tuple(auto) == _state_tuple(slow)
+        assert _controller_tuple(auto) == _controller_tuple(slow)
+        assert auto.zolc.arm_count == 3
+        assert auto.state.regs["s0"] == 18
 
     def test_repeated_invocation_reuses_compiled_watch_arrays(self):
         sim = _zolc_sim(REINVOKE_SRC)
-        sim.run(max_steps=10_000, engine="fast")
+        sim.run(max_steps=10_000)
         # Three arms of identical tables compile once: the watch-array
         # cache is keyed by watch-set content, not by arm epoch.
         assert len(sim._zolc_watch_cache) == 1
 
     def test_rearm_lockstep(self):
         """Retire-by-retire equivalence across both arms of REARM_SRC."""
-        fast = _zolc_sim(REARM_SRC)
+        auto = _zolc_sim(REARM_SRC)
         slow = _zolc_sim(REARM_SRC)
         for retirement in range(10_000):
             if slow.state.halted:
                 break
             slow.step()
             if slow.state.halted:
-                fast.run(max_steps=1, engine="fast")
+                auto.run(max_steps=1)
             else:
                 with pytest.raises(WatchdogError):
-                    fast.run(max_steps=1, engine="fast")
-            assert _state_tuple(fast) == _state_tuple(slow), \
+                    auto.run(max_steps=1)
+            assert _state_tuple(auto) == _state_tuple(slow), \
                 f"diverged at retirement {retirement}"
-            assert _controller_tuple(fast) == _controller_tuple(slow), \
+            assert _controller_tuple(auto) == _controller_tuple(slow), \
                 f"controller diverged at retirement {retirement}"
         else:
             pytest.fail("program did not halt")
@@ -388,8 +422,9 @@ class TestReArm:
 
 class TestPlanlessFallback:
     """A port without ``zolc_plan`` (any pre-compiled-plan custom
-    :class:`ZolcPort`) must fall back to per-retirement ``on_retire``
-    and still retire an identical sequence."""
+    :class:`ZolcPort`) must resolve ``auto`` to the stepped interpreter
+    — per-retirement ``on_retire`` — and still retire an identical
+    sequence."""
 
     @pytest.mark.parametrize("kernel_name", ["vec_sum", "matmul"])
     def test_planless_port_matches_plan_port(self, kernel_registry,
@@ -400,25 +435,41 @@ class TestPlanlessFallback:
         prepared = machine.prepare(kernel_registry.get(kernel_name).source)
 
         planful = prepared.make_simulator()
-        planful.run(engine="fast")
+        planful.run()
 
         planless = prepared.make_simulator()
         planless.zolc = PlanlessZolcPort(planless.zolc)
-        planless.run(engine="fast")
+        planless.run()
 
+        assert planful.last_engine == "traced"
+        assert planless.last_engine == "step"
         assert _state_tuple(planful) == _state_tuple(planless)
         assert _controller_tuple(planful) == _controller_tuple(planless)
-        # The planless run never compiled watch arrays.
+        # The planless run never compiled watch arrays or sliced regions.
         assert planless._zolc_watch_cache == {}
+        assert planless._trace_region_cache == {}
         assert planful._zolc_watch_cache != {}
+
+    def test_run_traced_rejects_a_planless_port(self):
+        """Passed a planless port directly, the run loop fails loudly
+        rather than running it as a machine without a ZOLC."""
+        from repro.cpu import PlanlessZolcPort
+        from repro.cpu.engine import run_traced
+
+        sim = _zolc_sim(REARM_SRC)
+        sim.zolc = PlanlessZolcPort(sim.zolc)
+        predecoded = sim._ensure_predecoded()
+        with pytest.raises(AttributeError, match="zolc_plan"):
+            run_traced(sim, 1_000, predecoded)
+        assert sim.stats.instructions == 0
 
 
 class TestFireHandlerHalt:
     def test_port_halting_from_fire_trigger_stops_both_engines(self):
         """The plan contract allows fire handlers to halt the machine.
 
-        The fast engine must observe the flag after every fired event,
-        exactly like the legacy loop observes it after on_retire.
+        The run loop must observe the flag after every fired event,
+        exactly like the stepped loop observes it after on_retire.
         """
         from repro.core import ZolcController
         from repro.core.config import ZOLC_LITE
@@ -443,12 +494,12 @@ class TestFireHandlerHalt:
             sim.run(max_steps=10_000, engine=engine)
             return sim
 
-        fast = run("fast")
+        auto = run("auto")
         slow = run("step")
-        assert fast.state.halted and slow.state.halted
-        assert _state_tuple(fast) == _state_tuple(slow)
-        assert _controller_tuple(fast) == _controller_tuple(slow)
-        assert fast.zolc.task_switches == 3
+        assert auto.state.halted and slow.state.halted
+        assert _state_tuple(auto) == _state_tuple(slow)
+        assert _controller_tuple(auto) == _controller_tuple(slow)
+        assert auto.zolc.task_switches == 3
 
 
 class TestPreArmedController:
@@ -456,9 +507,9 @@ class TestPreArmedController:
         """Arming before run() exercises the pending-writes window.
 
         zolc_plan() withholds the plan until the arm-time index writes
-        flush through on_retire at the first retirement, so the fast
-        engine starts in its transient legacy mode and then switches to
-        compiled dispatch.
+        flush through on_retire at the first retirement, so the run
+        loop starts in its transient per-retirement mode and then
+        switches to compiled dispatch.
         """
         from repro.core import tables as T
 
@@ -487,48 +538,48 @@ after:
             assert zolc.zolc_plan() is None  # pending arm-time writes
             return sim
 
-        fast = build()
-        fast.run(max_steps=1_000, engine="fast")
+        auto = build()
+        auto.run(max_steps=1_000)
         slow = build()
         slow.run(max_steps=1_000, engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
-        assert _controller_tuple(fast) == _controller_tuple(slow)
-        assert fast.state.regs["s0"] == sum(range(7))
+        assert _state_tuple(auto) == _state_tuple(slow)
+        assert _controller_tuple(auto) == _controller_tuple(slow)
+        assert auto.state.regs["s0"] == sum(range(7))
 
 
 class TestFaultPaths:
     def test_watchdog_message_and_state_synced(self):
         source = "li t0, 5\nloop: addi t0, t0, -1\nbne t0, zero, loop\nhalt\n"
-        fast = Simulator(assemble(source))
+        auto = Simulator(assemble(source))
         slow = Simulator(assemble(source))
         with pytest.raises(WatchdogError):
-            fast.run(max_steps=7, engine="fast")
+            auto.run(max_steps=7)
         with pytest.raises(WatchdogError):
             slow.run(max_steps=7, engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
+        assert _state_tuple(auto) == _state_tuple(slow)
 
     def test_invalid_fetch_matches(self):
         from repro.cpu import InvalidFetchError
         source = "j 0x200\nhalt\n"
-        fast = Simulator(assemble(source))
+        auto = Simulator(assemble(source))
         slow = Simulator(assemble(source))
         with pytest.raises(InvalidFetchError):
-            fast.run(engine="fast")
+            auto.run()
         with pytest.raises(InvalidFetchError):
             slow.run(engine="step")
-        assert _state_tuple(fast) == _state_tuple(slow)
+        assert _state_tuple(auto) == _state_tuple(slow)
 
     def test_unplaced_zolc_instruction_raises(self):
         from repro.cpu import SimulationError
         sim = Simulator(assemble("mtz t0, 4\nhalt\n"))
         with pytest.raises(SimulationError, match="without a ZOLC"):
-            sim.run(engine="fast")
+            sim.run()
 
 
 class TestTracedEngine:
-    """The trace-batched tier: selection, equivalence, caches, faults.
+    """The trace-batched run loop: equivalence, caches, faults.
 
-    Bulk equivalence coverage for ``engine="traced"`` lives in the
+    Bulk equivalence coverage for ``engine="auto"`` lives in the
     generated suite (``tests/test_engine_fuzz.py``); these tests pin the
     deterministic corners — watchdog-exact batching, fault
     reconciliation inside a fused region, re-arm invalidation and the
@@ -539,7 +590,7 @@ class TestTracedEngine:
     def test_traced_matches_step_on_rearm_programs(self):
         for source in (REARM_SRC, REINVOKE_SRC):
             traced = _zolc_sim(source)
-            traced.run(max_steps=10_000, engine="traced")
+            traced.run(max_steps=10_000)
             slow = _zolc_sim(source)
             slow.run(max_steps=10_000, engine="step")
             assert _state_tuple(traced) == _state_tuple(slow)
@@ -558,10 +609,10 @@ class TestTracedEngine:
                 break
             slow.step()
             if slow.state.halted:
-                traced.run(max_steps=1, engine="traced")
+                traced.run(max_steps=1)
             else:
                 with pytest.raises(WatchdogError):
-                    traced.run(max_steps=1, engine="traced")
+                    traced.run(max_steps=1)
             assert _state_tuple(traced) == _state_tuple(slow), \
                 f"diverged at retirement {retirement}"
         else:
@@ -575,23 +626,23 @@ class TestTracedEngine:
         source = ("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
                   "sw t2, -5(zero)\nadd t3, t0, t1\nhalt\n")
         sims = {}
-        for engine in ("step", "fast", "traced"):
+        for engine in ("step", "auto"):
             sim = Simulator(assemble(source))
             with pytest.raises(MemoryAccessError):
                 sim.run(engine=engine)
             sims[engine] = sim
-        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
-        assert _state_tuple(sims["fast"]) == _state_tuple(sims["step"])
+        assert _state_tuple(sims["auto"]) == _state_tuple(sims["step"])
+        assert _region_spans(sims["auto"].program) == [(0, 5)]
         # The prefix (li, li, add) retired; the faulting store did not.
-        assert sims["traced"].stats.instructions == 3
-        assert sims["traced"].state.regs["t2"] == 3
+        assert sims["auto"].stats.instructions == 3
+        assert sims["auto"].state.regs["t2"] == 3
 
     def test_traced_fault_paths_match(self):
         source = "li t0, 5\nloop: addi t0, t0, -1\nbne t0, zero, loop\nhalt\n"
         traced = Simulator(assemble(source))
         slow = Simulator(assemble(source))
         with pytest.raises(WatchdogError):
-            traced.run(max_steps=7, engine="traced")
+            traced.run(max_steps=7)
         with pytest.raises(WatchdogError):
             slow.run(max_steps=7, engine="step")
         assert _state_tuple(traced) == _state_tuple(slow)
@@ -599,16 +650,7 @@ class TestTracedEngine:
         from repro.cpu import InvalidFetchError
         traced = Simulator(assemble("j 0x200\nhalt\n"))
         with pytest.raises(InvalidFetchError):
-            traced.run(engine="traced")
-
-    def test_traced_rejects_tracer_and_unknown_engine(self):
-        from repro.cpu import Tracer
-        sim = Simulator(assemble("halt\n"), tracer=Tracer(limit=10))
-        with pytest.raises(ValueError, match="does not record traces"):
-            sim.run(engine="traced")
-        sim = Simulator(assemble("halt\n"))
-        with pytest.raises(ValueError, match="unknown engine"):
-            sim.run(engine="warp")
+            traced.run()
 
     def test_traced_requires_predecodable_program(self, monkeypatch):
         import repro.cpu.simulator as simulator_module
@@ -618,9 +660,12 @@ class TestTracedEngine:
             raise SimulationError("no predecoder for mnemonic 'frobnicate'")
 
         monkeypatch.setattr(simulator_module, "predecode", boom)
-        sim = Simulator(assemble("halt\n"))
-        with pytest.raises(ValueError, match="cannot be predecoded"):
-            sim.run(engine="traced")
+        sim = Simulator(assemble("li t0, 4\nhalt\n"))
+        sim.run()
+        assert sim.last_engine == "step"
+        assert sim._predecode_failure == \
+            "no predecoder for mnemonic 'frobnicate'"
+        assert sim.state.regs["t0"] == 4
 
     def test_region_code_cache_shared_across_simulators(self):
         """Compiled megahandler code lives on the Program, so repeated
@@ -630,12 +675,12 @@ class TestTracedEngine:
             "li t0, 0\nloop: addi t0, t0, 1\nslti at, t0, 9\n"
             "bne at, zero, loop\nhalt\n")
         first = prepared.make_simulator()
-        first.run(engine="traced")
+        first.run()
         cache = prepared.program.__dict__["_trace_region_code"]
         compiled = dict(cache)
         assert compiled                      # something was fused
         second = prepared.make_simulator()
-        second.run(engine="traced")
+        second.run()
         for span, entry in compiled.items():
             assert cache[span] is entry      # no recompilation
         assert _state_tuple(first) == _state_tuple(second)
@@ -644,7 +689,7 @@ class TestTracedEngine:
         """Three arms of identical tables slice regions once (plus the
         unarmed table), and a port swap clears the fused regions."""
         sim = _zolc_sim(REINVOKE_SRC)
-        sim.run(max_steps=10_000, engine="traced")
+        sim.run(max_steps=10_000)
         # One unarmed table (key None) + one table for the repeatedly
         # re-armed plan — not one per arm.
         assert sim.zolc.arm_count == 3
@@ -654,22 +699,6 @@ class TestTracedEngine:
         sim.zolc = None
         sim._ensure_predecoded()
         assert sim._trace_region_cache == {}
-
-    def test_planless_port_falls_back_to_fast_loop(self, kernel_registry):
-        from repro.cpu import PlanlessZolcPort
-
-        machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
-        prepared = machine.prepare(kernel_registry.get("vec_sum").source)
-
-        planful = prepared.make_simulator()
-        planful.run(engine="traced")
-        planless = prepared.make_simulator()
-        planless.zolc = PlanlessZolcPort(planless.zolc)
-        planless.run(engine="traced")
-        assert _state_tuple(planful) == _state_tuple(planless)
-        assert _controller_tuple(planful) == _controller_tuple(planless)
-        # The planless run never sliced regions: it ran the fast loop.
-        assert planless._trace_region_cache == {}
 
 
 def _region_spans(program):
@@ -704,7 +733,7 @@ class TestTieredRegions:
     def test_region_fuses_once_hot(self, trips, spans):
         program = assemble(_counted_loop(trips))
         traced = Simulator(program)
-        traced.run(engine="traced")
+        traced.run()
         slow = Simulator(program)
         slow.run(engine="step")
         assert _state_tuple(traced) == _state_tuple(slow)
@@ -719,7 +748,7 @@ class TestTieredRegions:
         prepared = machine.prepare(_counted_loop(trips))
         assert prepared.transformed_loops == 1
         traced = prepared.make_simulator()
-        traced.run(engine="traced")
+        traced.run()
         slow = prepared.make_simulator()
         slow.run(engine="step")
         assert _state_tuple(traced) == _state_tuple(slow)
@@ -740,14 +769,14 @@ class TestTieredRegions:
         program = assemble("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
                            "sub t3, t2, t0\nhalt\n")
         cold = Simulator(program)
-        cold.run(engine="traced")
+        cold.run()
         regions, heat = cold._trace_region_cache[None]
         term = regions[0]
         assert term.__class__ is int and heat[0] == 1
         assert _region_spans(program) == []
         _region_code(program, 0, term)
         warm = Simulator(program)
-        warm.run(engine="traced")
+        warm.run()
         regions, heat = warm._trace_region_cache[None]
         assert isinstance(regions[0], TraceRegion)
         assert heat[0] == 0
@@ -766,13 +795,13 @@ class TestTieredRegions:
         kernel = multi_entry_kernel(use_side_entry=True)
         result = rewrite_for_zolc(kernel.source, ZOLC_FULL)
         sims = {}
-        for engine in ("step", "traced"):
+        for engine in ("step", "auto"):
             sims[engine] = result.make_simulator()
             sims[engine].run(engine=engine)
-        kernel.check(sims["traced"])
-        assert sims["traced"].zolc.entry_events >= 1
-        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
-        assert _controller_tuple(sims["traced"]) \
+        kernel.check(sims["auto"])
+        assert sims["auto"].zolc.entry_events >= 1
+        assert _state_tuple(sims["auto"]) == _state_tuple(sims["step"])
+        assert _controller_tuple(sims["auto"]) \
             == _controller_tuple(sims["step"])
 
     def test_fault_in_unfused_region_post_mortems_like_step(self):
@@ -781,13 +810,13 @@ class TestTieredRegions:
         program = assemble("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
                            "sw t2, -5(zero)\nadd t3, t0, t1\nhalt\n")
         sims = {}
-        for engine in ("step", "traced"):
+        for engine in ("step", "auto"):
             sims[engine] = Simulator(program)
             with pytest.raises(MemoryAccessError):
                 sims[engine].run(engine=engine)
         assert _region_spans(program) == []
-        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
-        assert sims["traced"].stats.instructions == 3
+        assert _state_tuple(sims["auto"]) == _state_tuple(sims["step"])
+        assert sims["auto"].stats.instructions == 3
 
     def test_fault_in_unfused_zolc_region_post_mortems_like_step(self):
         """The loop faults on its 4th iteration, before it is hot."""
@@ -800,13 +829,13 @@ class TestTieredRegions:
             "bne at, zero, loop\nhalt\n")
         assert prepared.transformed_loops == 1
         sims = {}
-        for engine in ("step", "traced"):
+        for engine in ("step", "auto"):
             sims[engine] = prepared.make_simulator()
             with pytest.raises(MemoryAccessError):
                 sims[engine].run(engine=engine)
         assert _region_spans(prepared.program) == []
-        assert _state_tuple(sims["traced"]) == _state_tuple(sims["step"])
-        assert _controller_tuple(sims["traced"]) \
+        assert _state_tuple(sims["auto"]) == _state_tuple(sims["step"])
+        assert _controller_tuple(sims["auto"]) \
             == _controller_tuple(sims["step"])
 
 
@@ -850,7 +879,7 @@ loop:
     def test_chain_engages_and_matches_step(self):
         prepared = self._prepared()
         traced = prepared.make_simulator()
-        traced.run(engine="traced")
+        traced.run()
         traces = [t for table in traced._trace_jit_cache.values()
                   for t in table.slots if t is not None]
         assert [len(t.outcomes) for t in traces] == [1], \
@@ -878,7 +907,7 @@ loop:
             traced = prepared.make_simulator()
             slow = prepared.make_simulator()
             outcomes = []
-            for sim, engine in ((traced, "traced"), (slow, "step")):
+            for sim, engine in ((traced, "auto"), (slow, "step")):
                 try:
                     sim.run(max_steps=budget, engine=engine)
                     outcomes.append("halt")
@@ -923,7 +952,7 @@ inner:
         prepared = machine.prepare(source)
         assert prepared.transformed_loops == 2
         traced = prepared.make_simulator()
-        traced.run(engine="traced")
+        traced.run()
         slow = prepared.make_simulator()
         slow.run(engine="step")
         assert _state_tuple(traced) == _state_tuple(slow)
@@ -949,20 +978,21 @@ loop:
         halt
 """
         machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
-        prepared = machine.prepare(source)
-        assert prepared.transformed_loops >= 1
         sims = {}
-        for engine in ("step", "fast", "traced"):
-            sim = prepared.make_simulator()
+        for leg in ("step", "auto", "cold"):
+            prepared = machine.prepare(source)      # a Program per leg
+            assert prepared.transformed_loops >= 1
+            sim = sims[leg] = prepared.make_simulator()
             with pytest.raises(MemoryAccessError):
-                sim.run(engine=engine)
-            sims[engine] = sim
-        for engine in ("fast", "traced"):
-            assert _state_tuple(sims[engine]) == _state_tuple(sims["step"])
-            assert _controller_tuple(sims[engine]) == \
+                _run_leg(sim, leg)
+        for leg in ("cold", "auto"):
+            assert _state_tuple(sims[leg]) == _state_tuple(sims["step"])
+            assert _controller_tuple(sims[leg]) == \
                 _controller_tuple(sims["step"])
-        # The fault struck inside the resident driver, not before it.
-        assert sims["traced"].chain_resident_steps > 0
+        # The fault struck inside the resident driver, not before it —
+        # and, on the cold leg, on the per-slot path.
+        assert sims["auto"].chain_resident_steps > 0
+        assert sims["cold"].chain_resident_steps == 0
 
     @pytest.mark.usefixtures("eager_fusion")
     def test_fire_fault_inside_chain_reconciles(self):
@@ -975,10 +1005,9 @@ loop:
         """
         from repro.cpu.exceptions import ZolcFaultError
 
-        prepared = self._prepared()
         sims = {}
-        for engine in ("step", "fast", "traced"):
-            sim = prepared.make_simulator()
+        for leg in ("step", "auto", "cold"):
+            sim = sims[leg] = self._prepared().make_simulator()
             controller = sim.zolc
             real_decide = controller.unit.decide
             calls = []
@@ -993,38 +1022,41 @@ loop:
             controller.unit.decide = exploding
             controller._decide = exploding
             with pytest.raises(ZolcFaultError):
-                sim.run(engine=engine)
-            sims[engine] = sim
-        for engine in ("fast", "traced"):
-            assert _state_tuple(sims[engine]) == _state_tuple(sims["step"])
-        # The fault struck inside the resident driver, not before it.
-        assert sims["traced"].chain_resident_steps > 0
+                _run_leg(sim, leg)
+        for leg in ("cold", "auto"):
+            assert _state_tuple(sims[leg]) == _state_tuple(sims["step"])
+        # The fault struck inside the resident driver, not before it —
+        # and, on the cold leg, on the per-slot path.
+        assert sims["auto"].chain_resident_steps > 0
+        assert sims["cold"].chain_resident_steps == 0
 
 
 @pytest.mark.usefixtures("eager_fusion")
 class TestInlinedMemory:
     """Byte/half/word access semantics of the fused-region codegen.
 
-    The traced tier generates bounds-checked loads/stores against the
+    The run loop generates bounds-checked loads/stores against the
     raw memory buffer; these pin the sign-extension identities and the
-    fault paths (misalignment, out-of-range) against the other engines.
-    The programs run once, so ``eager_fusion`` fuses them.
+    fault paths (misalignment, out-of-range) against the stepped
+    interpreter, and against the handler closures of the cold per-slot
+    path.  The programs run once, so ``eager_fusion`` fuses them.
     """
 
     def _agree(self, source, fault=None):
         sims = {}
-        for engine in ("step", "fast", "traced"):
-            sim = Simulator(assemble(source))
+        for leg in ("step", "auto", "cold"):
+            sim = sims[leg] = Simulator(assemble(source))
             if fault is None:
-                sim.run(engine=engine)
+                _run_leg(sim, leg)
             else:
                 with pytest.raises(fault):
-                    sim.run(engine=engine)
-            sims[engine] = sim
-        for engine in ("fast", "traced"):
-            assert _state_tuple(sims[engine]) == _state_tuple(sims["step"]), \
-                f"{engine} diverged"
-        return sims["traced"]
+                    _run_leg(sim, leg)
+        assert _region_spans(sims["auto"].program) != []
+        assert _region_spans(sims["cold"].program) == []
+        for leg in ("cold", "auto"):
+            assert _state_tuple(sims[leg]) == _state_tuple(sims["step"]), \
+                f"{leg} diverged"
+        return sims["auto"]
 
     def test_signed_and_unsigned_subword_loads(self):
         traced = self._agree("""

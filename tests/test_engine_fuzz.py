@@ -1,6 +1,6 @@
-"""Cross-engine differential fuzzing: step vs fast vs traced vs auto.
+"""Cross-tier differential fuzzing: step vs auto, hot, eager and cold.
 
-The execution engines promise bit-identical retirement: same final
+The two engines promise bit-identical retirement: same final
 registers, memory, cycles, stats and controller counters for any
 program on any machine under any pipeline timing.  ``tests/test_engine.
 py`` pins that invariant on the hand-written suite; this module pins it
@@ -10,22 +10,26 @@ including multi-nest programs that re-arm single-shot controllers
 mid-run — and random straight-line ALU programs, each crossed with
 generated machines and pipeline timings.
 
-The sweep is 4-way: the three explicit engines plus ``auto``, which
-resolves to the loop-resident traced tier (fire→re-entry traces +
-inlined memory access), so every generated ZOLC loop also exercises
-the resident dispatch against the per-instruction oracles.
+``auto`` is one run loop with an internal tiering policy, so the sweep
+runs it under three policies against the ``step`` oracle:
 
-The traced tier fuses a region only once it is hot, and promotes a
-loop to a resident trace only at its ``HOT_THRESHOLD``-th loop-back;
-short generated programs rarely get there, so the traced leg runs a
-second time with both thresholds patched to 1: every region is fused
-on first entry, every loop promotes on its first loop-back, and the
-megahandlers and trace drivers stay under the fuzz.
+* as shipped — a region fuses once hot, a loop promotes to a resident
+  trace at its ``HOT_THRESHOLD``-th loop-back;
+* eager — both thresholds patched to 1, so every region fuses on first
+  entry and every loop promotes on its first loop-back, keeping the
+  megahandlers and trace drivers under the fuzz even on short
+  programs;
+* cold — both thresholds patched out of reach on a Program of its own
+  (code cached on a Program fuses on first entry whatever the
+  threshold), so nothing fuses, nothing promotes and every instruction
+  retires through the per-slot path.  The leg asserts it stayed cold.
 
 Any divergence fails with the generating source attached, so a
 counterexample is directly replayable.
 """
 
+import sys
+from functools import partial
 from unittest import mock
 
 from hypothesis import given, settings
@@ -34,6 +38,7 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.cpu import Simulator
 from repro.cpu.engine import trace, traced
+from repro.cpu.engine.emit import codegen_records
 
 from repro.synth.strategies import (
     alu_instructions,
@@ -47,8 +52,6 @@ from repro.synth.strategies import (
     state_tuple,
 )
 
-ENGINES = ("step", "fast", "traced", "auto")
-
 MAX_STEPS = 200_000
 
 
@@ -56,20 +59,46 @@ def _observe(sim):
     return (state_tuple(sim), memory_image(sim), controller_tuple(sim))
 
 
-def _assert_engines_agree(make_simulator, source):
-    observations = {}
-    for engine in ENGINES:
-        sim = make_simulator()
+def _nest_factory(machine, source, pipeline=None):
+    """A simulator factory over a fresh preparation of ``source``."""
+    prepared = machine.prepare(source)
+    return lambda: prepared.make_simulator(pipeline=pipeline)
+
+
+def _alu_factory(source, pipeline):
+    """A simulator factory over a fresh assembly of ``source``."""
+    program = assemble(source)
+    return lambda: Simulator(program, pipeline=pipeline)
+
+
+def _run(sim, engine="auto", threshold=None):
+    """Run ``sim``; ``threshold`` patches both tiering thresholds
+    (region fusion and trace promotion) for the run."""
+    if threshold is None:
         sim.run(max_steps=MAX_STEPS, engine=engine)
-        if engine == "auto":
-            # `auto` is the loop-resident traced tier.
-            assert sim.last_engine == "traced", sim.last_engine
-        observations[engine] = _observe(sim)
-    with mock.patch.object(traced, "HOT_THRESHOLD", 1), \
-            mock.patch.object(trace, "HOT_THRESHOLD", 1):
-        sim = make_simulator()
-        sim.run(max_steps=MAX_STEPS, engine="traced")
-        observations["traced (eager fusion)"] = _observe(sim)
+    else:
+        with mock.patch.object(traced, "HOT_THRESHOLD", threshold), \
+                mock.patch.object(trace, "HOT_THRESHOLD", threshold):
+            sim.run(max_steps=MAX_STEPS, engine=engine)
+    return sim
+
+
+def _assert_engines_agree(prepare, source):
+    """``prepare()`` builds a fresh Program and returns its simulator
+    factory; the cold leg needs a Program no other leg has fused."""
+    make_simulator = prepare()
+    observations = {"step": _observe(_run(make_simulator(), "step"))}
+    sim = _run(make_simulator())
+    # `auto` takes the run loop: every generated port exposes a plan.
+    assert sim.last_engine == "traced", sim.last_engine
+    observations["auto"] = _observe(sim)
+    observations["auto (eager fusion)"] = _observe(
+        _run(make_simulator(), threshold=1))
+    cold = _run(prepare()(), threshold=sys.maxsize)
+    assert cold.last_engine == "traced", cold.last_engine
+    assert cold.trace_resident_steps == 0
+    assert not codegen_records(cold.program), "a cold region fused"
+    observations["auto (cold)"] = _observe(cold)
     for engine in observations:
         assert observations[engine] == observations["step"], \
             f"{engine} diverged from step for program:\n{source}"
@@ -81,9 +110,8 @@ class TestLoopNestKernels:
            pipeline=pipeline_configs())
     def test_engines_bit_identical(self, source, machine, pipeline):
         """Generated kernels × machines × pipelines: zero divergence."""
-        prepared = machine.prepare(source)
         _assert_engines_agree(
-            lambda: prepared.make_simulator(pipeline=pipeline), source)
+            partial(_nest_factory, machine, source, pipeline), source)
 
     @settings(max_examples=12, deadline=None)
     @given(source=loop_nest_kernels(max_nests=2), machine=machines(),
@@ -96,12 +124,11 @@ class TestLoopNestKernels:
         into testing untransformed code.
         """
         prepared = machine.prepare(source)
-        sim = prepared.make_simulator(pipeline=pipeline)
-        sim.run(max_steps=MAX_STEPS, engine="traced")
+        sim = _run(prepared.make_simulator(pipeline=pipeline))
         if prepared.transformed_loops and sim.zolc is not None:
             assert getattr(sim.zolc, "arm_count", 0) >= 1
         _assert_engines_agree(
-            lambda: prepared.make_simulator(pipeline=pipeline), source)
+            partial(_nest_factory, machine, source, pipeline), source)
 
 
 class TestAluPrograms:
@@ -110,9 +137,8 @@ class TestAluPrograms:
            seeds=reg_seeds, pipeline=pipeline_configs())
     def test_engines_bit_identical(self, spec, seeds, pipeline):
         source = render_alu_program(spec, seeds)
-        program = assemble(source)
         _assert_engines_agree(
-            lambda: Simulator(program, pipeline=pipeline), source)
+            partial(_alu_factory, source, pipeline), source)
 
 
 class TestRearmDeterministic:
@@ -152,12 +178,8 @@ second:
 
         prepared = M_UZOLC.prepare(self.SOURCE)
         assert prepared.transformed_loops >= 2
-        sims = {}
-        for engine in ENGINES:
-            sim = prepared.make_simulator()
-            sim.run(max_steps=MAX_STEPS, engine=engine)
-            sims[engine] = sim
+        sim = _run(prepared.make_simulator())
         # uZOLC is single-shot: the second nest forces a fresh arm.
-        assert sims["traced"].zolc.arm_count >= 2
-        for engine in ("fast", "traced"):
-            assert _observe(sims[engine]) == _observe(sims["step"])
+        assert sim.zolc.arm_count >= 2
+        _assert_engines_agree(
+            partial(_nest_factory, M_UZOLC, self.SOURCE), self.SOURCE)

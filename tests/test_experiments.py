@@ -389,21 +389,22 @@ class TestRunExperiment:
     def test_engine_choice_is_bit_identical_and_cache_compatible(
             self, tmp_path):
         store = ResultStore(tmp_path)
-        fast = run_experiment(small_spec(engine="fast"), store=store)
+        auto = run_experiment(small_spec(engine="auto"), store=store)
         stepped = run_experiment(small_spec(engine="step"), store=store)
-        assert fast.records == stepped.records
+        assert auto.records == stepped.records
         # Engines share cache identity: the stepped rerun is all hits.
         assert stepped.simulated == 0 and stepped.cached == 4
 
     def test_traced_engine_plan_key_is_bit_identical(self):
-        traced = run_experiment(small_spec(engine="traced"))
+        # The default `auto` plan key runs the traced run loop.
+        traced = run_experiment(small_spec(engine="auto"))
         stepped = run_experiment(small_spec(engine="step"))
         assert traced.records == stepped.records
 
     def test_engine_override_beats_the_spec(self):
         base = run_experiment(small_spec(engine="step"))
         overridden = run_experiment(small_spec(engine="step"),
-                                    RunConfig(engine="traced"))
+                                    RunConfig(engine="auto"))
         assert overridden.records == base.records
 
     def test_unknown_engine_override_rejected(self):

@@ -92,7 +92,7 @@ def test_machine_oracle_catches_the_pinned_transform_bug(manifest_path,
 def test_replay_harness_accepts_a_fresh_pin(tmp_path):
     """The pin→replay loop round-trips even with no checked-in pairs."""
     kernel = generate_kernel("rearm_storm", 0, 0)
-    manifest_path = write_regression(kernel, "traced", tmp_path)
+    manifest_path = write_regression(kernel, "auto", tmp_path)
     replay(manifest_path)
 
 
@@ -119,10 +119,10 @@ def test_write_regression_pins_a_machine_oracle(tmp_path, monkeypatch):
 
 def test_write_regression_omits_the_oracle_by_default(tmp_path):
     kernel = generate_kernel("rearm_storm", 0, 0)
-    manifest_path = write_regression(kernel, "traced", tmp_path)
+    manifest_path = write_regression(kernel, "auto", tmp_path)
     assert "oracle" not in json.loads(manifest_path.read_text())
     with pytest.raises(ValueError, match="oracle"):
-        write_regression(kernel, "traced", tmp_path, oracle="golden")
+        write_regression(kernel, "auto", tmp_path, oracle="golden")
 
 
 def test_every_source_file_is_claimed_by_a_manifest():

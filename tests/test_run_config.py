@@ -35,8 +35,11 @@ def small_spec(**overrides) -> ExperimentSpec:
 
 class TestValidation:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            RunConfig(engine="warp")
+        for engine in ("warp", "fast", "traced"):
+            with pytest.raises(ValueError,
+                               match=f"unknown engine '{engine}'; "
+                                     "known: auto, step"):
+                RunConfig(engine=engine)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -56,24 +59,24 @@ class TestValidation:
 
 class TestMerging:
     def test_override_replaces_only_set_choices(self):
-        base = RunConfig(engine="fast", jobs=2)
+        base = RunConfig(engine="auto", jobs=2)
         merged = base.override(jobs=4, backend=None)
-        assert merged == RunConfig(engine="fast", jobs=4)
+        assert merged == RunConfig(engine="auto", jobs=4)
 
     def test_merged_over_set_fields_win(self):
         override = RunConfig(engine="step")
-        base = RunConfig(engine="fast", jobs=3)
+        base = RunConfig(engine="auto", jobs=3)
         assert override.merged_over(base) == RunConfig(engine="step",
                                                        jobs=3)
 
     def test_dict_roundtrip_with_pipeline(self):
-        config = RunConfig(engine="fast", jobs=2, max_steps=99,
+        config = RunConfig(engine="step", jobs=2, max_steps=99,
                            pipeline=PipelineConfig(branch_penalty=3))
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown run_config key"):
-            RunConfig.from_dict({"engine": "fast", "threads": 2})
+            RunConfig.from_dict({"engine": "step", "threads": 2})
 
     def test_from_dict_allowed_restricts_further(self):
         with pytest.raises(ValueError, match="accepted: engine"):
@@ -159,10 +162,10 @@ class TestPlanRunConfig:
 
     def test_run_config_section_feeds_plan_defaults(self):
         spec = ExperimentSpec.from_dict(self._plan(
-            run_config={"engine": "fast", "jobs": 2, "backend": "process",
+            run_config={"engine": "step", "jobs": 2, "backend": "process",
                         "max_steps": 123}))
         assert (spec.engine, spec.jobs, spec.backend, spec.max_steps) \
-            == ("fast", 2, "process", 123)
+            == ("step", 2, "process", 123)
 
     def test_top_level_keys_beat_the_section(self):
         spec = ExperimentSpec.from_dict(self._plan(
@@ -172,7 +175,15 @@ class TestPlanRunConfig:
     def test_key_set_both_ways_is_ambiguous(self):
         with pytest.raises(PlanError, match="both top-level"):
             ExperimentSpec.from_dict(self._plan(
-                engine="step", run_config={"engine": "fast"}))
+                engine="step", run_config={"engine": "auto"}))
+
+    def test_removed_engine_values_are_plan_errors(self):
+        for engine in ("fast", "traced"):
+            with pytest.raises(PlanError, match=f"unknown engine '{engine}'"):
+                ExperimentSpec.from_dict(self._plan(engine=engine))
+            with pytest.raises(PlanError, match=f"unknown engine '{engine}'"):
+                ExperimentSpec.from_dict(self._plan(
+                    run_config={"engine": engine}))
 
     def test_disallowed_section_key_is_a_plan_error(self):
         with pytest.raises(PlanError, match="bad plan run_config"):

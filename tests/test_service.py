@@ -288,7 +288,7 @@ class TestJobManagerRunConfig:
             base, _ = manager.submit(tiny_spec())
             assert started.wait(timeout=60)
             twin, twin_coalesced = manager.submit(
-                tiny_spec(), RunConfig(engine="fast"))
+                tiny_spec(), RunConfig(engine="step"))
             deeper, deeper_coalesced = manager.submit(
                 tiny_spec(), RunConfig(max_steps=500))
             gate.set()
@@ -330,6 +330,11 @@ class TestV1Api:
         with pytest.raises(ServiceError, match="unknown run_config key"):
             service.submit(tiny_spec().to_json(), "json",
                            run_config={"store": "elsewhere"})
+        for engine in ("fast", "traced"):
+            with pytest.raises(ServiceError,
+                               match=f"400.*unknown engine '{engine}'"):
+                service.submit(tiny_spec().to_json(), "json",
+                               run_config={"engine": engine})
 
     def test_unknown_envelope_key_is_400(self, service):
         body = json.dumps({"plan": json.loads(tiny_spec().to_json()),

@@ -98,7 +98,7 @@ STALLING_LOOP = (".data\nx: .word 5\n.text\n"
 class TestCounterSyncOnEveryExit:
     """stall/flush counters must be coherent however the run ends."""
 
-    @pytest.mark.parametrize("engine", ["fast", "step"])
+    @pytest.mark.parametrize("engine", ["auto", "step"])
     def test_watchdog_exit_syncs_counters(self, engine):
         sim = Simulator(assemble(STALLING_LOOP))
         with pytest.raises(WatchdogError):
@@ -154,7 +154,7 @@ class TestRedirectClearsLoadPairing:
               "add  t2, t1, t1\n"
               "halt\n")
 
-    @pytest.mark.parametrize("engine", ["fast", "step"])
+    @pytest.mark.parametrize("engine", ["auto", "step"])
     def test_no_phantom_stall_across_redirect(self, engine):
         # Redirect at the lw retirement (pc 0x4) to the add (0x8): same
         # successor address, but now across a redirected fetch boundary.
@@ -165,7 +165,7 @@ class TestRedirectClearsLoadPairing:
         assert sim.stats.stall_cycles == 0
         assert sim.stats.cycles == 4
 
-    @pytest.mark.parametrize("engine", ["fast", "step"])
+    @pytest.mark.parametrize("engine", ["auto", "step"])
     def test_stall_still_charged_without_redirect(self, engine):
         sim = Simulator(assemble(self.SOURCE))
         sim.run(engine=engine)

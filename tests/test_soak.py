@@ -1,8 +1,8 @@
 """The differential soak loop: budget, discovery, shrinking, pinning.
 
-The clean-path tests run the real five-engine comparison over the real
+The clean-path tests run the real step-vs-auto comparison over the real
 corpus (every kernel must agree bit-identically).  The failure-path
-tests inject a deliberately broken ``fast`` tier — the corruption is
+tests inject a deliberately broken ``auto`` run loop — the corruption is
 unconditional, so the shrinker's greedy ladder walk must reach the
 knob floor — and assert the full discover → shrink → pin → nonzero-exit
 contract end to end, including through the CLI.
@@ -31,15 +31,15 @@ FLOOR = {"min_nests": 1, "max_nests": 1, "min_depth": 1, "max_depth": 1,
          "max_trips": 1, "body_shapes": [0], "early_exit_den": 0}
 
 
-def _break_fast_engine(monkeypatch):
-    """Make the ``fast`` tier miscount cycles (every kernel, always)."""
-    real = simulator_module.run_fast
+def _break_auto_engine(monkeypatch):
+    """Make the ``auto`` run loop miscount cycles (every kernel, always)."""
+    real = simulator_module.run_traced
 
     def broken(sim, max_steps, predecoded):
         real(sim, max_steps, predecoded)
         sim.stats.cycles += 1
 
-    monkeypatch.setattr(simulator_module, "run_fast", broken)
+    monkeypatch.setattr(simulator_module, "run_traced", broken)
 
 
 class TestCleanSoak:
@@ -82,12 +82,12 @@ class TestCleanSoak:
 
 class TestBrokenTier:
     def test_soak_discovers_shrinks_and_pins(self, monkeypatch, tmp_path):
-        _break_fast_engine(monkeypatch)
+        _break_auto_engine(monkeypatch)
         report = run_soak(budget_seconds=60.0, max_kernels=1,
                           families=("branchy",), regressions_dir=tmp_path)
         assert not report.ok
         failure = report.failures[0]
-        assert failure.engine == "fast"
+        assert failure.engine == "auto"
         assert failure.kernel_name == "synth:branchy:0:0"
         # Unconditional corruption: the greedy ladder walk must reach
         # the knob floor — the minimal kernel the space can express.
@@ -98,28 +98,28 @@ class TestBrokenTier:
         assert manifest_path.parent == tmp_path
         manifest = json.loads(manifest_path.read_text())
         source = (tmp_path / manifest["source_file"]).read_text()
-        assert manifest["mismatching_engine"] == "fast"
+        assert manifest["mismatching_engine"] == "auto"
         assert manifest["provenance"]["knobs"] == failure.shrunk_knobs
         assert source  # non-empty program text rode along
 
     def test_disagreement_names_the_engine_and_outcomes(self, monkeypatch):
-        _break_fast_engine(monkeypatch)
+        _break_auto_engine(monkeypatch)
         kernel = generate_kernel("baseline", 0, 0)
         engine, reference, outcome = find_disagreement(kernel)
-        assert engine == "fast"
+        assert engine == "auto"
         assert reference[0] == "ok" and outcome[0] == "ok"
         assert reference != outcome
 
     def test_cli_soak_exits_nonzero_and_pins(self, monkeypatch, tmp_path,
                                              capsys):
-        _break_fast_engine(monkeypatch)
+        _break_auto_engine(monkeypatch)
         rc = main(["soak", "--budget-seconds", "60", "--max-kernels", "1",
                    "--family", "branchy", "--no-shrink", "-q",
                    "--regressions-dir", str(tmp_path), "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["mismatches"] == 1
-        assert payload["failures"][0]["engine"] == "fast"
+        assert payload["failures"][0]["engine"] == "auto"
         assert list(tmp_path.glob("*.json")) and list(tmp_path.glob("*.s"))
 
     def test_clean_cli_soak_exits_zero(self, tmp_path, capsys):
@@ -134,7 +134,7 @@ class TestBrokenTier:
 class TestWriteRegression:
     def test_pinned_pair_is_self_contained(self, tmp_path):
         kernel = generate_kernel("deep_nest", 0, 1)
-        manifest_path = write_regression(kernel, "traced", tmp_path)
+        manifest_path = write_regression(kernel, "auto", tmp_path)
         manifest = json.loads(manifest_path.read_text())
         assert manifest["kernel"] == kernel.name
         assert manifest["engines"] == list(SOAK_ENGINES)

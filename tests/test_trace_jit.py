@@ -1,6 +1,6 @@
 """Deterministic tests for the guard-based trace JIT.
 
-The 4-way fuzz (``test_engine_fuzz.py``) samples branchy loop bodies at
+The cross-tier fuzz (``test_engine_fuzz.py``) samples branchy loop bodies at
 random; this module pins the specific trace-JIT behaviours with
 hand-written kernels whose control flow is known exactly:
 
