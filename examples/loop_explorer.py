@@ -33,7 +33,7 @@ def main() -> None:
 
     print("\n--- loop nesting forest ---")
     def show(loop, indent):
-        header = cfg.blocks[loop.header].start
+        header = cfg.pc_of(cfg.blocks[loop.header].start)
         flags = []
         if loop.is_multi_exit():
             flags.append("multi-exit")

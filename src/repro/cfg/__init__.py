@@ -1,21 +1,21 @@
-"""Control-flow-graph, dominator, loop and task analyses."""
+"""Pre-transform control-flow, loop and task analyses.
 
-from repro.cfg.dominators import DominatorTree, compute_dominators
-from repro.cfg.graph import BasicBlock, ControlFlowGraph, build_cfg
+The graph itself is the shared core of :mod:`repro.cpu.analysis.cfg`;
+this package is its Instruction front plus the loop forest and task
+decomposition the ZOLC transform and ``repro explore`` read.
+"""
+
+from repro.cfg.graph import build_cfg
 from repro.cfg.loops import LoopForest, NaturalLoop, find_loops
 from repro.cfg.tasks import Task, TaskGraph, TaskTransition, extract_tasks
 
 __all__ = [
-    "BasicBlock",
-    "ControlFlowGraph",
-    "DominatorTree",
     "LoopForest",
     "NaturalLoop",
     "Task",
     "TaskGraph",
     "TaskTransition",
     "build_cfg",
-    "compute_dominators",
     "extract_tasks",
     "find_loops",
 ]

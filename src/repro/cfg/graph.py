@@ -1,6 +1,8 @@
-"""Basic blocks and control-flow graph construction over XR32 programs.
+"""The Instruction front of the control-flow graph core.
 
-The CFG is built directly from an assembled :class:`~repro.asm.Program`:
+:func:`build_cfg` builds the pre-transform CFG of an assembled
+:class:`~repro.asm.Program` on the shared core
+(:mod:`repro.cpu.analysis.cfg`), one slot per instruction:
 
 * *leaders* are the entry point, every branch/jump target and every
   instruction following a control transfer;
@@ -17,162 +19,33 @@ loop analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.asm.assembler import Program
-from repro.isa.instructions import Instruction
+from repro.cpu.analysis.cfg import CFG, carve
 
 
-@dataclass
-class BasicBlock:
-    """A maximal straight-line instruction sequence."""
+def build_cfg(program: Program) -> CFG:
+    """The CFG of an assembled program, before any transform."""
+    instructions = program.instructions
+    leaders: list[int] = []
+    for inst in instructions:
+        assert inst.address is not None
+        if inst.is_branch() or inst.mnemonic == "j":
+            leaders.append(inst.branch_target_address())
+        if inst.is_control_flow():
+            leaders.append(inst.address + 4)
 
-    id: int
-    start: int                      # byte address of the first instruction
-    instructions: list[Instruction] = field(default_factory=list)
-    successors: list[int] = field(default_factory=list)
-    predecessors: list[int] = field(default_factory=list)
+    def successor_pcs(slot: int) -> tuple[list[int], bool]:
+        inst = instructions[slot]
+        if inst.mnemonic in ("jr", "jalr"):
+            return [], True
+        if inst.mnemonic == "halt":
+            return [], False
+        next_pc = program.text_base + 4 * (slot + 1)
+        if inst.mnemonic == "j":
+            return [inst.branch_target_address()], False
+        if inst.is_branch():
+            return [inst.branch_target_address(), next_pc], False
+        return [next_pc], False      # fall-through, including jal
 
-    @property
-    def end(self) -> int:
-        """Byte address of the last instruction."""
-        return self.start + 4 * (len(self.instructions) - 1)
-
-    @property
-    def terminator(self) -> Instruction:
-        return self.instructions[-1]
-
-    def addresses(self) -> range:
-        return range(self.start, self.start + 4 * len(self.instructions), 4)
-
-
-class ControlFlowGraph:
-    """CFG over one program image."""
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.blocks: dict[int, BasicBlock] = {}
-        self.entry_id: int = 0
-        self._block_of_address: dict[int, int] = {}
-        self._build()
-
-    # -- construction ------------------------------------------------------
-    def _leaders(self) -> list[int]:
-        program = self.program
-        leaders = {program.entry_point()}
-        for inst in program.instructions:
-            assert inst.address is not None
-            if inst.is_branch() or inst.mnemonic in ("j", "jal"):
-                if inst.mnemonic != "jal":
-                    leaders.add(inst.branch_target_address())
-                leaders.add(inst.address + 4)
-            elif inst.mnemonic in ("jr", "jalr", "halt"):
-                leaders.add(inst.address + 4)
-        end = program.text_base + 4 * len(program.instructions)
-        return sorted(a for a in leaders
-                      if program.text_base <= a < end)
-
-    def _build(self) -> None:
-        program = self.program
-        leaders = self._leaders()
-        if not leaders:
-            raise ValueError("program has no instructions")
-        leader_set = set(leaders)
-        # Carve blocks.
-        current: BasicBlock | None = None
-        for inst in program.instructions:
-            address = inst.address
-            assert address is not None
-            if address in leader_set or current is None:
-                block_id = len(self.blocks)
-                current = BasicBlock(id=block_id, start=address)
-                self.blocks[block_id] = current
-            current.instructions.append(inst)
-            self._block_of_address[address] = current.id
-            if inst.is_control_flow() and inst.mnemonic != "jal":
-                current = None
-        # Wire edges.
-        for block in self.blocks.values():
-            term = block.terminator
-            next_address = block.end + 4
-            if term.mnemonic == "halt" or term.mnemonic in ("jr", "jalr"):
-                targets: list[int] = []
-            elif term.mnemonic == "j":
-                targets = [term.branch_target_address()]
-            elif term.is_branch():
-                targets = [term.branch_target_address(), next_address]
-            else:  # fall-through (includes jal)
-                targets = [next_address]
-            for target in targets:
-                succ_id = self._block_of_address.get(target)
-                if succ_id is None:
-                    continue  # branch to a data/non-text address: ignore edge
-                if succ_id not in block.successors:
-                    block.successors.append(succ_id)
-                    self.blocks[succ_id].predecessors.append(block.id)
-        entry_address = program.entry_point()
-        self.entry_id = self._block_of_address[entry_address]
-
-    # -- queries -----------------------------------------------------------
-    def block_at(self, address: int) -> BasicBlock:
-        """The block containing the instruction at ``address``."""
-        return self.blocks[self._block_of_address[address]]
-
-    def block_id_at(self, address: int) -> int:
-        return self._block_of_address[address]
-
-    def reachable_ids(self) -> list[int]:
-        """Block ids reachable from the entry, in discovery order."""
-        seen: list[int] = []
-        seen_set: set[int] = set()
-        stack = [self.entry_id]
-        while stack:
-            block_id = stack.pop()
-            if block_id in seen_set:
-                continue
-            seen_set.add(block_id)
-            seen.append(block_id)
-            stack.extend(reversed(self.blocks[block_id].successors))
-        return seen
-
-    def reverse_postorder(self) -> list[int]:
-        """Reachable block ids in reverse postorder (for dataflow)."""
-        visited: set[int] = set()
-        postorder: list[int] = []
-
-        def dfs(start: int) -> None:
-            stack: list[tuple[int, int]] = [(start, 0)]
-            visited.add(start)
-            while stack:
-                block_id, child_index = stack[-1]
-                successors = self.blocks[block_id].successors
-                if child_index < len(successors):
-                    stack[-1] = (block_id, child_index + 1)
-                    succ = successors[child_index]
-                    if succ not in visited:
-                        visited.add(succ)
-                        stack.append((succ, 0))
-                else:
-                    postorder.append(block_id)
-                    stack.pop()
-
-        dfs(self.entry_id)
-        return list(reversed(postorder))
-
-    def to_networkx(self):
-        """Export as a networkx DiGraph (ids as nodes) for visualisation."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for block in self.blocks.values():
-            graph.add_node(block.id, start=block.start,
-                           size=len(block.instructions))
-        for block in self.blocks.values():
-            for succ in block.successors:
-                graph.add_edge(block.id, succ)
-        return graph
-
-
-def build_cfg(program: Program) -> ControlFlowGraph:
-    """Convenience constructor."""
-    return ControlFlowGraph(program)
+    return carve(program.text_base, len(instructions), program.entry_point(),
+                 leaders, successor_pcs)

@@ -1,23 +1,30 @@
-"""Natural-loop detection and the loop nesting forest.
+"""The loop nesting forest.
 
 The ZOLC supports "an arbitrary combination of loops" (paper §1); this
-module recovers that combination from the binary:
+module recovers that combination from the binary.  The natural loops
+come from the shared graph core
+(:func:`~repro.cpu.analysis.cfg.natural_loops`: back edges
+``tail -> head`` where ``head`` dominates ``tail``, loops sharing a
+header merged); on top of them the forest adds what the transform
+reads:
 
-* **back edges** ``tail -> head`` where ``head`` dominates ``tail``;
-* **natural loops** grown from each back edge by the classic worklist;
-  loops sharing a header are merged;
-* the **nesting forest** (parent = smallest strictly-containing loop);
-* **exit edges** (multi-exit loops need ZOLCfull's exit records);
-* **irreducible edges** (entries into a loop that bypass its header —
-  the "multiple-entry" structures ZOLCfull's entry records cover).
+* the **nesting** (parent = smallest strictly-containing loop) and
+  depth;
+* the **latches** (tails of the back edges);
+* the **exit edges** (multi-exit loops need ZOLCfull's exit records).
+
+A side entry that lands on the header keeps the loop natural (the
+"multiple-entry" structures ZOLCfull's entry records serve); one that
+jumps past the header into the body means the header no longer
+dominates the latch, so no natural loop forms and the code stays in
+software.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cfg.dominators import DominatorTree
-from repro.cfg.graph import ControlFlowGraph
+from repro.cpu.analysis.cfg import CFG, dominators, natural_loops
 
 
 @dataclass
@@ -26,8 +33,8 @@ class NaturalLoop:
 
     id: int
     header: int                        # header block id
-    latches: list[int] = field(default_factory=list)
-    blocks: set[int] = field(default_factory=set)
+    latches: list[int]                 # tails of the back edges
+    blocks: frozenset[int]             # header included
     parent: int | None = None          # parent loop id
     children: list[int] = field(default_factory=list)
     depth: int = 1
@@ -36,93 +43,29 @@ class NaturalLoop:
     def is_innermost(self) -> bool:
         return not self.children
 
-    def exit_targets(self) -> list[int]:
-        """Distinct blocks control can leave this loop to."""
-        return sorted({dst for _, dst in self.exit_edges})
-
     def is_multi_exit(self) -> bool:
         return len(self.exit_edges) > 1
 
 
 class LoopForest:
-    """All natural loops of a CFG plus irreducibility information."""
+    """All natural loops of a CFG, nested."""
 
-    def __init__(self, cfg: ControlFlowGraph, dom: DominatorTree | None = None):
+    def __init__(self, cfg: CFG):
         self.cfg = cfg
-        self.dom = dom or DominatorTree(cfg)
-        self.loops: list[NaturalLoop] = []
-        self.irreducible_edges: list[tuple[int, int]] = []
+        self.idom = dominators(cfg)
+        self.loops = [
+            NaturalLoop(id=index, header=loop.header,
+                        latches=[tail for tail, _ in loop.back_edges],
+                        blocks=loop.body)
+            for index, loop in enumerate(natural_loops(cfg, self.idom))]
         self._innermost_of_block: dict[int, int] = {}
-        self._find_loops()
         self._build_forest()
-        self._find_exits()
+        for loop in self.loops:
+            loop.exit_edges = [
+                (block_id, succ) for block_id in sorted(loop.blocks)
+                for succ in cfg.blocks[block_id].succs
+                if succ not in loop.blocks]
 
-    # -- detection ---------------------------------------------------------
-    def _find_loops(self) -> None:
-        cfg = self.cfg
-        reachable = set(cfg.reachable_ids())
-        by_header: dict[int, NaturalLoop] = {}
-        retreating = self._retreating_edges(reachable)
-        for tail, head in retreating:
-            if not self.dom.dominates(head, tail):
-                self.irreducible_edges.append((tail, head))
-                continue
-            loop = by_header.get(head)
-            if loop is None:
-                loop = NaturalLoop(id=len(by_header), header=head)
-                loop.blocks.add(head)
-                by_header[head] = loop
-            loop.latches.append(tail)
-            # Grow the natural loop: everything that reaches tail
-            # without passing through head.
-            worklist = [tail]
-            while worklist:
-                block_id = worklist.pop()
-                if block_id in loop.blocks:
-                    continue
-                loop.blocks.add(block_id)
-                worklist.extend(cfg.blocks[block_id].predecessors)
-        self.loops = sorted(by_header.values(),
-                            key=lambda lp: cfg.blocks[lp.header].start)
-        for index, loop in enumerate(self.loops):
-            loop.id = index
-
-    def _retreating_edges(self, reachable: set[int]) -> list[tuple[int, int]]:
-        """DFS retreating edges (candidates for back edges)."""
-        cfg = self.cfg
-        color: dict[int, int] = {}  # 0 unseen / 1 on stack / 2 done
-        edges: list[tuple[int, int]] = []
-
-        stack: list[tuple[int, int]] = [(cfg.entry_id, 0)]
-        color[cfg.entry_id] = 1
-        while stack:
-            block_id, child_index = stack[-1]
-            successors = cfg.blocks[block_id].successors
-            if child_index < len(successors):
-                stack[-1] = (block_id, child_index + 1)
-                succ = successors[child_index]
-                if succ not in reachable:
-                    continue
-                state = color.get(succ, 0)
-                if state == 0:
-                    color[succ] = 1
-                    stack.append((succ, 0))
-                elif state == 1:
-                    edges.append((block_id, succ))
-            else:
-                color[block_id] = 2
-                stack.pop()
-        # Retreating edges to already-finished nodes that are dominators
-        # are also back edges; catch them with a full edge sweep.
-        for block_id in reachable:
-            for succ in cfg.blocks[block_id].successors:
-                if (succ in reachable
-                        and self.dom.dominates(succ, block_id)
-                        and (block_id, succ) not in edges):
-                    edges.append((block_id, succ))
-        return edges
-
-    # -- structure ---------------------------------------------------------
     def _build_forest(self) -> None:
         # Parent = smallest strictly containing loop.
         for loop in self.loops:
@@ -138,32 +81,16 @@ class LoopForest:
                 loop.parent = best.id
                 best.children.append(loop.id)
         for loop in self.loops:
-            depth = 1
-            node = loop
-            while node.parent is not None:
-                node = self.loops[node.parent]
-                depth += 1
-            loop.depth = depth
+            loop.depth = 1 + len(self.ancestors(loop))
         # Innermost loop per block.
         for loop in sorted(self.loops, key=lambda lp: lp.depth):
             for block_id in loop.blocks:
                 self._innermost_of_block[block_id] = loop.id
 
-    def _find_exits(self) -> None:
-        cfg = self.cfg
-        for loop in self.loops:
-            for block_id in loop.blocks:
-                for succ in cfg.blocks[block_id].successors:
-                    if succ not in loop.blocks:
-                        loop.exit_edges.append((block_id, succ))
-
     # -- queries -----------------------------------------------------------
     def innermost_loop_of(self, block_id: int) -> NaturalLoop | None:
         loop_id = self._innermost_of_block.get(block_id)
         return self.loops[loop_id] if loop_id is not None else None
-
-    def loop_of_address(self, address: int) -> NaturalLoop | None:
-        return self.innermost_loop_of(self.cfg.block_id_at(address))
 
     def roots(self) -> list[NaturalLoop]:
         """Outermost loops, in address order."""
@@ -191,14 +118,7 @@ class LoopForest:
     def max_depth(self) -> int:
         return max((lp.depth for lp in self.loops), default=0)
 
-    def contains_address(self, loop: NaturalLoop, address: int) -> bool:
-        try:
-            block_id = self.cfg.block_id_at(address)
-        except KeyError:
-            return False
-        return block_id in loop.blocks
 
-
-def find_loops(cfg: ControlFlowGraph) -> LoopForest:
+def find_loops(cfg: CFG) -> LoopForest:
     """Convenience constructor."""
     return LoopForest(cfg)

@@ -6,18 +6,18 @@ lies at one loop level and crosses no loop boundary; the ZOLC's task
 selection unit sequences these regions.
 
 This module derives the task set and the transitions between tasks.
-The ZOLC code transform consumes the loop forest directly, but the task
-graph is what the LUT in the task selection unit conceptually stores,
-it determines the number of task entries a configuration must provide
-(legality checking), and it powers the ``loop_explorer`` example.
+The ZOLC code transform and its legality checks consume the loop forest
+directly; the task graph is what the LUT in the task selection unit
+conceptually stores, and it is reported by ``repro explore`` and the
+``loop_explorer`` example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import LoopForest, NaturalLoop
+from repro.cpu.analysis.cfg import CFG
 
 
 @dataclass
@@ -65,40 +65,16 @@ class TaskGraph:
         return len(self.transitions)
 
 
-def _loop_span(forest: LoopForest, loop: NaturalLoop) -> tuple[int, int]:
-    """Byte address span covered by a loop's blocks (inclusive)."""
-    cfg = forest.cfg
-    starts = [cfg.blocks[b].start for b in loop.blocks]
-    ends = [cfg.blocks[b].end for b in loop.blocks]
-    return min(starts), max(ends)
-
-
-def extract_tasks(cfg: ControlFlowGraph, forest: LoopForest) -> TaskGraph:
+def extract_tasks(cfg: CFG, forest: LoopForest) -> TaskGraph:
     """Decompose a program into tasks and task transitions."""
-    program = cfg.program
-    if not program.instructions:
-        return TaskGraph()
-
-    # Innermost loop id per instruction address.
-    level_of: dict[int, int | None] = {}
-    for inst in program.instructions:
-        assert inst.address is not None
-        try:
-            block_id = cfg.block_id_at(inst.address)
-        except KeyError:  # pragma: no cover - every instruction has a block
-            level_of[inst.address] = None
-            continue
-        loop = forest.innermost_loop_of(block_id)
-        level_of[inst.address] = loop.id if loop is not None else None
-
-    # Group contiguous same-level address runs into tasks.
+    # Group contiguous runs of slots at the same innermost loop.
     graph = TaskGraph()
-    addresses = sorted(level_of)
     current: Task | None = None
-    for address in addresses:
-        level = level_of[address]
-        if current is not None and level == current.loop_id \
-                and address == current.end + 4:
+    for slot, block_id in enumerate(cfg.block_of_slot):
+        loop = forest.innermost_loop_of(block_id)
+        level = loop.id if loop is not None else None
+        address = cfg.pc_of(slot)
+        if current is not None and level == current.loop_id:
             current.end = address
             continue
         current = Task(id=len(graph.tasks), loop_id=level,
@@ -136,6 +112,7 @@ def _derive_transitions(graph: TaskGraph, forest: LoopForest) -> None:
 
 def _first_task_after_loop(graph: TaskGraph, forest: LoopForest,
                            loop: NaturalLoop) -> Task | None:
-    _, span_end = _loop_span(forest, loop)
+    cfg = forest.cfg
+    span_end = cfg.pc_of(max(cfg.blocks[b].end for b in loop.blocks))
     candidates = [t for t in graph.tasks if t.start > span_end]
     return min(candidates, key=lambda t: t.start) if candidates else None

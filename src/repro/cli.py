@@ -395,7 +395,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
           f"{len(cfg.blocks)} blocks, {len(forest.loops)} loops "
           f"(max depth {forest.max_depth()}), {len(graph.tasks)} tasks")
     for loop in forest.loops:
-        header = cfg.blocks[loop.header].start
+        header = cfg.pc_of(cfg.blocks[loop.header].start)
         print(f"  loop {loop.id}: header {header:#06x} depth {loop.depth}"
               f" blocks {len(loop.blocks)}"
               f"{' multi-exit' if loop.is_multi_exit() else ''}")

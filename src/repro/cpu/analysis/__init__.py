@@ -1,14 +1,13 @@
 """Static analysis over the engine IR.
 
-The four modules layer bottom-up:
+The three modules layer bottom-up:
 
-* :mod:`~repro.cpu.analysis.cfg` — basic blocks, dominators and
-  natural loops over the :class:`~repro.cpu.ir.IROp` array, with the
-  ZOLC watch addresses as forced leaders and the controller's
-  loop-back redirects as reinstated back edges;
-* :mod:`~repro.cpu.analysis.dataflow` — per-block def/use summaries,
-  reaching definitions, register liveness, and symbolic memory
-  liveness with sub-word access widths;
+* :mod:`~repro.cpu.analysis.cfg` — the control-flow graph core (basic
+  blocks, dominators and natural loops over text slots) and its IR
+  front, with the ZOLC watch addresses as forced leaders and the
+  controller's loop-back redirects as reinstated back edges; the
+  pre-transform Instruction front (:mod:`repro.cfg`) builds on the
+  same core;
 * :mod:`~repro.cpu.analysis.verify` — the rule-catalogue verifier
   (ZV001–ZV006) that statically proves the invariants the engine
   tiers assume;
@@ -32,29 +31,14 @@ from repro.cpu.analysis.audit import (
     source_touches,
 )
 from repro.cpu.analysis.cfg import (
-    IRCFG,
-    IRBlock,
-    IRLoop,
+    CFG,
+    Block,
+    Loop,
     build_cfg,
     dominates,
     dominators,
     natural_loops,
     reverse_postorder,
-)
-from repro.cpu.analysis.dataflow import (
-    ACCESS_WIDTHS,
-    BlockDefUse,
-    Liveness,
-    MemAccess,
-    MemLiveness,
-    ReachingDefinitions,
-    block_def_use,
-    live_memory,
-    live_registers,
-    memory_accesses,
-    reaching_definitions,
-    read_registers,
-    written_registers,
 )
 from repro.cpu.analysis.verify import (
     RULES,
@@ -68,38 +52,25 @@ from repro.cpu.analysis.verify import (
 )
 
 __all__ = [
-    "ACCESS_WIDTHS",
+    "CFG",
     "RULES",
     "SEVERITIES",
-    "BlockDefUse",
+    "Block",
     "Diagnostic",
-    "IRBlock",
-    "IRCFG",
-    "IRLoop",
-    "Liveness",
-    "MemAccess",
-    "MemLiveness",
-    "ReachingDefinitions",
+    "Loop",
     "StaticZolcPlan",
     "VerifyContext",
     "WatchedLoop",
     "audit_codegen",
     "audit_record",
     "audit_trace_record",
-    "block_def_use",
     "build_cfg",
     "dominates",
     "dominators",
     "expected_touches",
-    "live_memory",
-    "live_registers",
-    "memory_accesses",
     "natural_loops",
-    "reaching_definitions",
-    "read_registers",
     "reverse_postorder",
     "source_touches",
     "trace_candidate_bodies",
     "verify_program",
-    "written_registers",
 ]

@@ -37,7 +37,7 @@ from repro.cpu.ir import IROp, straightline_terms
 from repro.isa.registers import register_name
 
 from repro.cpu.analysis.cfg import (
-    IRCFG,
+    CFG,
     build_cfg,
     dominates,
     dominators,
@@ -181,7 +181,7 @@ class VerifyContext:
     #: Override for the span-terminator list (negative tests inject a
     #: corrupted slicing here); computed from the IR when ``None``.
     terms: list[int | None] | None = None
-    cfg: IRCFG = field(init=False)
+    cfg: CFG = field(init=False)
 
     def __post_init__(self) -> None:
         plan = self.plan or StaticZolcPlan()

@@ -8,8 +8,8 @@ break one.
 from __future__ import annotations
 
 from repro.asm.assembler import Program
-from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import NaturalLoop
+from repro.cpu.analysis.cfg import CFG
 from repro.isa.instructions import Instruction
 
 
@@ -21,14 +21,16 @@ def index_of_address(program: Program, address: int) -> int:
     return offset // 4
 
 
-def loop_instruction_indices(program: Program, cfg: ControlFlowGraph,
-                             loop: NaturalLoop) -> list[int]:
+def block_indices(cfg: CFG, block_id: int) -> range:
+    """Indices of the instructions of one block."""
+    block = cfg.blocks[block_id]
+    return range(block.start, block.end + 1)
+
+
+def loop_instruction_indices(cfg: CFG, loop: NaturalLoop) -> list[int]:
     """Indices of every instruction inside ``loop``, ascending."""
-    indices: list[int] = []
-    for block_id in loop.blocks:
-        for address in cfg.blocks[block_id].addresses():
-            indices.append(index_of_address(program, address))
-    return sorted(indices)
+    return sorted(index for block_id in loop.blocks
+                  for index in block_indices(cfg, block_id))
 
 
 def reg_read_in(program: Program, indices: list[int], reg: int,
@@ -53,7 +55,7 @@ def reg_written_in(program: Program, indices: list[int], reg: int,
     return False
 
 
-def is_dead_at_exits(program: Program, cfg: ControlFlowGraph,
+def is_dead_at_exits(program: Program, cfg: CFG,
                      loop: NaturalLoop, reg: int) -> bool:
     """Whether ``reg`` holds no live value at every loop exit.
 
@@ -64,8 +66,8 @@ def is_dead_at_exits(program: Program, cfg: ControlFlowGraph,
                for _, exit_block in loop.exit_edges)
 
 
-def dead_from_block(program: Program, cfg: ControlFlowGraph,
-                     start: int, reg: int) -> bool:
+def dead_from_block(program: Program, cfg: CFG,
+                    start: int, reg: int) -> bool:
     visited: set[int] = set()
     worklist = [start]
     while worklist:
@@ -73,12 +75,14 @@ def dead_from_block(program: Program, cfg: ControlFlowGraph,
         if block_id in visited:
             continue
         visited.add(block_id)
-        verdict = _scan_block(cfg.blocks[block_id].instructions, reg)
+        block = cfg.blocks[block_id]
+        verdict = _scan_block(
+            program.instructions[block.start:block.end + 1], reg)
         if verdict == "read":
             return False
         if verdict == "written":
             continue
-        worklist.extend(cfg.blocks[block_id].successors)
+        worklist.extend(block.succs)
     return True
 
 
@@ -90,11 +94,6 @@ def _scan_block(instructions: list[Instruction], reg: int) -> str:
         if reg in inst.defs():
             return "written"
     return "none"
-
-
-def instructions_between(program: Program, lo: int, hi: int) -> list[Instruction]:
-    """Instructions at indices strictly between ``lo`` and ``hi``."""
-    return program.instructions[lo + 1:hi]
 
 
 def contains_call_or_indirect(program: Program, indices: list[int]) -> bool:

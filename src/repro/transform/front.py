@@ -24,8 +24,9 @@ from types import MappingProxyType
 
 from repro.asm.assembler import Program
 from repro.asm.parser import ParsedModule
-from repro.cfg.graph import ControlFlowGraph, build_cfg
+from repro.cfg.graph import build_cfg
 from repro.cfg.loops import LoopForest, find_loops
+from repro.cpu.analysis.cfg import CFG
 from repro.transform.patterns import LoopPattern, match_all_loops
 
 
@@ -52,7 +53,7 @@ class KernelFront:
         return cls(baseline, baseline.module)
 
     @cached_property
-    def cfg(self) -> ControlFlowGraph:
+    def cfg(self) -> CFG:
         return build_cfg(self.program)
 
     @cached_property

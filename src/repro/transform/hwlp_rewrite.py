@@ -47,7 +47,7 @@ class HwlpTransformResult:
 
 def _index_unused_elsewhere(program: Program, cfg, pattern: LoopPattern) -> bool:
     """Index register only feeds the overhead instructions themselves."""
-    loop_indices = analysis.loop_instruction_indices(program, cfg, pattern.loop)
+    loop_indices = analysis.loop_instruction_indices(cfg, pattern.loop)
     exclude = frozenset(pattern.deleted_indices)
     if analysis.reg_read_in(program, loop_indices, pattern.index_reg, exclude):
         return False

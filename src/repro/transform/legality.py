@@ -28,10 +28,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program
-from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import LoopForest
 from repro.core.config import ZolcConfig
-from repro.cpu.analysis.dataflow import written_registers
+from repro.cpu.analysis.cfg import CFG
 from repro.cpu.ir import build_ir
 from repro.transform import analysis
 from repro.transform.patterns import LoopPattern
@@ -49,7 +48,7 @@ def _writes_register(program: Program, indices: list[int],
     ir = build_ir(program)
     if ir is None:
         return analysis.reg_written_in(program, indices, reg)
-    return reg in written_registers(ir, indices)
+    return any(reg in ir[i].defs for i in indices)
 
 
 @dataclass
@@ -93,7 +92,7 @@ class TransformPlan:
         return [p for g in self.groups for p in g.loops]
 
 
-def plan_transform(program: Program, cfg: ControlFlowGraph,
+def plan_transform(program: Program, cfg: CFG,
                    forest: LoopForest, patterns: Mapping[int, LoopPattern],
                    failures: Mapping[int, str],
                    config: ZolcConfig) -> TransformPlan:
@@ -173,7 +172,7 @@ def _config_rejection(pattern: LoopPattern, forest: LoopForest,
 
 
 def _reg_source_rejection(pattern: LoopPattern, program: Program,
-                          cfg: ControlFlowGraph, forest: LoopForest,
+                          cfg: CFG, forest: LoopForest,
                           config: ZolcConfig) -> tuple[str | None, bool]:
     """Register-valued trip/initial sources must be nest-invariant.
 
@@ -194,7 +193,7 @@ def _reg_source_rejection(pattern: LoopPattern, program: Program,
         return None, False
     loop = pattern.loop
     own_indices = [i for i in
-                   analysis.loop_instruction_indices(program, cfg, loop)
+                   analysis.loop_instruction_indices(cfg, loop)
                    if i not in pattern.deleted_indices]
     for source in sources:
         if _writes_register(program, own_indices, source.value):
@@ -205,7 +204,7 @@ def _reg_source_rejection(pattern: LoopPattern, program: Program,
         return None, False
     for ancestor in forest.ancestors(loop):
         indices = [i for i in analysis.loop_instruction_indices(
-            program, cfg, ancestor)
+            cfg, ancestor)
             if i not in pattern.deleted_indices]
         for source in sources:
             if _writes_register(program, indices, source.value):

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.assembler import Program
-from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import LoopForest, NaturalLoop
+from repro.cpu.analysis.cfg import CFG
 from repro.transform import analysis
 from repro.util.bitops import to_signed32
 
@@ -100,30 +100,25 @@ class LoopPattern:
         return self.branch_index + 1
 
 
-def match_loop(program: Program, cfg: ControlFlowGraph, forest: LoopForest,
+def match_loop(program: Program, cfg: CFG, forest: LoopForest,
                loop: NaturalLoop) -> LoopPattern:
     """Recognise the overhead pattern of one natural loop (or raise)."""
     if len(loop.latches) != 1:
         raise PatternError(f"loop@{loop.header}: {len(loop.latches)} latches")
-    loop_indices = analysis.loop_instruction_indices(program, cfg, loop)
+    loop_indices = analysis.loop_instruction_indices(cfg, loop)
     if analysis.contains_call_or_indirect(program, loop_indices):
         raise PatternError(f"loop@{loop.header}: contains call/indirect jump")
 
-    latch_block = cfg.blocks[loop.latches[0]]
-    branch = latch_block.terminator
-    header_address = cfg.blocks[loop.header].start
+    latch_indices = list(analysis.block_indices(cfg, loop.latches[0]))
+    branch_index = latch_indices[-1]
+    branch = program.instructions[branch_index]
+    header_index = cfg.blocks[loop.header].start
     if branch.mnemonic != "bne":
         raise PatternError(
             f"loop@{loop.header}: latch terminator {branch.mnemonic} "
             f"is not a bne")
-    if branch.branch_target_address() != header_address:
+    if branch.branch_target_address() != cfg.pc_of(header_index):
         raise PatternError(f"loop@{loop.header}: latch branch misses header")
-    assert branch.address is not None
-    branch_index = analysis.index_of_address(program, branch.address)
-    header_index = analysis.index_of_address(program, header_address)
-
-    latch_indices = [analysis.index_of_address(program, a)
-                     for a in latch_block.addresses()]
 
     if branch.rt == 0:
         pattern = _match_zero_branch(program, cfg, forest, loop, branch_index,
@@ -291,10 +286,8 @@ def _check_temp_dead(program, cfg, loop, loop_indices, temp,
     successors; it must be dead — rewritten before any read — on both
     the loop-back path and the exit path.
     """
-    branch = program.instructions[branch_index]
-    assert branch.address is not None
-    latch_id = cfg.block_id_at(branch.address)
-    for succ in cfg.blocks[latch_id].successors:
+    latch_id = cfg.block_of_slot[branch_index]
+    for succ in cfg.blocks[latch_id].succs:
         if not analysis.dead_from_block(program, cfg, succ, temp):
             raise PatternError(
                 f"loop@{loop.header}: compare temp r{temp} live after "
@@ -308,7 +301,7 @@ def _check_bound_stable(program, loop_indices, bound_reg, loop) -> None:
             f"inside loop")
 
 
-def _preheader_info(cfg: ControlFlowGraph,
+def _preheader_info(cfg: CFG,
                     loop: NaturalLoop) -> tuple[int, tuple[int, ...]]:
     """The loop's preheader block and any side-entry blocks.
 
@@ -319,14 +312,14 @@ def _preheader_info(cfg: ControlFlowGraph,
     only ZOLCfull's entry records can serve (enforced in legality).
     """
     header_start = cfg.blocks[loop.header].start
-    outside = [p for p in cfg.blocks[loop.header].predecessors
+    outside = [p for p in cfg.blocks[loop.header].preds
                if p not in loop.blocks]
     if not outside:
         raise PatternError(f"loop@{loop.header}: unreachable header")
     if len(outside) == 1:
         return outside[0], ()
     fallthrough = [p for p in outside
-                   if cfg.blocks[p].end + 4 == header_start]
+                   if cfg.blocks[p].end + 1 == header_start]
     if len(fallthrough) != 1:
         raise PatternError(
             f"loop@{loop.header}: {len(outside)} entries but no unique "
@@ -335,7 +328,7 @@ def _preheader_info(cfg: ControlFlowGraph,
     return fallthrough[0], side
 
 
-def _preheader(cfg: ControlFlowGraph, loop: NaturalLoop) -> int:
+def _preheader(cfg: CFG, loop: NaturalLoop) -> int:
     return _preheader_info(cfg, loop)[0]
 
 
@@ -347,9 +340,7 @@ def _match_init(program, cfg, forest, loop, index_reg):
     register itself at table-init time (legal only for root loops —
     enforced by :mod:`repro.transform.legality`).
     """
-    preheader_block = cfg.blocks[_preheader(cfg, loop)]
-    pre_indices = [analysis.index_of_address(program, a)
-                   for a in preheader_block.addresses()]
+    pre_indices = list(analysis.block_indices(cfg, _preheader(cfg, loop)))
     def_index = _last_def_before(program, pre_indices,
                                  pre_indices[-1] + 1, index_reg)
     if def_index is not None:
@@ -429,11 +420,11 @@ def _check_body_nonempty(pattern: LoopPattern) -> None:
             f"loop@{pattern.loop.header}: body empty after overhead removal")
 
 
-def _check_no_outside_jumps(program: Program, cfg: ControlFlowGraph,
+def _check_no_outside_jumps(program: Program, cfg: CFG,
                             loop: NaturalLoop, pattern: LoopPattern) -> None:
     """No outside branch may target the loop's trigger address."""
     trigger_index = pattern.after_loop_index
-    loop_indices = set(analysis.loop_instruction_indices(program, cfg, loop))
+    loop_indices = set(analysis.loop_instruction_indices(cfg, loop))
     for index, inst in enumerate(program.instructions):
         if index in loop_indices or index == pattern.branch_index:
             continue
@@ -450,38 +441,35 @@ def _check_no_outside_jumps(program: Program, cfg: ControlFlowGraph,
                 f"targets the loop's trigger point")
 
 
-def _find_exit_branches(program: Program, cfg: ControlFlowGraph,
+def _find_exit_branches(program: Program, cfg: CFG,
                         forest: LoopForest, loop: NaturalLoop,
                         latch_branch_index: int) -> list[ExitBranch]:
     """Data-dependent exits: in-loop branches leaving the loop."""
     exits: list[ExitBranch] = []
-    for block_id in loop.blocks:
-        block = cfg.blocks[block_id]
-        for inst in block.instructions:
-            assert inst.address is not None
-            index = analysis.index_of_address(program, inst.address)
-            if index == latch_branch_index:
-                continue
-            if not (inst.is_branch() or inst.mnemonic == "j"):
-                continue
-            target = inst.branch_target_address()
-            try:
-                target_block = cfg.block_id_at(target)
-            except KeyError:
-                continue
-            if target_block in loop.blocks:
-                continue
-            exited = [loop.id]
-            for ancestor in forest.ancestors(loop):
-                if target_block not in ancestor.blocks:
-                    exited.append(ancestor.id)
-            exits.append(ExitBranch(branch_index=index,
-                                    target_address=target,
-                                    exited_loop_ids=exited))
+    for index in analysis.loop_instruction_indices(cfg, loop):
+        inst = program.instructions[index]
+        if index == latch_branch_index:
+            continue
+        if not (inst.is_branch() or inst.mnemonic == "j"):
+            continue
+        target = inst.branch_target_address()
+        slot = cfg.slot_of(target)
+        if slot is None:
+            continue
+        target_block = cfg.block_of_slot[slot]
+        if target_block in loop.blocks:
+            continue
+        exited = [loop.id]
+        for ancestor in forest.ancestors(loop):
+            if target_block not in ancestor.blocks:
+                exited.append(ancestor.id)
+        exits.append(ExitBranch(branch_index=index,
+                                target_address=target,
+                                exited_loop_ids=exited))
     return exits
 
 
-def match_all_loops(program: Program, cfg: ControlFlowGraph,
+def match_all_loops(program: Program, cfg: CFG,
                     forest: LoopForest) -> tuple[dict[int, LoopPattern],
                                                  dict[int, str]]:
     """Match every loop; returns (patterns by loop id, reasons for misses)."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program, assemble, assemble_module
 from repro.asm.parser import ParsedModule
-from repro.cfg.dominators import DominatorTree
 from repro.core.config import ZolcConfig
 from repro.core.controller import ZolcController
 from repro.core.init_seq import (
@@ -35,6 +34,7 @@ from repro.core.init_seq import (
     ZolcProgramSpec,
     emit_init_sequence,
 )
+from repro.cpu.analysis.cfg import CFG
 from repro.cpu.pipeline import PipelineConfig
 from repro.cpu.simulator import Simulator
 from repro.isa.registers import register_name
@@ -174,20 +174,32 @@ def _require_imm_sources(spec: ZolcProgramSpec) -> None:
                     f"(loop {loop_spec.loop_id} uses a {source.kind} source)")
 
 
-def _dominating_insertion_index(baseline: Program, cfg, dom: DominatorTree,
+def _dominator_chain(cfg: CFG, idom, block_id: int) -> list[int]:
+    """Blocks dominating ``block_id``, innermost first (inclusive).
+
+    An unreachable block (a side entry no path reaches) has no
+    dominator; its chain is rooted at the entry, so the initialization
+    still lands on the path every reachable entry takes.
+    """
+    chain = [block_id]
+    while chain[-1] != cfg.entry:
+        parent = idom[chain[-1]]
+        chain.append(cfg.entry if parent is None else parent)
+    return chain
+
+
+def _dominating_insertion_index(baseline: Program, cfg: CFG, idom,
                                 root_pattern) -> int:
     """Instruction index dominating the preheader and every side entry."""
     blocks = [root_pattern.preheader_block, *root_pattern.side_entry_blocks]
-    chains = [dom.dominator_chain(b) for b in blocks]
+    chains = [_dominator_chain(cfg, idom, b) for b in blocks]
     common = set(chains[0])
     for chain in chains[1:]:
         common &= set(chain)
     # Nearest common dominator: the first block of any chain in `common`.
     ncd = next(b for b in chains[0] if b in common)
-    block = cfg.blocks[ncd]
-    term = block.terminator
-    term_index = analysis.index_of_address(baseline, block.end)
-    if term.is_control_flow():
+    term_index = cfg.blocks[ncd].end
+    if baseline.instructions[term_index].is_control_flow():
         return term_index
     return term_index + 1
 
@@ -262,7 +274,7 @@ def rewrite_for_zolc(kernel: str | KernelFront,
             # entry, not just the preheader path.
             _require_imm_sources(spec)
             insert_at = _dominating_insertion_index(
-                baseline, cfg, front.forest.dom, root_pattern)
+                baseline, cfg, front.forest.idom, root_pattern)
         else:
             insert_at = root_pattern.header_index
         edits.insert_before(insert_at, init_block)

@@ -25,6 +25,31 @@ def eager_fusion(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def cfg_fronts():
+    """``cfg_fronts(source)``: the CFG of ``source`` from each front.
+
+    One graph core (:mod:`repro.cpu.analysis.cfg`) serves two fronts:
+    the Instruction front (:func:`repro.cfg.build_cfg`, over an
+    assembled program before the ZOLC transform) and the IR front
+    (:func:`repro.cpu.analysis.build_cfg`, over the engine IR after
+    it).  Graph cases that apply to both fronts run on both.
+    """
+    from repro.asm import assemble
+    from repro.cfg import build_cfg
+    from repro.cpu.analysis import build_cfg as build_ir_cfg
+    from repro.cpu.ir import build_ir
+
+    def fronts(source):
+        program = assemble(source)
+        ir = build_ir(program)
+        assert ir is not None
+        return [build_cfg(program),
+                build_ir_cfg(ir, program.text_base, program.entry_point())]
+
+    return fronts
+
+
+@pytest.fixture(scope="session")
 def kernel_registry():
     """The benchmark registry (built once per session)."""
     return registry()

@@ -2,6 +2,11 @@
 
 from repro.asm import assemble
 from repro.cfg import build_cfg, find_loops
+from repro.core.config import ZOLC_FULL
+from repro.cpu.analysis import build_cfg as build_ir_cfg, natural_loops
+from repro.cpu.ir import build_ir
+from repro.cpu.simulator import run_program
+from repro.transform.zolc_rewrite import rewrite_for_zolc
 
 SINGLE = """
 main:   li   t0, 4
@@ -53,7 +58,7 @@ class TestDetection:
         cfg = build_cfg(assemble(SINGLE))
         forest = find_loops(cfg)
         loop = forest.loops[0]
-        assert cfg.blocks[loop.header].start == 4
+        assert cfg.pc_of(cfg.blocks[loop.header].start) == 4
         assert loop.latches == [loop.header]  # single-block loop
 
     def test_three_level_nest(self):
@@ -95,15 +100,16 @@ class TestQueries:
     def test_innermost_loop_of_block(self):
         cfg = build_cfg(assemble(NESTED3))
         forest = find_loops(cfg)
-        inner_block = cfg.block_id_at(12)  # the l2 header block
+        inner_block = cfg.block_at(12).bid  # the l2 header block
         loop = forest.innermost_loop_of(inner_block)
         assert loop is not None and loop.depth == 3
 
     def test_loop_of_address(self):
+        # An address's loop is the innermost loop of its block.
         cfg = build_cfg(assemble(NESTED3))
         forest = find_loops(cfg)
-        assert forest.loop_of_address(12).depth == 3
-        assert forest.loop_of_address(0) is None
+        assert forest.innermost_loop_of(cfg.block_at(12).bid).depth == 3
+        assert forest.innermost_loop_of(cfg.block_at(0).bid) is None
 
     def test_roots(self):
         forest = find_loops(build_cfg(assemble(NESTED3)))
@@ -134,18 +140,19 @@ class TestExits:
         forest = find_loops(build_cfg(assemble(MULTI_EXIT)))
         loop = forest.loops[0]
         assert loop.is_multi_exit()
-        assert len(loop.exit_targets()) == 2
+        assert len({dst for _, dst in loop.exit_edges}) == 2
 
     def test_contains_address(self):
+        # A loop contains an address when it holds the address's block.
         cfg = build_cfg(assemble(SINGLE))
         forest = find_loops(cfg)
         loop = forest.loops[0]
-        assert forest.contains_address(loop, 4)
-        assert not forest.contains_address(loop, 0)
+        assert cfg.block_at(4).bid in loop.blocks
+        assert cfg.block_at(0).bid not in loop.blocks
 
 
 class TestIrreducible:
-    def test_side_entry_recorded_as_irreducible(self):
+    def test_side_entry_into_the_body_stays_in_software(self):
         source = """
 main:   bne  t0, zero, side
         li   t1, 3
@@ -155,6 +162,17 @@ body:   bne  t1, zero, loop
         halt
 side:   j    body
 """
-        forest = find_loops(build_cfg(assemble(source)))
-        # The jump into the loop body makes the back edge irreducible.
-        assert forest.irreducible_edges
+        program = assemble(source)
+        # `side` jumps past the header into the body, so the header
+        # does not dominate the latch: no back edge, so no natural
+        # loop on either front, no pattern, and the ZOLC drives nothing.
+        assert find_loops(build_cfg(program)).loops == []
+        ir = build_ir(program)
+        assert natural_loops(build_ir_cfg(ir, program.text_base,
+                                          program.entry_point())) == ()
+        result = rewrite_for_zolc(source, ZOLC_FULL)
+        assert result.transformed_loop_count == 0
+        sim = result.make_simulator()
+        sim.run()
+        baseline = run_program(program)
+        assert sim.state.regs["t1"] == baseline.state.regs["t1"] == 0

@@ -30,10 +30,9 @@ class TestTaskPartition:
         assert len(graph.tasks) == 5
 
     def test_tasks_cover_all_instructions(self):
-        cfg, _, graph = _graph(NON_PERFECT)
-        program = cfg.program
+        _, _, graph = _graph(NON_PERFECT)
         covered = sum(t.size_instructions for t in graph.tasks)
-        assert covered == len(program.instructions)
+        assert covered == len(assemble(NON_PERFECT).instructions)
 
     def test_task_levels(self):
         _, forest, graph = _graph(NON_PERFECT)
