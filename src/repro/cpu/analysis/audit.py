@@ -573,9 +573,13 @@ def audit_codegen(sim: Simulator,
     exists only after its loop went hot — so a non-empty ``traces``
     triggers one bounded warm-up run of ``sim`` before the trace
     audit; candidates that never promote are reported as ``info``.
+    Trace records are read under ``sim``'s own blueprint keys, so a
+    program simulated at several pipeline configs is audited at the
+    one ``sim`` runs.
     """
     from repro.cpu.engine import traced as traced_mod
     from repro.cpu.engine.emit import codegen_records
+    from repro.cpu.engine.trace import trace_record_keys
     from repro.cpu.exceptions import SimulationError
 
     program = sim.program
@@ -608,20 +612,26 @@ def audit_codegen(sim: Simulator,
             sim, ops, region.cycles, region.stall,
             region.term_taken_penalty))
     trace_rows = list(traces)
-    if trace_rows:
+
+    def sim_records(start: int, tslot: int,
+                    loop_id: int) -> list[CodegenRecord]:
+        """This simulator's trace records for one loop (its pipeline
+        config, its plan states' watch sets)."""
         records = codegen_records(program)
-        if any(("trace", start, start, loop_id) not in records
-               for start, _tslot, loop_id in trace_rows):
+        return [records[key] for key in trace_record_keys(
+            sim, start, base + 4 * tslot, loop_id) if key in records]
+
+    if trace_rows:
+        if not all(sim_records(*row) for row in trace_rows):
             try:
                 sim.run(max_steps=TRACE_AUDIT_BUDGET)
             except SimulationError:
                 pass  # records up to the fault still audit
-        records = codegen_records(program)
         for start, tslot, loop_id in trace_rows:
             entry_pc = base + 4 * start
             trigger_pc = base + 4 * tslot
-            record = records.get(("trace", start, start, loop_id))
-            if record is None:
+            found = sim_records(start, tslot, loop_id)
+            if not found:
                 out.append(Diagnostic(
                     "AU005", "info",
                     f"trace candidate loop {loop_id} at "
@@ -629,9 +639,11 @@ def audit_codegen(sim: Simulator,
                     "audit run, no generated code to audit",
                     pc_lo=entry_pc, pc_hi=trigger_pc))
                 continue
-            findings = audit_trace_record(record, ir, base, trigger_pc)
-            out.extend(findings)
-            if not record.guards and not findings:
-                out.extend(audit_record(record, _straight_path(
-                    ir, base, start, trigger_pc)))
+            for record in found:
+                findings = audit_trace_record(record, ir, base,
+                                              trigger_pc)
+                out.extend(findings)
+                if not record.guards and not findings:
+                    out.extend(audit_record(record, _straight_path(
+                        ir, base, start, trigger_pc)))
     return out

@@ -275,8 +275,12 @@ class CodegenRecord(NamedTuple):
     the fault-reconciliation metadata) alongside the cached code
     object, keyed like the code caches, so
     :mod:`repro.cpu.analysis.audit` can re-parse what actually runs
-    instead of re-running the generator.  ``loop_id`` is ``None``
-    except for traces.
+    instead of re-running the generator.  A region's key is
+    ``("region", start, term, None)``; a trace's is ``"trace"`` plus
+    its blueprint key (see
+    :func:`~repro.cpu.engine.trace.trace_record_keys`), so one loop
+    compiled under two pipeline configs or watch sets keeps one record
+    per blueprint.  ``loop_id`` is ``None`` except for traces.
     """
 
     kind: str                   # "region" | "trace"
@@ -296,13 +300,16 @@ class CodegenRecord(NamedTuple):
     guards: tuple = ()
 
 
-def record_codegen(program, record: CodegenRecord) -> None:
-    """File one generated artifact in the program's audit log."""
+def record_codegen(program, record: CodegenRecord,
+                   key: tuple | None = None) -> None:
+    """File one generated artifact in the program's audit log, under
+    ``key`` (default ``(kind, start, term, loop_id)``)."""
     log = program.__dict__.get(_AUDIT_LOG_ATTR)
     if log is None:
         log = program.__dict__[_AUDIT_LOG_ATTR] = {}
-    log[(record.kind, record.start, record.term,
-         record.loop_id)] = record
+    if key is None:
+        key = (record.kind, record.start, record.term, record.loop_id)
+    log[key] = record
 
 
 def codegen_records(program) -> dict:

@@ -754,6 +754,24 @@ def _blueprint_key(sim: "Simulator", table: TraceTable,
             table.watched, table.exit_pcs, sim.timing.config)
 
 
+def trace_record_keys(sim: "Simulator", entry_slot: int, trigger_pc: int,
+                      loop_id: int) -> list[tuple]:
+    """Audit-log keys of one loop's trace under ``sim``'s trace tables.
+
+    A trace's :class:`~repro.cpu.engine.emit.CodegenRecord` is filed
+    under ``"trace"`` plus its :func:`_blueprint_key`, so the auditor
+    reads exactly the blueprints this simulator runs (its pipeline
+    config and each plan state's watch sets), one key per distinct
+    table; empty until the simulator has run.
+    """
+    cand = TraceCandidate(loop_id, entry_slot,
+                          sim.program.text_base + 4 * entry_slot,
+                          trigger_pc)
+    return list(dict.fromkeys(
+        ("trace",) + _blueprint_key(sim, table, cand)
+        for table in sim._trace_jit_cache.values()))
+
+
 def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
                    table: TraceTable, cand: TraceCandidate,
                    paths: list) -> tuple | None:
@@ -770,8 +788,9 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
     iteration retired whole).  Returns ``None`` when any path fails to
     replay against the IR or the paths are unmergeable (divergence
     anywhere but a same-slot guard) — the caller marks the candidate
-    dead or the bridge unbridgeable.  The record filed for AU005 uses ``term ==
-    start`` so a bridge rebuild overwrites its predecessor's entry.
+    dead or the bridge unbridgeable.  The record filed for AU005 is
+    keyed like the blueprint, so a bridge rebuild overwrites its
+    predecessor's entry.
     """
     # Function-level import: repro.core's package __init__ imports the
     # controller, which reaches back into repro.cpu.engine.
@@ -865,7 +884,8 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
         kind="trace", start=cand.entry_slot, term=cand.entry_slot,
         source=src, line_member=tuple(ctx.line_member),
         fallbacks=tuple(k for k, _ in ctx.sites),
-        loop_id=loop_id, guards=tuple(ctx.guards)))
+        loop_id=loop_id, guards=tuple(ctx.guards)),
+        key=("trace",) + _blueprint_key(sim, table, cand))
     return (tuple(paths), code, tuple(ctx.sites), tuple(ctx.outcomes),
             tuple(ctx.line_fault))
 

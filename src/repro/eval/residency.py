@@ -46,10 +46,13 @@ def residency_report(kernel_names: tuple[str, ...] = BRANCHY_KERNELS,
     machines = machine_registry()
     report: dict[str, dict] = {}
     for name in expand_kernel_selectors(kernel_names):
-        front = kernel_front(kernels.get(name).source)
+        source = kernels.get(name).source
         for machine_name in machine_names:
             machine = machines.get(machine_name)
-            sim = machine.prepare(front).make_simulator()
+            # A front per machine: machines of one front can share a
+            # Program, and with it compiled code, so a machine's
+            # residency would depend on which machine ran before it.
+            sim = machine.prepare(kernel_front(source)).make_simulator()
             sim.run(max_steps=max_steps)
             total = sim.stats.instructions or 1
             report[f"{name}@{machine_name}"] = {

@@ -111,7 +111,8 @@ def rewrite_for_hwlp(kernel: str | KernelFront,
     """Retarget an assembly program to branch-decrement hardware loops.
 
     ``kernel`` is the assembly source or its :class:`KernelFront`; the
-    front is only read.
+    front's analysis is only read, and the edited text is assembled
+    through its image table (:meth:`KernelFront.image`).
     """
     front = (kernel if isinstance(kernel, KernelFront)
              else KernelFront.of(assemble(kernel)))
@@ -135,10 +136,6 @@ def rewrite_for_hwlp(kernel: str | KernelFront,
         else:
             skipped[forest_id] = reason
 
-    new_text = apply_edits(module.text, edits)
-    new_module = ParsedModule(text=new_text, data=module.data,
-                              constants=module.constants)
-    program = assemble_module(new_module, baseline.text_base,
-                              baseline.data_base)
+    program = front.image(apply_edits(module.text, edits), assemble_module)
     return HwlpTransformResult(program=program, converted_loops=converted,
                                skipped_loops=skipped)

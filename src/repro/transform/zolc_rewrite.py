@@ -11,8 +11,10 @@ toolchain would emit:
   trigger addresses, exit branches and targets);
 * a ZOLC **initialization sequence** (``mtz`` stream + arm) is spliced
   in at each group root's preheader;
-* the edited module is re-assembled, and a matching
-  :class:`~repro.core.ZolcController` factory is returned.
+* the edited text is assembled through the front's image table (a
+  text another machine of the row already produced reuses that
+  ``Program``), and a matching :class:`~repro.core.ZolcController`
+  factory is returned.
 
 The result's :meth:`ZolcTransformResult.make_simulator` wires program,
 controller and pipeline together for execution.
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import Program, assemble, assemble_module
-from repro.asm.parser import ParsedModule
 from repro.core.config import ZolcConfig
 from repro.core.controller import ZolcController
 from repro.core.init_seq import (
@@ -209,7 +210,10 @@ def rewrite_for_zolc(kernel: str | KernelFront,
     """Retarget an assembly program to a ZOLC configuration.
 
     ``kernel`` is the assembly source or its :class:`KernelFront`; the
-    front is only read, so one front serves every configuration.
+    front's analysis is only read, so one front serves every
+    configuration, and the edited text is assembled through its image
+    table (:meth:`KernelFront.image`), so configurations whose edits
+    agree share one ``Program``.
     """
     front = (kernel if isinstance(kernel, KernelFront)
              else KernelFront.of(assemble(kernel)))
@@ -279,11 +283,7 @@ def rewrite_for_zolc(kernel: str | KernelFront,
             insert_at = root_pattern.header_index
         edits.insert_before(insert_at, init_block)
 
-    new_text = apply_edits(module.text, edits)
-    new_module = ParsedModule(text=new_text, data=module.data,
-                              constants=module.constants)
-    program = assemble_module(new_module, baseline.text_base,
-                              baseline.data_base)
+    program = front.image(apply_edits(module.text, edits), assemble_module)
     return ZolcTransformResult(
         program=program, config=config, plan=plan, specs=specs,
         init_instruction_count=total_init,

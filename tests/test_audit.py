@@ -25,6 +25,7 @@ from repro.cpu.analysis.verify import (
 )
 from repro.cpu.engine.emit import codegen_records
 from repro.cpu.ir import build_ir, straightline_terms
+from repro.cpu.pipeline import PipelineConfig
 from repro.cpu.simulator import Simulator
 from repro.eval.check import check_kernel, static_plan
 from repro.eval.machines import machine_registry
@@ -171,6 +172,14 @@ def _trace_audit(kernel_name="me_fss", machine_name="ZOLClite"):
     return program, ir, base, rows, findings
 
 
+def _trace_record(program, start, loop_id):
+    """The (single-pipeline) audit record of one loop's trace."""
+    return next((record for key, record
+                 in codegen_records(program).items()
+                 if key[0] == "trace" and record.start == start
+                 and record.loop_id == loop_id), None)
+
+
 class TestTraceAudit:
     def test_branchy_kernel_traces_audit_clean(self):
         program, _ir, _base, rows, findings = _trace_audit()
@@ -189,9 +198,8 @@ class TestTraceAudit:
     def test_tampered_guard_slot_reported_au005(self):
         program, ir, base, rows, findings = _trace_audit()
         assert _errors(findings) == []
-        records = codegen_records(program)
         for start, tslot, loop_id in rows:
-            record = records.get(("trace", start, start, loop_id))
+            record = _trace_record(program, start, loop_id)
             if record is None:
                 continue
             # Point the first guard at the entry slot, which the
@@ -210,9 +218,8 @@ class TestTraceAudit:
 
         program, ir, base, rows, findings = _trace_audit()
         assert _errors(findings) == []
-        records = codegen_records(program)
         for start, tslot, loop_id in rows:
-            record = records.get(("trace", start, start, loop_id))
+            record = _trace_record(program, start, loop_id)
             if record is None:
                 continue
             source, hits = re.subn(
@@ -303,3 +310,51 @@ class TestZeroGuardTraceAudit:
         findings = audit_codegen(sim, **kwargs)
         assert any(d.rule == "AU002" and "trace" in d.message
                    for d in _errors(findings))
+
+
+class TestTraceRecordsPerPipeline:
+    """A trace record is keyed like its blueprint: one program run at
+    two pipeline configs keeps (and audits) one record per config."""
+
+    def _audit_at(self, prepared, kwargs, pipeline):
+        sim = prepared.make_simulator(pipeline=pipeline)
+        return sim, audit_codegen(sim, **kwargs)
+
+    def test_each_pipeline_audits_its_own_blueprint(self):
+        machine = machine_registry().get("ZOLClite")
+        prepared = machine.prepare(registry().get("me_fss").source)
+        program = prepared.program
+        plan = static_plan(prepared)
+        ctx = VerifyContext(ir=build_ir(program), base=program.text_base,
+                            entry_pc=program.entry_point(), plan=plan)
+        rows = [(start, tslot, lp.loop_id)
+                for start, tslot, lp in trace_candidate_bodies(ctx)]
+        kwargs = {"watched": plan.watched_next_pcs(), "traces": rows}
+        stalled = PipelineConfig(load_use_stall=2)
+        sims = {}
+        for pipeline in (None, stalled):
+            sim, findings = self._audit_at(prepared, kwargs, pipeline)
+            assert _errors(findings) == []
+            sims[pipeline] = sim
+        records = codegen_records(program)
+        blueprints = program.__dict__["_trace_jit_code"]
+        trace_keys = [k for k in records if k[0] == "trace"]
+        assert len(trace_keys) == len(blueprints)
+        assert {k[1:] for k in trace_keys} == set(blueprints)
+        assert {k[-1] for k in trace_keys} \
+            == {sims[None].timing.config, stalled}
+        # Tamper with the stalled config's records only: its simulator
+        # reports them, the default one still audits clean.
+        bent = 0
+        for key in trace_keys:
+            record = records[key]
+            if key[-1] == stalled and record.guards:
+                lineno, _slot, hot = record.guards[0]
+                records[key] = record._replace(
+                    guards=((lineno, record.start, hot),)
+                    + record.guards[1:])
+                bent += 1
+        assert bent, "me_fss compiled no guarded trace"
+        assert _errors(audit_codegen(sims[None], **kwargs)) == []
+        assert any(d.rule == "AU005"
+                   for d in _errors(audit_codegen(sims[stalled], **kwargs)))

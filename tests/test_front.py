@@ -3,21 +3,26 @@
 Preparing every machine of a row from one :class:`KernelFront` must
 give exactly what independent ``prepare(source)`` calls give, in any
 machine order, without any back end writing to the shared analysis;
-and the experiment backend's prepare cache must build a kernel's front
-once per row while a round larger than the cache stays cold.
+machines of a row share one ``Program`` exactly where their images
+agree, each new image assembled once; and the experiment backend's
+prepare cache must build a kernel's front once per row while a round
+larger than the cache stays cold.
 """
 
 import copy
+import dataclasses
 
 import pytest
 
-from repro.asm.assembler import Program, assemble
+from repro.asm.assembler import Program, assemble, assemble_module
+from repro.asm.parser import TextEntry
 from repro.cpu.simulator import Simulator
 from repro.eval import machines as machines_module
 from repro.eval.machines import ALL_MACHINES, XR_DEFAULT, kernel_front
 from repro.experiments import backends as backends_module
 from repro.isa import Instruction, encode
 from repro.synth import FAMILY_NAMES, generate_kernel
+from repro.transform import hwlp_rewrite, zolc_rewrite
 from repro.transform.front import KernelFront
 from repro.workloads.suite import expand_kernel_selectors, registry
 
@@ -71,6 +76,87 @@ def test_one_front_prepares_every_machine_like_independent_calls(
             assert program.words() == [encode(inst)
                                        for inst in program.instructions]
         assert snapshot(front) == before  # no back end wrote to it
+
+
+def image_identity(program) -> tuple:
+    return (tuple(program.words()), bytes(program.data),
+            tuple(sorted(program.symbols.items())))
+
+
+def partition(groups) -> set[frozenset[str]]:
+    return {frozenset(names) for names in groups}
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_a_row_shares_a_program_exactly_where_the_images_agree(
+        kernel_name):
+    source = registry().get(kernel_name).source
+    for order in (ALL_MACHINES, ALL_MACHINES[::-1]):
+        front = kernel_front(source)
+        programs = {m.name: m.prepare(front).program for m in order}
+        by_object: dict[int, list[str]] = {}
+        by_image: dict[tuple, list[str]] = {}
+        for name, program in programs.items():
+            by_object.setdefault(id(program), []).append(name)
+            by_image.setdefault(image_identity(program), []).append(name)
+        assert partition(by_object.values()) \
+            == partition(by_image.values())
+
+
+def test_a_no_op_back_end_gets_the_front_baseline():
+    front = kernel_front("main:\n    li t0, 1\n    addi t1, t0, 2\n    halt\n")
+    for machine in ALL_MACHINES:
+        assert machine.prepare(front).program is front.program
+
+
+def test_an_image_is_keyed_by_everything_the_assembler_reads():
+    front = kernel_front("main:\n    li t0, 2\nloop:\n"
+                         "    addi t0, t0, -1\n    bne t0, zero, loop\n"
+                         "    halt\n")
+    text = front.module.text
+    same = [TextEntry(list(e.labels), e.instruction) for e in text]
+    assert front.image(same, assemble_module) is front.program
+    # The label moves up one entry: same instructions, new branch target.
+    moved = [TextEntry(["main", "loop"], text[0].instruction),
+             TextEntry([], text[1].instruction), *same[2:]]
+    relined = [*same[:-1], TextEntry([], dataclasses.replace(
+        text[-1].instruction, line=99))]
+    for variant in (moved, relined):
+        program = front.image(variant, assemble_module)
+        assert program is not front.program
+        assert front.image(variant, assemble_module) is program
+    assert front.image(moved, assemble_module).words() \
+        != front.program.words()
+
+
+def test_two_fronts_of_one_source_never_share():
+    source = registry().get("vec_sum").source
+    first, second = kernel_front(source), kernel_front(source)
+    for machine in ALL_MACHINES:
+        assert machine.prepare(first).program \
+            is not machine.prepare(second).program
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_a_back_end_assembles_each_new_image_once(kernel_name,
+                                                   monkeypatch):
+    """A miss assembles through the back end's own module-level
+    ``assemble_module``, the binding a layer tracer wraps."""
+    calls: list[Program] = []
+    for module in (zolc_rewrite, hwlp_rewrite):
+        real = module.assemble_module
+
+        def counted(*args, _real=real, **kwargs):
+            program = _real(*args, **kwargs)
+            calls.append(program)
+            return program
+
+        monkeypatch.setattr(module, "assemble_module", counted)
+    front = kernel_front(registry().get(kernel_name).source)
+    programs = [m.prepare(front).program for m in ALL_MACHINES]
+    new_images = {id(p): p for p in programs if p is not front.program}
+    assert len(calls) == len(new_images)
+    assert {id(p) for p in calls} == set(new_images)
 
 
 def test_xrdefault_runs_the_front_baseline():
