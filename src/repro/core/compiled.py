@@ -40,8 +40,13 @@ Contract for engines (and for any port exposing ``zolc_plan()``):
   definition has ``next_pc is None``).  A fire whose decision redirects
   leaves the plan valid, so engines must re-query ``zolc_plan()`` after
   every trigger fire that returned ``next_pc is None`` and after every
-  retired ``mtz``/``mfz`` — and may stay on their compiled dispatch
-  (or inside a loop-resident chain) across redirecting fires;
+  retired ``mtz`` to ``CTRL_ARM`` or ``CTRL_RESET`` — and may stay on
+  their compiled dispatch (or inside a loop-resident chain) across
+  redirecting fires;
+* a write to any other selector and every ``mfz`` leave the armed
+  state, the pending writes and the watch sets alone (a table field is
+  read live at fire time), so engines may retire them without a
+  re-query;
 * while a plan is being served, the port guarantees ``on_retire`` is a
   no-op for any retirement whose pc / next-pc is in none of the watch
   sets, and that its armed/pending state only changes through

@@ -28,6 +28,8 @@ path (see DESIGN.md §6 for the modelling assumptions).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.core.compiled import CompiledControllerPlan, compile_watch_sets
 from repro.core.config import ZolcConfig
 from repro.core.index_unit import iterations_from_index
@@ -112,22 +114,42 @@ class ZolcController:
 
     def write(self, selector: int, value: int) -> None:
         """Initialization-mode table write (the ``mtz`` instruction)."""
+        self.writer(selector)(value)
+
+    def writer(self, selector: int) -> Callable[[int], None]:
+        """The bound ``mtz`` write of one selector.
+
+        ``writer(s)(v)`` is ``write(s, v)``; an engine resolves it once
+        per ``mtz`` when it lowers the instruction.  Only ``CTRL_ARM``
+        and ``CTRL_RESET`` writers change the armed state or the watch
+        sets.  A table writer changes fields the fire handlers read
+        live, and a write to ``CTRL_STATUS`` or outside the tables
+        raises :class:`ZolcFaultError` when it retires.
+        """
         if selector == CTRL_RESET:
-            self.tables.reset()
-            self._armed = False
-            self._pending_writes.clear()
-            self._invalidate_plan()
-            return
+            return self._reset
         if selector == CTRL_ARM:
-            if value & 1:
-                self._arm()
-            else:
-                self._armed = False
-                self._invalidate_plan()
-            return
+            return self._write_arm
         if selector == CTRL_STATUS:
-            raise ZolcFaultError("CTRL_STATUS is read-only")
-        self.tables.write(selector, value)
+            return self._write_status
+        return self.tables.writer(selector)
+
+    def _reset(self, value: int) -> None:
+        self.tables.reset()
+        self._armed = False
+        self._pending_writes.clear()
+        self._invalidate_plan()
+
+    def _write_arm(self, value: int) -> None:
+        if value & 1:
+            self._arm()
+        else:
+            self._armed = False
+            self._invalidate_plan()
+
+    @staticmethod
+    def _write_status(value: int) -> None:
+        raise ZolcFaultError("CTRL_STATUS is read-only")
 
     def read(self, selector: int) -> int:
         """Table read-back (the ``mfz`` instruction)."""

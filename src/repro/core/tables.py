@@ -38,15 +38,17 @@ Selector layout (16-bit)::
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.config import ZolcConfig
 from repro.cpu.exceptions import ZolcFaultError
 
-# Control selectors.
-CTRL_ARM = 0x0000
-CTRL_RESET = 0x0001
-CTRL_STATUS = 0x0002
+# Control selectors: defined beside the ``mtz`` encoding, re-exported as
+# part of the selector map.
+from repro.isa.instructions import CTRL_ARM as CTRL_ARM
+from repro.isa.instructions import CTRL_RESET as CTRL_RESET
+from repro.isa.instructions import CTRL_STATUS as CTRL_STATUS
 
 # Loop table.
 LOOP_BASE = 0x0100
@@ -119,9 +121,6 @@ class LoopRecord:
     _FIELDS = ("trips", "initial", "step", "index_reg",
                "body_pc", "trigger_pc", "parent", "flags")
 
-    def write_field(self, fieldno: int, value: int) -> None:
-        setattr(self, self._FIELDS[fieldno], value)
-
     def read_field(self, fieldno: int) -> int:
         return getattr(self, self._FIELDS[fieldno])
 
@@ -141,9 +140,6 @@ class ExitRecord:
 
     _FIELDS = ("branch_pc", "target_pc", "reset_mask", "flags")
 
-    def write_field(self, fieldno: int, value: int) -> None:
-        setattr(self, self._FIELDS[fieldno], value)
-
     def read_field(self, fieldno: int) -> int:
         return getattr(self, self._FIELDS[fieldno])
 
@@ -161,9 +157,6 @@ class EntryRecord:
         return bool(self.flags & FLAG_VALID)
 
     _FIELDS = ("entry_pc", "loop", "flags")
-
-    def write_field(self, fieldno: int, value: int) -> None:
-        setattr(self, self._FIELDS[fieldno], value)
 
     def read_field(self, fieldno: int) -> int:
         return getattr(self, self._FIELDS[fieldno])
@@ -187,11 +180,11 @@ class ZolcTables:
     exits: list[ExitRecord] = field(default_factory=list)
     entries: list[EntryRecord] = field(default_factory=list)
     version: int = 0
-    #: Selector -> (record, fieldno) memo for the ``mtz`` write stream.
-    #: Records are allocated once and zeroed in place on :meth:`reset`,
-    #: so entries stay valid for the tables' whole lifetime.
-    _locate_cache: dict = field(default_factory=dict, repr=False,
-                                compare=False)
+    #: Selector -> bound writer memo (see :meth:`writer`).  Records are
+    #: allocated once and zeroed in place on :meth:`reset`, so writers
+    #: stay valid for the tables' whole lifetime.
+    _writers: dict = field(default_factory=dict, repr=False,
+                           compare=False)
 
     def __post_init__(self) -> None:
         if not self.loops:
@@ -224,14 +217,6 @@ class ZolcTables:
 
     # -- selector-level access --------------------------------------------
     def _locate(self, selector: int) -> tuple[object, int]:
-        cached = self._locate_cache.get(selector)
-        if cached is not None:
-            return cached
-        located = self._locate_slow(selector)
-        self._locate_cache[selector] = located
-        return located
-
-    def _locate_slow(self, selector: int) -> tuple[object, int]:
         if LOOP_BASE <= selector < LOOP_BASE + LOOP_STRIDE * self.config.max_loops:
             offset = selector - LOOP_BASE
             loop_id, fieldno = divmod(offset, LOOP_STRIDE)
@@ -251,12 +236,41 @@ class ZolcTables:
             f"{self.config.name} (loops={self.config.max_loops}, "
             f"exit records={len(self.exits)})")
 
+    def writer(self, selector: int) -> Callable[[int], None]:
+        """The bound write of one selector: ``writer(s)(v)`` is
+        ``write(s, v)``.
+
+        Resolved once per selector and memoised, so an engine can lower
+        each ``mtz`` to its own writer and pay no selector decode per
+        retirement.  A selector outside the tables yields a writer that
+        raises the :class:`ZolcFaultError` the write would raise, at
+        write time.
+        """
+        bound = self._writers.get(selector)
+        if bound is None:
+            bound = self._writers[selector] = self._bind_writer(selector)
+        return bound
+
+    def _bind_writer(self, selector: int) -> Callable[[int], None]:
+        try:
+            record, fieldno = self._locate(selector)
+        except ZolcFaultError as exc:
+            message = str(exc)
+
+            def fault(value: int) -> None:
+                raise ZolcFaultError(message)
+            return fault
+        name = record._FIELDS[fieldno]  # type: ignore[attr-defined]
+
+        def write(value: int) -> None:
+            value &= 0xFFFFFFFF
+            if getattr(record, name) != value:
+                setattr(record, name, value)
+                self.version += 1
+        return write
+
     def write(self, selector: int, value: int) -> None:
-        record, fieldno = self._locate(selector)
-        value &= 0xFFFFFFFF
-        if record.read_field(fieldno) != value:  # type: ignore[attr-defined]
-            record.write_field(fieldno, value)  # type: ignore[attr-defined]
-            self.version += 1
+        self.writer(selector)(value)
 
     def read(self, selector: int) -> int:
         record, fieldno = self._locate(selector)

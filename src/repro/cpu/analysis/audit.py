@@ -48,6 +48,7 @@ from repro.cpu.ir import (
     ir_failure,
     op_base_cycles,
     op_taken_penalty,
+    span_breaks,
     straightline_terms,
 )
 from repro.isa.instructions import Category
@@ -525,14 +526,12 @@ def audit_trace_record(record: CodegenRecord, ir: Sequence[IROp],
 def span_starts(ir: Sequence[IROp], base: int,
                 watched: frozenset[int],
                 terms: Sequence[int | None]) -> list[int]:
-    """Slots beginning a *maximal* straight-line span."""
-    def unsafe(k: int) -> bool:
-        op = ir[k]
-        return (op.can_transfer or op.is_zolc_init
-                or op.link in watched)
-
+    """Slots beginning a *maximal* straight-line span: the first
+    slot, and each slot after a span break (:func:`span_breaks`)."""
+    breaks = span_breaks(ir, base, watched)
     return [j for j in range(len(ir))
-            if terms[j] is not None and (j == 0 or unsafe(j - 1))]
+            if terms[j] is not None
+            and (j == 0 or breaks[j - 1] is not None)]
 
 
 #: Step budget of the warm-up run that materialises trace records

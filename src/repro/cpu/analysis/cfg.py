@@ -19,12 +19,14 @@ There are two fronts:
 
 IR-front block boundaries.  A slot starts a new block (is a *leader*)
 when it is the text start, the program entry point, the static target
-of a branch or jump, the slot after a control transfer, the slot after
-an ``mtz``/``mfz`` (a dispatch-observable boundary: the controller port
-may change state there), or an address the ZOLC controller watches
-(trigger or entry-target next-pc watch) — watch addresses are reached
-by *fall-through* after the transform deletes the loop latch, so they
-are never natural leaders and must be forced.
+of a branch or jump, the slot after a span break
+(:func:`~repro.cpu.ir.span_breaks`: a control transfer, an ``mtz`` to
+``CTRL_ARM``, or a ``CTRL_RESET`` that does not run on into an arm —
+the port accesses that can change the controller's armed state), or an
+address the ZOLC controller watches (trigger or entry-target next-pc
+watch) — watch addresses are reached by *fall-through* after the
+transform deletes the loop latch, so they are never natural leaders
+and must be forced.
 
 IR-front edges.  Conditional branches and ``dbne`` get taken +
 fall-through successors; ``j``/``jal`` get the target only; ``jr``/
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.cpu.ir import IROp
+from repro.cpu.ir import IROp, span_breaks
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -158,11 +160,14 @@ def build_cfg(ir: Sequence[IROp], base: int, entry_pc: int | None = None,
     """
     triggers = dict(trigger_edges) if trigger_edges else {}
     text_end = base + 4 * len(ir)
-    leaders = [*watch_pcs, *triggers, *triggers.values()]
-    for op in ir:
+    watched = frozenset(watch_pcs)
+    leaders = [*watched, *triggers, *triggers.values()]
+    # The slot after every span break leads a block, so each
+    # straight-line span the engine fuses ends at a block boundary.
+    for op, reason in zip(ir, span_breaks(ir, base, watched)):
         if op.target is not None:
             leaders.append(op.target)
-        if op.can_transfer or op.is_zolc_init:
+        if reason is not None:
             leaders.append(op.link)
 
     def successor_pcs(slot: int) -> tuple[list[int], bool]:

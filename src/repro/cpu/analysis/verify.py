@@ -13,7 +13,9 @@ id      severity  proves
 ======  ========  ====================================================
 ZV001   error     every straight-line span from ``straightline_terms``
                   ends at a block boundary and crosses no control
-                  transfer, ``mtz``/``mfz``, or ZOLC watch address
+                  transfer, ``mtz`` to ``CTRL_ARM``, ``CTRL_RESET``
+                  that does not run on into an arm, or ZOLC watch
+                  address
 ZV002   error     ZOLC watch addresses are word-aligned text
                   addresses; triggers and entry targets are CFG block
                   leaders; exit watches sit on branch instructions
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.cpu.ir import IROp, straightline_terms
+from repro.cpu.ir import IROp, span_breaks, straightline_terms
 from repro.isa.registers import register_name
 
 from repro.cpu.analysis.cfg import (
@@ -49,7 +51,8 @@ if TYPE_CHECKING:
 #: rule id -> one-line statement of what the rule proves.
 RULES: dict[str, str] = {
     "ZV001": "straight-line spans end at block boundaries and never "
-             "cross a transfer, mtz/mfz, or ZOLC watch address",
+             "cross a transfer, an arm, a reset that does not run on "
+             "into an arm, or a ZOLC watch address",
     "ZV002": "ZOLC watch addresses are word-aligned block leaders; "
              "exit watches sit on branches",
     "ZV003": "straight-line legality (DESIGN.md §9) holds for every "
@@ -182,6 +185,10 @@ class VerifyContext:
     #: corrupted slicing here); computed from the IR when ``None``.
     terms: list[int | None] | None = None
     cfg: CFG = field(init=False)
+    #: Per-slot span-break reasons under the plan's watch set
+    #: (:func:`~repro.cpu.ir.span_breaks`), what ZV001 holds ``terms``
+    #: to.
+    breaks: list[str | None] = field(init=False)
 
     def __post_init__(self) -> None:
         plan = self.plan or StaticZolcPlan()
@@ -190,6 +197,8 @@ class VerifyContext:
         self.cfg = build_cfg(self.ir, self.base, self.entry_pc,
                              watch_pcs=watch,
                              trigger_edges=plan.trigger_edges())
+        self.breaks = span_breaks(self.ir, self.base,
+                                  plan.watched_next_pcs())
         if self.terms is None:
             self.terms = straightline_terms(
                 self.ir, self.base, plan.watched_next_pcs())
@@ -217,17 +226,20 @@ def verify_program(ir: Sequence[IROp], base: int,
     return out
 
 
-def _unsafe_reason(ctx: VerifyContext, slot: int,
-                   watched: frozenset[int]) -> str | None:
+def _unsafe_reason(ctx: VerifyContext, slot: int) -> str | None:
     """Why ``slot`` must terminate any span that reaches it."""
     op = ctx.ir[slot]
-    if op.can_transfer:
+    reason = ctx.breaks[slot]
+    if reason == "transfer":
         return f"{op.mnemonic} at {hex(op.address)} can transfer control"
-    if op.is_zolc_init:
-        return (f"{op.mnemonic} at {hex(op.address)} may change "
-                "controller state")
-    if op.link in watched:
-        return (f"next pc {hex(op.link)} is a ZOLC watch address")
+    if reason == "arm":
+        return (f"mtz CTRL_ARM at {hex(op.address)} arms or disarms "
+                "the controller")
+    if reason == "watch":
+        return f"next pc {hex(op.link)} is a ZOLC watch address"
+    if reason == "reset":
+        return (f"mtz CTRL_RESET at {hex(op.address)} resets the "
+                "controller and does not run on into an arm")
     return None
 
 
@@ -235,12 +247,11 @@ def check_region_boundaries(ctx: VerifyContext) -> list[Diagnostic]:
     """ZV001: re-prove the straight-line span slicing.
 
     Maximal spans must keep every interior slot safe (no transfer, no
-    ``mtz``/``mfz``, no watch address crossed) and must terminate for a
-    reason — an unsafe terminator, or the end of the text image — so
-    every span boundary coincides with a basic-block boundary.
+    arm, no reset that does not run on into an arm, no watch address
+    crossed — :func:`~repro.cpu.ir.span_breaks`) and must terminate
+    for a reason — an unsafe terminator, or the end of the text image
+    — so every span boundary coincides with a basic-block boundary.
     """
-    plan = ctx.plan or StaticZolcPlan()
-    watched = plan.watched_next_pcs()
     ir, terms = ctx.ir, ctx.terms
     assert terms is not None
     n = len(ir)
@@ -251,7 +262,7 @@ def check_region_boundaries(ctx: VerifyContext) -> list[Diagnostic]:
             return False
         if j == 0:
             return True
-        return (_unsafe_reason(ctx, j - 1, watched) is not None
+        return (_unsafe_reason(ctx, j - 1) is not None
                 or terms[j - 1] is None)
 
     for j in range(n):
@@ -267,7 +278,7 @@ def check_region_boundaries(ctx: VerifyContext) -> list[Diagnostic]:
                 f"slot {term}", pc_lo=span[0], pc_hi=span[1]))
             continue
         for k in range(j, term):
-            reason = _unsafe_reason(ctx, k, watched)
+            reason = _unsafe_reason(ctx, k)
             if reason is not None:
                 out.append(Diagnostic(
                     "ZV001", "error",
@@ -275,13 +286,19 @@ def check_region_boundaries(ctx: VerifyContext) -> list[Diagnostic]:
                     f"interior boundary: {reason}",
                     pc_lo=span[0], pc_hi=span[1]))
         if (term != n - 1
-                and _unsafe_reason(ctx, term, watched) is None):
+                and _unsafe_reason(ctx, term) is None):
             out.append(Diagnostic(
                 "ZV001", "error",
                 f"span {hex(span[0])}..{hex(span[1])} terminates "
                 "without a block boundary: the terminator neither "
-                "transfers, touches the controller, precedes a watch "
-                "address, nor ends the text image",
+                "transfers, arms or resets the controller, precedes a "
+                "watch address, nor ends the text image",
+                pc_lo=span[0], pc_hi=span[1]))
+        elif term != n - 1 and not ctx.cfg.is_leader(ir[term].link):
+            out.append(Diagnostic(
+                "ZV001", "error",
+                f"span {hex(span[0])}..{hex(span[1])} ends inside a "
+                f"basic block: {hex(ir[term].link)} leads no block",
                 pc_lo=span[0], pc_hi=span[1]))
     return out
 

@@ -60,11 +60,13 @@ Unwatched retirements then skip the Python call entirely; watched ones
 dispatch straight to the plan's specialized fire handlers (trigger →
 task selection, taken exit → status reset, entry from outside → index
 seed) — the *same* bound methods ``on_retire`` itself dispatches
-through, which is what keeps the engines bit-identical.  Retired
-``mtz``/``mfz`` instructions take the full ``on_retire`` oracle path
-and re-query the plan (an arm-epoch compare) so re-arming, disarming,
-``CTRL_RESET`` and single-shot expiry all invalidate the compiled
-dispatch state at the only points it can change.  Ports that do not
+through, which is what keeps the engines bit-identical.  A retired
+``mtz`` to ``CTRL_ARM`` or ``CTRL_RESET`` takes the full ``on_retire``
+oracle path and re-queries the plan (an arm-epoch compare), so
+re-arming, disarming, resets and single-shot expiry all invalidate the
+compiled dispatch state at the only points it can change; table writes
+go through a per-selector writer bound at lowering time and retire
+inside fused regions.  Ports that do not
 expose a plan — any custom :class:`~repro.cpu.simulator.ZolcPort` —
 run on the stepped interpreter, which offers every retirement to
 ``on_retire``.
@@ -74,11 +76,7 @@ DESIGN.md §10.
 """
 
 from repro.cpu.engine.dispatch import HALT, OpFn, OpMeta, PredecodedProgram
-from repro.cpu.engine.fast import (
-    _compile_watch_arrays,
-    _predecode_fn,
-    predecode,
-)
+from repro.cpu.engine.fast import _compile_watch_arrays, predecode
 from repro.cpu.engine.trace import Trace, TraceOutcome, trace_table
 from repro.cpu.engine.traced import TraceRegion, run_traced
 

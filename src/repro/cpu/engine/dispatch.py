@@ -41,6 +41,9 @@ class OpMeta(NamedTuple):
     #: Whether the handler can return a control transfer (branches,
     #: jumps, ``dbne``, ``halt``) — such slots terminate trace regions.
     can_transfer: bool
+    #: The IR's arm/reset fact (:attr:`~repro.cpu.ir.IROp.zolc_ctrl`):
+    #: the port accesses that end a region and re-query the plan.
+    zolc_ctrl: str | None
 
 
 class PredecodedProgram(NamedTuple):

@@ -222,9 +222,12 @@ def term_lines(op: IROp, ordinal: int, fallbacks: list[int]) -> list[str]:
         return ["_state.halted = True",
                 "return _HALT"]
     if m in ("mtz", "mfz"):
-        # Port writes/reads keep the predecoded closure: it is already
-        # specialised against the attached port (or raises the same
-        # no-ZOLC fault the other engines raise).
+        # Port accesses keep the predecoded closure, bound to the
+        # attached port's per-selector writer or read (or raising the
+        # same no-ZOLC fault the other engines raise).  An arm or a
+        # reset ends its span here; a table write or an ``mfz`` only
+        # when its next pc is watched or the text ends, and inside a
+        # span it is the same closure call via member_lines' fallback.
         fallbacks.append(ordinal)
         return [f"return _h{ordinal}({op.address})"]
     # A sequential instruction terminating only because the next slot

@@ -19,18 +19,12 @@ the package docstring and DESIGN.md §10).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.cpu import alu
 from repro.cpu.exceptions import SimulationError
-from repro.cpu.ir import (
-    IROp,
-    build_ir,
-    ir_op_from_instruction,
-    op_base_cycles,
-    op_taken_penalty,
-)
-from repro.isa.instructions import Instruction
+from repro.cpu.ir import IROp, build_ir, op_base_cycles, op_taken_penalty
 from repro.util.bitops import MASK32, to_signed32
 
 from repro.cpu.engine.dispatch import HALT, OpFn, OpMeta, PredecodedProgram
@@ -234,8 +228,14 @@ def _lower_fast(op: IROp, sim: "Simulator") -> OpFn:
                     f"{m} executed on a machine without a ZOLC "
                     f"(pc={pc:#x}); attach a ZolcController")
         elif m == "mtz":
-            def fn(pc, zwrite=zolc.write, read=read, sel=op.imm, rt=rt):
-                zwrite(sel, read(rt))
+            # A compiled port hands out one bound writer per selector,
+            # so a retirement pays no selector decode; any other port
+            # gets its write bound to the selector.
+            writer = getattr(zolc, "writer", None)
+            zwrite = (writer(op.imm) if writer is not None
+                      else partial(zolc.write, op.imm))
+            def fn(pc, zwrite=zwrite, read=read, rt=rt):
+                zwrite(read(rt))
                 return None
         else:
             def fn(pc, write=write, zread=zolc.read, sel=op.imm, rt=rt):
@@ -244,16 +244,6 @@ def _lower_fast(op: IROp, sim: "Simulator") -> OpFn:
         return fn
 
     raise SimulationError(f"no predecoder for mnemonic {m!r}")
-
-
-def _predecode_fn(inst: Instruction, address: int, sim: "Simulator") -> OpFn:
-    """Bind one raw instruction into a handler closure.
-
-    Decode-then-lower convenience kept for the coverage tests that pin
-    the handler tables against ``datapath.EXECUTORS``; the engines
-    themselves lower from the program's cached IR.
-    """
-    return _lower_fast(ir_op_from_instruction(inst, address), sim)
 
 
 def predecode(sim: "Simulator") -> PredecodedProgram | None:
@@ -273,7 +263,7 @@ def predecode(sim: "Simulator") -> PredecodedProgram | None:
         ops.append((_lower_fast(op, sim), op_base_cycles(op, config),
                     op.uses, op.load_dest, op_taken_penalty(op, config)))
         metas.append(OpMeta(op.category_key, op.is_zolc_init,
-                            op.can_transfer))
+                            op.can_transfer, op.zolc_ctrl))
     return PredecodedProgram(ops, metas, ir)
 
 

@@ -27,9 +27,14 @@ path, so a cold cell pays codegen only for its hot loops.
 
 Region tables are sliced per controller plan state (keyed by the plan's
 watch-set content key, ``None`` while unarmed) and re-resolved at exactly
-the points the run loop re-queries the plan: after every trigger fire
-and after every retired ``mtz``/``mfz``.  A re-arm epoch change therefore
-invalidates and re-slices the regions before the next batched dispatch.
+the points the run loop re-queries the plan: after an expiring trigger
+fire and after every retired ``mtz`` to ``CTRL_ARM`` or ``CTRL_RESET``
+(:attr:`~repro.cpu.ir.IROp.zolc_ctrl`), the only port accesses that
+can change the armed state or the watch sets.  Table writes and
+``mfz`` retire inside regions, and a ``reset … writes … arm``
+preheader runs as one region that re-queries the plan once, after
+the arm (DESIGN.md §8).  A re-arm epoch change therefore invalidates
+and re-slices the regions before the next batched dispatch.
 
 A hot ZOLC loop leaves the region tier altogether: at its entry slot the
 loop turns *resident*, and its trace (:mod:`repro.cpu.engine.trace`)
@@ -103,7 +108,7 @@ class TraceRegion(NamedTuple):
     term_pc: int
     term_idx: int
     term_taken_penalty: int
-    term_is_zolc: bool                 # terminator is mtz/mfz
+    term_is_ctrl: bool                 # terminator arms/resets the port
     rid: int                           # per-process region identity
     start_idx: int
     #: per-member (slot index, base cycles, static stall, load dest) —
@@ -182,7 +187,7 @@ def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
         cycles=cycles, stall=stall, first_uses=ops[start][2],
         out_pending=ops[term][3], term_pc=base + 4 * term, term_idx=term,
         term_taken_penalty=ops[term][4],
-        term_is_zolc=metas[term].is_zolc_init,
+        term_is_ctrl=metas[term].zolc_ctrl is not None,
         rid=next(_REGION_IDS), start_idx=start,
         members=tuple(members), line_member=line_member)
 
@@ -393,7 +398,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                      region, load_use)
             if region is not None:
                 (mega, size, rcycles, rstall, first_uses, out_pending,
-                 term_pc, _term_idx, term_penalty, _term_zolc, rid,
+                 term_pc, _term_idx, term_penalty, _term_ctrl, rid,
                  _start, rmembers, _lines) = region
                 if steps + size <= max_steps:
                     try:
@@ -451,7 +456,7 @@ def run_traced(sim: "Simulator", max_steps: int,
       else:
         # -- plan-compiled ZOLC port ------------------------------------
         regs_write = state.regs.write
-        zops = [meta.is_zolc_init for meta in metas]
+        ctrl = [meta.zolc_ctrl is not None for meta in metas]
         irops = predecoded.ir
         no_regions: list = [None] * n
 
@@ -574,7 +579,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                      region, load_use)
             if region is not None:
                 (mega, size, rcycles, rstall, first_uses, out_pending,
-                 term_pc, term_idx, term_penalty, term_zolc, rid,
+                 term_pc, term_idx, term_penalty, term_ctrl, rid,
                  _start, rmembers, _lines) = region
                 if steps + size <= max_steps:
                     try:
@@ -630,7 +635,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                     if halted:
                         pass
                     elif znext is not None:
-                        if not term_zolc:
+                        if not term_ctrl:
                             fired = False
                             if taken:
                                 record_id = zexit[term_idx]
@@ -692,8 +697,11 @@ def run_traced(sim: "Simulator", max_steps: int,
                             if fired:
                                 halted = state.halted
                         else:
-                            # mtz/mfz terminator: full oracle path, then
-                            # re-sync plan + regions.
+                            # Arm/reset terminator: full oracle path,
+                            # then re-sync plan + regions.  Any reset
+                            # inside the region left the port unarmed
+                            # and inactive until this arm, so the
+                            # members after it fired nothing.
                             if zolc.active:
                                 action = zolc.on_retire(term_pc, next_pc,
                                                         taken=taken)
@@ -711,8 +719,8 @@ def run_traced(sim: "Simulator", max_steps: int,
                                  fire_trigger, zepoch, zactive, regions, heat,
                                  traces, jit) = resync(plan)
                                 jit_rec = None
-                    elif term_zolc:
-                        # No plan, port inactive until this very mtz/mfz
+                    elif term_ctrl:
+                        # No plan, port inactive until this very arm
                         # may have armed it: offer the retirement, then
                         # re-sync (skipped while the port stays unarmed
                         # and inactive — nothing observable moved).
@@ -763,7 +771,7 @@ def run_traced(sim: "Simulator", max_steps: int,
             if znext is not None:
                 if halted:
                     pass
-                elif not zops[idx]:
+                elif not ctrl[idx]:
                     fired = False
                     if taken:
                         record_id = zexit[idx]
@@ -834,7 +842,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                          fire_trigger, zepoch, zactive, regions, heat,
                          traces, jit) = resync(plan)
                         jit_rec = None
-            elif zactive or zops[idx]:
+            elif zactive or ctrl[idx]:
                 if not halted and zolc.active:
                     action = zolc.on_retire(pc, next_pc, taken=taken)
                     if action is not None:
@@ -845,11 +853,11 @@ def run_traced(sim: "Simulator", max_steps: int,
                             zolc_switch_extra)
                     halted = state.halted
                 # No compiled plan: either the port is inactive (only a
-                # retired mtz/mfz can change that) or it is active with
+                # retired arm can change that) or it is active with
                 # arm-time writes pending (every retirement must reach
                 # on_retire until the plan appears).  An unarmed,
-                # inactive port retiring mtz table writes cannot have
-                # moved the dispatch state, so it is not re-derived.
+                # inactive port retiring a reset cannot have moved the
+                # dispatch state, so it is not re-derived.
                 plan = plan_fn()
                 if plan is not None or zactive or zolc.active:
                     (znext, zexit, zfar, fire_exit, fire_entry,

@@ -35,7 +35,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 from repro.cpu.exceptions import SimulationError
-from repro.isa.instructions import Category, Instruction
+from repro.isa.instructions import (
+    CTRL_ARM,
+    CTRL_RESET,
+    Category,
+    Instruction,
+)
 
 if TYPE_CHECKING:
     from collections.abc import Container, Sequence
@@ -100,17 +105,27 @@ class IROp(NamedTuple):
     load_dest: int | None       # load destination register, if any
     is_branch: bool             # conditional pc-relative (incl. dbne)
     is_mul: bool                # Category.MUL: pays mul_extra_cycles
-    is_zolc_init: bool          # mtz/mfz: may change ZOLC port state
+    is_zolc_init: bool          # mtz/mfz: touches the ZOLC port
     can_transfer: bool          # may return a control transfer
     #: Which PipelineConfig penalty a taken transfer pays:
     #: "hwloop" (dbne), "jump_register" (jr/jalr), "branch" (the rest).
     penalty_kind: str
     defs: frozenset[int]        # registers written (r0 excluded)
     reads: tuple[int, ...]      # raw operand reads (r0 kept, ISA order)
+    #: :data:`ZOLC_ARM` for an ``mtz`` to ``CTRL_ARM``,
+    #: :data:`ZOLC_RESET` for one to ``CTRL_RESET``, else ``None``: the
+    #: only port accesses that can change the controller's armed state
+    #: or watch sets, so the only ones that end a straight-line span.
+    zolc_ctrl: str | None
+
+
+#: :attr:`IROp.zolc_ctrl` values.
+ZOLC_ARM = "arm"
+ZOLC_RESET = "reset"
 
 
 class SliceableOp(Protocol):
-    """The two flags :func:`straightline_terms` consumes per record.
+    """The two fields :func:`span_breaks` consumes per record.
 
     Both :class:`IROp` arrays and the predecoded ``OpMeta`` arrays
     satisfy it, so every codegen tier slices identically.
@@ -120,7 +135,7 @@ class SliceableOp(Protocol):
     def can_transfer(self) -> bool: ...
 
     @property
-    def is_zolc_init(self) -> bool: ...
+    def zolc_ctrl(self) -> str | None: ...
 
 
 def ir_op_from_instruction(inst: Instruction, address: int,
@@ -156,6 +171,12 @@ def ir_op_from_instruction(inst: Instruction, address: int,
                     or mnemonic == "halt")
     reads = tuple(31 if field == "ra" else int(getattr(inst, field))
                   for field in inst.spec.reads)
+    zolc_ctrl: str | None = None
+    if mnemonic == "mtz":
+        if inst.imm == CTRL_ARM:
+            zolc_ctrl = ZOLC_ARM
+        elif inst.imm == CTRL_RESET:
+            zolc_ctrl = ZOLC_RESET
     return IROp(
         index=index, address=address, mnemonic=mnemonic,
         category_key=category.value,
@@ -166,7 +187,7 @@ def ir_op_from_instruction(inst: Instruction, address: int,
         is_branch=is_branch, is_mul=category is Category.MUL,
         is_zolc_init=category is Category.ZOLC,
         can_transfer=can_transfer, penalty_kind=penalty_kind,
-        defs=inst.defs(), reads=reads)
+        defs=inst.defs(), reads=reads, zolc_ctrl=zolc_ctrl)
 
 
 def build_ir(program: Program) -> tuple[IROp, ...] | None:
@@ -239,6 +260,56 @@ def op_taken_penalty(op: IROp, config: PipelineConfig) -> int:
     return int(config.branch_penalty)
 
 
+def span_breaks(ops: Sequence[SliceableOp] | None, base: int,
+                watched_next: Container[int]) -> list[str | None]:
+    """Why each slot must end any straight-line span that reaches it.
+
+    The one span-ending predicate: the slicer, the verifier (ZV001),
+    the audit's span cover and the IR-front CFG carver all read it.
+    Per slot, ``None`` when the slot may sit inside a span, else the
+    reason:
+
+    * ``"transfer"`` — it can transfer control;
+    * ``"arm"`` — an ``mtz`` to ``CTRL_ARM``: its retirement delivers
+      the arm-time index writes and changes the watch sets;
+    * ``"watch"`` — its sequential next pc is in ``watched_next`` (a
+      ZOLC trigger or entry target under the current plan);
+    * ``"reset"`` — an ``mtz`` to ``CTRL_RESET`` whose next break is
+      not an arm.  A reset whose span runs on into an arm stays
+      inside it: the slots between retire on an unarmed, inactive
+      port, so the whole ``reset … writes … arm`` preheader is one
+      span that re-queries the plan once, after the arm.
+
+    Table writes and ``mfz`` never break a span: a table field is read
+    live at fire time, so writing one changes no watch set.  Passing
+    the ``None`` "no IR" sentinel is a caller bug and raises
+    :class:`SimulationError` — resolve it via :func:`build_ir` /
+    :func:`ir_failure` first.
+    """
+    if ops is None:
+        raise SimulationError(
+            "cannot slice straight-line spans: program has no IR")
+    n = len(ops)
+    breaks: list[str | None] = [None] * n
+    next_break: str | None = None
+    for j in range(n - 1, -1, -1):
+        op = ops[j]
+        ctrl = op.zolc_ctrl
+        if op.can_transfer:
+            reason: str | None = "transfer"
+        elif ctrl == ZOLC_ARM:
+            reason = "arm"
+        elif base + 4 * j + 4 in watched_next:
+            reason = "watch"
+        elif ctrl == ZOLC_RESET and next_break != "arm":
+            reason = "reset"
+        else:
+            reason = None
+        if reason is not None:
+            breaks[j] = next_break = reason
+    return breaks
+
+
 def straightline_terms(
         ops: Sequence[SliceableOp] | None, base: int,
         watched_next: Container[int]) -> list[int | None]:
@@ -246,30 +317,17 @@ def straightline_terms(
 
     The one region-slicing scan every codegen tier shares.  Returns a
     per-slot list: ``None`` for slots that cannot begin a span of at
-    least two instructions, else the terminator slot index.  A slot is
-    *interior-unsafe* (it must terminate any span that reaches it) when
-    it can transfer control, is ``mtz``/``mfz``, or its sequential next
-    pc is in ``watched_next`` (a ZOLC trigger or entry target under the
-    current plan); spans never extend past the end of the text image.
-
-    ``ops`` needs only ``can_transfer`` / ``is_zolc_init`` per record,
-    so both :class:`IROp` arrays and the predecoded ``OpMeta`` arrays
-    slice identically.  Passing the ``None`` "no IR" sentinel is a
-    caller bug and raises :class:`SimulationError` — resolve it via
-    :func:`build_ir` / :func:`ir_failure` first.
+    least two instructions, else the terminator slot index — the first
+    slot at or after it that :func:`span_breaks` marks, or the last
+    slot of the text image (spans never extend past its end).
     """
-    if ops is None:
-        raise SimulationError(
-            "cannot slice straight-line spans: program has no IR")
-    n = len(ops)
+    breaks = span_breaks(ops, base, watched_next)
+    n = len(breaks)
     terms: list[int | None] = [None] * n
-    first_unsafe = n
+    term = n - 1
     for j in range(n - 1, -1, -1):
-        op = ops[j]
-        if (op.can_transfer or op.is_zolc_init
-                or base + 4 * j + 4 in watched_next):
-            first_unsafe = j
-        term = first_unsafe if first_unsafe < n else n - 1
+        if breaks[j] is not None:
+            term = j
         if term > j:
             terms[j] = term
     return terms

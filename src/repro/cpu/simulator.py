@@ -73,8 +73,9 @@ class CompiledZolcPort(ZolcPort, Protocol):
     fire handlers + epoch), or ``None`` when the port is unarmed or has
     arm-time writes pending.  The predecoded engine folds the plan's
     watch sets into its dispatch array and then calls ``on_retire``
-    only for ``mtz``/``mfz`` retirements; everything else dispatches
-    straight to the plan's fire handlers (or to nothing at all).  Ports
+    only for retirements of an ``mtz`` to ``CTRL_ARM`` or
+    ``CTRL_RESET``; everything else dispatches straight to the plan's
+    fire handlers (or to nothing at all).  Ports
     that do not implement this method — any plain :class:`ZolcPort` —
     run on the stepped interpreter, which offers ``on_retire`` every
     retirement.

@@ -48,6 +48,15 @@ class Category(enum.Enum):
     SYSTEM = "system"
 
 
+# The ZOLC control selectors of ``mtz``/``mfz`` (the table part of the
+# selector map lives in :mod:`repro.core.tables`).  Whether an ``mtz``
+# arms or resets the controller is a static fact of the instruction
+# word, so the engine IR decodes it from these.
+CTRL_ARM = 0x0000       # write 1 to arm (enter active mode), 0 to disarm
+CTRL_RESET = 0x0001     # write any value to clear all tables
+CTRL_STATUS = 0x0002    # read-only: 1 if armed
+
+
 # Operand syntax tokens understood by the assembler:
 #   rd / rs / rt  : register operand, written into that field
 #   shamt         : 5-bit immediate

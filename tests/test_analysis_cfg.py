@@ -108,6 +108,14 @@ class TestBlocks:
         assert cfg.is_leader(base + 12)
         assert not build_instruction_cfg(program).is_leader(base + 12)
 
+    def test_only_span_breaking_port_accesses_end_blocks(self):
+        # The arm ends a block; the reset that runs on into it, the
+        # table write and the mfz do not (IR-front span breaks).
+        _, _, cfg = _cfg("mtz zero, 1\nmtz t0, 256\nmfz t1, 256\n"
+                         "mtz t0, 0\naddi t2, t2, 1\nmtz t0, 257\n"
+                         "halt\n")
+        assert [(b.start, b.end) for b in cfg.blocks] == [(0, 3), (4, 6)]
+
     def test_indirect_jump_flagged(self, cfg_fronts):
         for cfg in cfg_fronts("jr ra\nhalt\n"):
             assert cfg.blocks[0].has_indirect

@@ -189,13 +189,14 @@ class TestEngineSelection:
         to the stepped interpreter; this pins the two op tables together.
         """
         from repro.cpu.datapath import EXECUTORS
-        from repro.cpu.engine import _predecode_fn
+        from repro.cpu.engine.fast import _lower_fast
+        from repro.cpu.ir import ir_op_from_instruction
         from repro.isa.instructions import Instruction
 
         sim = Simulator(assemble("halt\n"))
         for mnemonic in EXECUTORS:
-            fn = _predecode_fn(Instruction(mnemonic, address=0), 0, sim)
-            assert callable(fn), mnemonic
+            op = ir_op_from_instruction(Instruction(mnemonic, address=0), 0)
+            assert callable(_lower_fast(op, sim)), mnemonic
 
     def test_predecode_gap_falls_back_to_step(self, monkeypatch):
         # A mnemonic the predecoder does not cover must degrade to the

@@ -18,10 +18,13 @@ from repro.asm import assemble
 from repro.cpu import SimulationError, Simulator
 from repro.cpu.engine import predecode
 from repro.cpu.ir import (
+    ZOLC_ARM,
+    ZOLC_RESET,
     build_ir,
     ir_op_from_instruction,
     op_base_cycles,
     op_taken_penalty,
+    span_breaks,
     straightline_terms,
 )
 from repro.cpu.pipeline import PipelineConfig
@@ -161,14 +164,93 @@ loop:
         halt
 """
 
+    #: A re-arm preheader (reset, table writes, a read-back, arm)
+    #: followed by a table write and a read outside it.
+    PREHEADER = """
+        addi t0, zero, 1
+        mtz  zero, 1            # CTRL_RESET
+        addi at, zero, 3
+        mtz  at, 256            # loop 0 TRIPS
+        mfz  t1, 256
+        mtz  at, 0              # CTRL_ARM
+        addi t2, zero, 2
+        mtz  at, 257            # loop 0 INITIAL
+        mfz  t3, 2              # CTRL_STATUS
+        halt
+"""
+
     def test_ir_and_metas_slice_identically(self):
-        sim = Simulator(assemble(self.SOURCE))
-        predecoded = predecode(sim)
-        ir = build_ir(sim.program)
-        base = sim.program.text_base
-        for watched in (frozenset(), {base + 8}, {base + 12, base + 20}):
-            assert (straightline_terms(ir, base, watched)
-                    == straightline_terms(predecoded.metas, base, watched))
+        for source in (self.SOURCE, self.PREHEADER):
+            sim = Simulator(assemble(source))
+            predecoded = predecode(sim)
+            ir = build_ir(sim.program)
+            base = sim.program.text_base
+            for watched in (frozenset(), {base + 8},
+                            {base + 12, base + 20}):
+                assert (straightline_terms(ir, base, watched)
+                        == straightline_terms(predecoded.metas, base,
+                                              watched))
+
+    @staticmethod
+    def _slice(source, watched_slots=()):
+        """``(ir, breaks, terms)`` of a program, with the next pcs of
+        ``watched_slots`` watched."""
+        program = assemble(source)
+        ir = build_ir(program)
+        base = program.text_base
+        watched = {base + 4 * slot + 4 for slot in watched_slots}
+        return (ir, span_breaks(ir, base, watched),
+                straightline_terms(ir, base, watched))
+
+    def test_zolc_ctrl_decodes_arm_and_reset_only(self):
+        ir, _breaks, _terms = self._slice(self.PREHEADER)
+        assert [op.zolc_ctrl for op in ir] == [
+            None, ZOLC_RESET, None, None, None, ZOLC_ARM,
+            None, None, None, None]
+
+    def test_table_writes_and_reads_sit_inside_a_span(self):
+        _ir, breaks, terms = self._slice(self.PREHEADER)
+        # After the arm, the table write and the mfz run on into the
+        # halt: one span.
+        assert breaks[6:9] == [None, None, None]
+        assert terms[6] == 9
+        assert terms[7] == 9
+
+    def test_arm_ends_a_span(self):
+        _ir, breaks, terms = self._slice(self.PREHEADER)
+        assert breaks[5] == "arm"
+        assert terms[2] == 5
+
+    def test_reset_then_arm_is_one_span(self):
+        _ir, breaks, terms = self._slice(self.PREHEADER)
+        # The whole reset … writes … arm preheader, and the slot before
+        # it, fuse into one span that ends at the arm.
+        assert breaks[1] is None
+        assert terms[0] == 5
+        assert terms[1] == 5
+
+    def test_reset_before_a_branch_ends_at_the_reset(self):
+        _ir, breaks, terms = self._slice("""
+        addi t0, zero, 1
+        mtz  zero, 1            # CTRL_RESET
+        addi at, zero, 1
+        beq  at, zero, skip
+        mtz  at, 0              # CTRL_ARM
+skip:
+        halt
+""")
+        assert breaks[1] == "reset"
+        assert terms[0] == 1
+        assert terms[2] == 3
+
+    def test_reset_before_a_watched_pc_ends_at_the_reset(self):
+        # Slot 2's next pc is a watch target: its retirement may fire,
+        # so the reset's span cannot run on into the arm.
+        _ir, breaks, terms = self._slice(self.PREHEADER, watched_slots=(2,))
+        assert breaks[2] == "watch"
+        assert breaks[1] == "reset"
+        assert terms[0] == 1
+        assert terms[3] == 5
 
     def test_transfers_and_zolc_terminate(self):
         sim = Simulator(assemble(self.SOURCE))

@@ -1,7 +1,8 @@
 """The static verifier: positive sweep plus a seeded negative corpus.
 
 The negative tests corrupt exactly one verifier input each — a span
-slicing extended across a watch address (ZV001), a malformed watch
+slicing extended across a watch address, or a slicer that lets an arm
+sit inside a span (ZV001), a malformed watch
 (ZV002), a tampered span table that forces an illegal zero-guard trace
 (ZV003),
 an index-register write inside a watched body (ZV004), an undeclared
@@ -21,7 +22,7 @@ from repro.cpu.analysis import (
     trace_candidate_bodies,
     verify_program,
 )
-from repro.cpu.ir import build_ir
+from repro.cpu.ir import ZOLC_ARM, build_ir, straightline_terms
 from repro.eval.check import check_kernel, run_check, static_plan
 from repro.eval.machines import machine_registry
 from repro.isa.registers import register_index
@@ -37,6 +38,21 @@ body:
     addi t1, t1, 1
 trigger:
     addi t2, t2, 1
+    halt
+"""
+
+
+#: A re-arm preheader: reset, table writes, arm, then more straight
+#: code holding a table write.
+PREHEADER = """
+    mtz  zero, 1
+    addi at, zero, 3
+    mtz  at, 256
+    addi at, zero, 1
+    mtz  at, 0
+    addi t0, zero, 2
+    mtz  t0, 257
+    addi t1, zero, 1
     halt
 """
 
@@ -152,6 +168,53 @@ class TestZV001:
         findings = _verify(program, _plan(program), terms=tampered)
         hits = [d for d in _errors(findings) if d.rule == "ZV001"]
         assert any("degenerate" in d.message for d in hits)
+
+    def test_fused_preheader_is_clean(self):
+        # reset … writes … arm is one span, and the table write after
+        # the arm sits inside the next one.
+        program = assemble(PREHEADER)
+        ir = build_ir(program)
+        terms = straightline_terms(ir, program.text_base, frozenset())
+        assert terms[0] == 4
+        assert terms[5] == 8
+        assert _errors(_verify(program, None)) == []
+
+    def test_slicer_letting_an_arm_inside_a_span(self, monkeypatch):
+        # Mutate the slicer the verifier re-proves: it treats the arm
+        # as a table write, so the arm sits inside a span.
+        import repro.cpu.analysis.verify as verify_module
+
+        real = verify_module.straightline_terms
+
+        def arm_blind(ops, base, watched):
+            return real([op._replace(zolc_ctrl=None)
+                         if op.zolc_ctrl == ZOLC_ARM else op
+                         for op in ops], base, watched)
+
+        monkeypatch.setattr(verify_module, "straightline_terms", arm_blind)
+        program = assemble(PREHEADER)
+        hits = [d for d in _errors(_verify(program, None))
+                if d.rule == "ZV001"]
+        assert any("interior boundary: mtz CTRL_ARM" in d.message
+                   for d in hits), hits
+
+    def test_carver_not_cutting_after_an_arm(self, monkeypatch):
+        # Mutate the CFG carver instead: the span that ends at the arm
+        # now ends inside a basic block.
+        import repro.cpu.analysis.cfg as cfg_module
+
+        real = cfg_module.span_breaks
+
+        def arm_blind(ops, base, watched):
+            return [None if op.zolc_ctrl == ZOLC_ARM else reason
+                    for op, reason in zip(ops, real(ops, base, watched))]
+
+        monkeypatch.setattr(cfg_module, "span_breaks", arm_blind)
+        program = assemble(PREHEADER)
+        hits = [d for d in _errors(_verify(program, None))
+                if d.rule == "ZV001"]
+        assert any("ends inside a basic block" in d.message
+                   for d in hits), hits
 
 
 class TestZV002:
