@@ -165,10 +165,11 @@ def _timed(prepared, engine="auto", resident=True):
     return total, time.perf_counter() - t0
 
 
-def _references(prepared, columns):
+def _references(columns):
     """Time reference columns, best-of-3.
 
-    ``columns`` maps a column name to its ``_timed`` keyword arguments;
+    ``columns`` maps a column name to ``(prepared, kwargs)``: the
+    prepared kernels it runs and its ``_timed`` keyword arguments;
     returns name -> ``(total, elapsed)``.  On a small shared host one
     scheduler hiccup — or a slow stretch of the host — in a single pass
     of a reference column can swing a recorded ratio past the
@@ -180,7 +181,7 @@ def _references(prepared, columns):
     """
     best: dict[str, tuple[int, float]] = {}
     for _ in range(3):
-        for name, kwargs in columns.items():
+        for name, (prepared, kwargs) in columns.items():
             total, elapsed = _timed(prepared, **kwargs)
             if name not in best or elapsed < best[name][1]:
                 best[name] = (total, elapsed)
@@ -229,7 +230,7 @@ def test_figure2_throughput(benchmark, prepared_suite):
 
     # Reference run of the stepped interpreter on the same work.
     step_total, step_elapsed = _references(
-        prepared_suite, {"step": {"engine": "step"}})["step"]
+        {"step": (prepared_suite, {"engine": "step"})})["step"]
     assert step_total == total  # same retirement stream
     stepped_ips = round(step_total / step_elapsed)
     traced_speedup = (step_elapsed / mean) if mean else float("inf")
@@ -273,9 +274,9 @@ def test_zolc_throughput(benchmark, prepared_zolc_suite):
     mean = benchmark.stats.stats.mean
     resident_ips = round(total / mean)
 
-    refs = _references(prepared_zolc_suite, {
-        "region": {"resident": False},
-        "step": {"engine": "step"}})
+    refs = _references({
+        "region": (prepared_zolc_suite, {"resident": False}),
+        "step": (prepared_zolc_suite, {"engine": "step"})})
     traced_total, traced_elapsed = refs["region"]
     step_total, step_elapsed = refs["step"]
     assert traced_total == step_total == total
@@ -367,14 +368,8 @@ def test_uzolc_host_time(benchmark, reg):
                                rounds=ROUNDS, iterations=1,
                                warmup_rounds=max(WARMUP_ROUNDS, 1))
     _timed(prepared["XRdefault"])  # warm the XRdefault code caches
-    # Best-of-3 per column, the columns interleaved within a round (the
-    # same method as _references, over two prepared lists).
-    best: dict[str, tuple[int, float]] = {}
-    for _ in range(3):
-        for name, kernels in prepared.items():
-            total_i, elapsed = _timed(kernels)
-            if name not in best or elapsed < best[name][1]:
-                best[name] = (total_i, elapsed)
+    best = _references({name: (kernels, {})
+                        for name, kernels in prepared.items()})
     xr_total, xr_elapsed = best["XRdefault"]
     uzolc_total, uzolc_elapsed = best["uZOLC"]
     assert uzolc_total == total

@@ -21,7 +21,8 @@ ZV002   error     ZOLC watch addresses are word-aligned text
                   leaders; exit watches sit on branch instructions
 ZV003   error     straight-line legality (DESIGN.md §9) holds for each
                   loop body the traced tier runs as a zero-guard trace
-                  (info when a body is guarded instead)
+                  (info when a body is guarded instead, or retires an
+                  ``mtz``/``mfz`` and stays on the region tier)
 ZV004   error     no instruction inside a watched loop body writes a
                   register the controller's index unit owns
 ZV005   warning   watched loop bodies without an entry record are
@@ -383,13 +384,15 @@ def check_chain_legality(ctx: VerifyContext) -> list[Diagnostic]:
     table ending right before the trigger, in anything but a
     conditional branch, must run as a zero-guard trace: every
     iteration retires the whole body and fires the trigger.  For each
-    such body: it
-    holds no ``mtz``/``mfz`` (condition 1), no *other* watch address
-    lands strictly inside it (condition 2, so interior members stay
-    unwatched), and the terminator cannot transfer control (condition
-    3, the body falls through into the trigger).  Other bodies are
-    reported at info severity — they run as guarded traces, whose
-    divergences ZV006 covers.
+    such body: no *other* watch address lands strictly inside it
+    (condition 2, so interior members stay unwatched), and the
+    terminator cannot transfer control (condition 3, the body falls
+    through into the trigger).  A body that retires an ``mtz``/``mfz``
+    fails condition 1, so the trace tier never takes it (its candidate
+    scan rejects the loop) and it runs on the region tier, which fuses
+    table writes exactly: reported at info severity.  Bodies that are
+    not one such span are also info — they run as guarded traces,
+    whose divergences ZV006 covers.
     """
     plan = ctx.plan
     assert plan is not None
@@ -408,14 +411,16 @@ def check_chain_legality(ctx: VerifyContext) -> list[Diagnostic]:
                 "trace", pc_lo=lp.body_pc, pc_hi=lp.trigger_pc))
             continue
         span = (ctx.ir[start].address, term_op.address)
-        for k in range(start, term + 1):
-            if ctx.ir[k].is_zolc_init:
-                out.append(Diagnostic(
-                    "ZV003", "error",
-                    f"straight-line body of loop {lp.loop_id} contains "
-                    f"{ctx.ir[k].mnemonic} at {hex(ctx.ir[k].address)}"
-                    " (condition 1 violated)",
-                    pc_lo=span[0], pc_hi=span[1]))
+        init = next((k for k in range(start, term + 1)
+                     if ctx.ir[k].is_zolc_init), None)
+        if init is not None:
+            out.append(Diagnostic(
+                "ZV003", "info",
+                f"straight-line body of loop {lp.loop_id} retires "
+                f"{ctx.ir[init].mnemonic} at "
+                f"{hex(ctx.ir[init].address)}; it stays on the region "
+                "tier", pc_lo=span[0], pc_hi=span[1]))
+            continue
         for pc in watched:
             if span[0] < pc <= span[1]:
                 out.append(Diagnostic(

@@ -19,7 +19,6 @@ the package docstring and DESIGN.md §10).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.cpu import alu
@@ -228,13 +227,9 @@ def _lower_fast(op: IROp, sim: "Simulator") -> OpFn:
                     f"{m} executed on a machine without a ZOLC "
                     f"(pc={pc:#x}); attach a ZolcController")
         elif m == "mtz":
-            # A compiled port hands out one bound writer per selector,
-            # so a retirement pays no selector decode; any other port
-            # gets its write bound to the selector.
-            writer = getattr(zolc, "writer", None)
-            zwrite = (writer(op.imm) if writer is not None
-                      else partial(zolc.write, op.imm))
-            def fn(pc, zwrite=zwrite, read=read, rt=rt):
+            # The compiled port hands out one bound writer per
+            # selector, so a retirement pays no selector decode.
+            def fn(pc, zwrite=zolc.writer(op.imm), read=read, rt=rt):
                 zwrite(read(rt))
                 return None
         else:

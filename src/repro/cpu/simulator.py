@@ -17,7 +17,7 @@ of :mod:`repro.core`:
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.asm.assembler import Program
 from repro.asm.disassembler import format_instruction
@@ -83,10 +83,15 @@ class CompiledZolcPort(ZolcPort, Protocol):
     A port exposing ``zolc_plan()`` promises the contract documented in
     :mod:`repro.core.compiled`: the plan is valid until its epoch
     changes, and the armed/pending state only changes through
-    :meth:`write` or a fire handler.
+    :meth:`write` or a fire handler.  It also hands out
+    ``writer(selector)``, the bound ``mtz`` write of one selector
+    (``writer(s)(v)`` is ``write(s, v)``), which the predecoded engine
+    resolves once per ``mtz`` when it lowers the instruction.
     """
 
     def zolc_plan(self): ...
+
+    def writer(self, selector: int) -> Callable[[int], None]: ...
 
 
 class PlanlessZolcPort:

@@ -458,8 +458,10 @@ class TestPlanlessFallback:
         from repro.cpu.engine import run_traced
 
         sim = _zolc_sim(REARM_SRC)
-        sim.zolc = PlanlessZolcPort(sim.zolc)
+        # Lowering binds the compiled port's per-selector writers, so
+        # predecode against the real port before hiding its plan.
         predecoded = sim._ensure_predecoded()
+        sim.zolc = PlanlessZolcPort(sim.zolc)
         with pytest.raises(AttributeError, match="zolc_plan"):
             run_traced(sim, 1_000, predecoded)
         assert sim.stats.instructions == 0

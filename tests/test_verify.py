@@ -276,6 +276,31 @@ trigger:
         assert any(d.rule == "ZV003" and d.severity == "info"
                    for d in findings)
 
+    @pytest.mark.parametrize("write", ["mtz  t0, 272", "mfz  t0, 272"])
+    def test_body_with_a_table_access_stays_on_the_region_tier(
+            self, write):
+        # A table write or read no longer ends a span, so the body is
+        # one span ending right before the trigger.  The trace tier
+        # rejects it and the region tier runs it: info, not an error.
+        source = f"""
+body:
+    addi t0, t0, 1
+    {write}
+    addi t1, t1, 1
+trigger:
+    addi t2, t2, 1
+    halt
+"""
+        program = assemble(source)
+        plan = _plan(program)
+        _, ctx = _context(source, plan)
+        assert straightline_terms(ctx.ir, program.text_base,
+                                  plan.watched_next_pcs())[0] == 2
+        findings = _verify(program, plan)
+        assert _errors(findings) == []
+        assert any(d.rule == "ZV003" and d.severity == "info"
+                   and "region tier" in d.message for d in findings)
+
     def test_transfer_terminated_body_is_flagged(self):
         # A straight-line body that jumps away right before its
         # trigger never falls into it: condition 3 must fire.
