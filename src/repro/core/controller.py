@@ -71,11 +71,8 @@ class ZolcController:
         # what the last arm validated and compiled, a re-arm (the uZOLC
         # per-invocation idiom) reuses the validated watch dicts,
         # compiled watch sets and initial index writes instead of
-        # re-deriving O(tables) state.  Recognised two ways: an
-        # unchanged version counter (identical values re-streamed in
-        # place), or an equal content signature (the reset-and-restream
-        # sequence).  -1 never matches a real version.
-        self._armed_version = -1
+        # re-deriving O(tables) state.  Recognised by an equal content
+        # signature (the reset-and-restream sequence).
         self._armed_sig: tuple | None = None
         self._compiled_sets: tuple | None = None
         self._initial_writes: list[tuple[int, int]] = []
@@ -160,14 +157,8 @@ class ZolcController:
         return self.tables.read(selector)
 
     def _arm(self) -> None:
-        sig = None
-        unchanged = self.tables.version == self._armed_version
-        if not unchanged and self._armed_sig is not None:
-            sig = self.tables.signature()
-            unchanged = sig == self._armed_sig
-            if unchanged:
-                self._armed_version = self.tables.version
-        if unchanged:
+        sig = self.tables.signature()
+        if sig == self._armed_sig:
             # The tables are bit-for-bit what the last arm validated and
             # compiled: skip validation, watch-dict and children-map
             # rebuilds, reuse the compiled watch sets, and only redo the
@@ -213,11 +204,9 @@ class ZolcController:
         self._pending_writes = list(self._initial_writes)
         self._armed = True
         self.arm_count += 1
-        self._armed_version = self.tables.version
-        # Nothing above mutates the tables, so a signature computed for
-        # the failed fast-path comparison is still current.
-        self._armed_sig = sig if sig is not None else \
-            self.tables.signature()
+        # Nothing above mutates the tables, so the signature computed
+        # for the failed comparison is still current.
+        self._armed_sig = sig
         # Compile the watch sets the moment they are frozen.  Loop/exit/
         # entry *field* values (trips, targets, reset masks, ...) are
         # deliberately not part of the plan: they are read live at fire

@@ -166,20 +166,16 @@ class EntryRecord:
 class ZolcTables:
     """All writable ZOLC state, dimensioned by a configuration.
 
-    ``version`` counts every *observable* mutation: a selector write
-    that actually changes a stored field, and every :meth:`reset`.
-    Writes that store the value already present do not bump it — a
-    kernel that re-streams identical loop parameters before each
-    re-arm (the uZOLC idiom: the same inner loop re-armed per
-    invocation) leaves the version untouched, which is what lets the
-    controller reuse its arm-time compilation products.
+    The controller recognises a re-arm of unchanged tables (the uZOLC
+    idiom: ``CTRL_RESET``, then the same loop parameters re-streamed
+    before each invocation) by comparing :meth:`signature` values, so
+    it can reuse its arm-time compilation products.
     """
 
     config: ZolcConfig
     loops: list[LoopRecord] = field(default_factory=list)
     exits: list[ExitRecord] = field(default_factory=list)
     entries: list[EntryRecord] = field(default_factory=list)
-    version: int = 0
     #: Selector -> bound writer memo (see :meth:`writer`).  Records are
     #: allocated once and zeroed in place on :meth:`reset`, so writers
     #: stay valid for the tables' whole lifetime.
@@ -213,7 +209,6 @@ class ZolcTables:
                 x.branch_pc = x.target_pc = x.reset_mask = x.flags = 0
             for e in self.entries:
                 e.entry_pc = e.loop = e.flags = 0
-        self.version += 1
 
     # -- selector-level access --------------------------------------------
     def _locate(self, selector: int) -> tuple[object, int]:
@@ -263,10 +258,7 @@ class ZolcTables:
         name = record._FIELDS[fieldno]  # type: ignore[attr-defined]
 
         def write(value: int) -> None:
-            value &= 0xFFFFFFFF
-            if getattr(record, name) != value:
-                setattr(record, name, value)
-                self.version += 1
+            setattr(record, name, value & 0xFFFFFFFF)
         return write
 
     def write(self, selector: int, value: int) -> None:
@@ -281,9 +273,9 @@ class ZolcTables:
 
         One flat walk over every record field — the cheap way for the
         controller to recognise the reset-and-restream re-arm idiom
-        (``CTRL_RESET`` + identical parameter writes bump ``version``
-        but leave the signature equal, so arm-time compilation products
-        can be reused).
+        (``CTRL_RESET`` + identical parameter writes leave the
+        signature equal, so arm-time compilation products can be
+        reused).
         """
         return (
             tuple((r.trips, r.initial, r.step, r.index_reg, r.body_pc,

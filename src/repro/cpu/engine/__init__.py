@@ -15,7 +15,8 @@ over that array (``engine="step"`` is the stepped oracle):
   hot attribute hoisted into a default argument, no code generation.
   Cold code retires through these closures one slot at a time;
 * :mod:`~repro.cpu.engine.traced` owns the run loop
-  (:func:`run_traced`) and lowers maximal straight-line spans to
+  (:func:`run_traced`), one loop for every machine with one
+  post-retire watch dispatch, and lowers maximal straight-line spans to
   generated Python megahandlers — memory accesses inlined,
   bounds-checked, against the raw memory buffer — executing a whole
   block per Python call.  Compilation is tiered: a span is fused only
@@ -39,7 +40,7 @@ handler takes the current ``pc`` and returns
 
 Architectural side effects (register/memory writes) happen inside the
 lowered code through bound methods captured at lowering time.  Timing
-and statistics stay in the run loops, driven by static per-slot
+and statistics stay in the run loop, driven by static per-slot
 metadata, so every tier retires *identical* (pc, regs, cycles, stats)
 sequences to the ``step()`` interpreter — a property pinned down by the
 differential tests in ``tests/test_engine.py`` and the cross-tier fuzz
@@ -51,7 +52,7 @@ trigger, exit-branch and entry-target addresses can ever produce an
 action, yet every retirement pays for the call, its dict probes and its
 early-out checks.  When the attached port exposes a *compiled
 controller plan* (:meth:`~repro.core.controller.ZolcController.
-zolc_plan`, see :mod:`repro.core.compiled`), the run loops fold the
+zolc_plan`, see :mod:`repro.core.compiled`), the run loop folds the
 plan's watch sets into the same ``pc >> 2`` geometry as the dispatch
 array — a dense next-pc watch array (trigger / entry-target), a dense
 current-pc exit-branch array consulted only on taken transfers, and a
@@ -76,9 +77,13 @@ DESIGN.md §10.
 """
 
 from repro.cpu.engine.dispatch import HALT, OpFn, OpMeta, PredecodedProgram
-from repro.cpu.engine.fast import _compile_watch_arrays, predecode
+from repro.cpu.engine.fast import predecode
 from repro.cpu.engine.trace import Trace, TraceOutcome, trace_table
-from repro.cpu.engine.traced import TraceRegion, run_traced
+from repro.cpu.engine.traced import (
+    TraceRegion,
+    _compile_watch_arrays,
+    run_traced,
+)
 
 __all__ = [
     "HALT",

@@ -8,13 +8,6 @@ code generation.  The traced run loop
 (:func:`~repro.cpu.engine.traced.run_traced`) retires cold slots
 through these closures one at a time, and generated regions and
 traces call them for the members they do not inline.
-
-This module also owns the compiled-controller-plan dispatch helpers
-(:func:`_compile_watch_arrays`, :func:`_apply_action`,
-:func:`_plan_dispatch_state`) that the run loop uses: the plan's watch
-sets fold into the same ``pc >> 2`` geometry as the dispatch array, so
-unwatched retirements skip the ``on_retire`` Python call entirely (see
-the package docstring and DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -260,98 +253,4 @@ def predecode(sim: "Simulator") -> PredecodedProgram | None:
         metas.append(OpMeta(op.category_key, op.is_zolc_init,
                             op.can_transfer, op.zolc_ctrl))
     return PredecodedProgram(ops, metas, ir)
-
-
-def _compile_watch_arrays(sim: "Simulator", plan, n: int, base: int):
-    """Fold a compiled controller plan into dense per-slot watch arrays.
-
-    Returns ``(next_watch, exit_watch, far_watch)``:
-
-    * ``next_watch[idx]`` — ``None`` for unwatched slots, else
-      ``(entry_record_id | None, trigger_loop_id | None)`` consulted
-      against the *next* pc of every retirement (entry records take
-      precedence, falling through to the trigger when the entry does
-      not fire — the same order ``on_retire`` checks);
-    * ``exit_watch[idx]`` — exit record id at the retiring pc, consulted
-      only for taken transfers;
-    * ``far_watch`` — next-pc watch entries whose address falls outside
-      (or misaligns with) the text image; consulted only when a
-      transfer leaves the dense array, so hand-programmed tables keep
-      exact ``on_retire`` semantics.
-
-    Cached on the simulator by the plan's watch-set content key, so
-    re-arming the same tables (a kernel invoked in a loop) costs one
-    dict probe, not an O(text) rebuild.
-    """
-    cached = sim._zolc_watch_cache.get(plan.key)
-    if cached is not None:
-        return cached
-    limit = 4 * n
-    next_watch: list[tuple[int | None, int | None] | None] = [None] * n
-    exit_watch: list[int | None] = [None] * n
-    far_watch: dict[int, tuple[int | None, int | None]] = {}
-    entry_at = dict(plan.entries)
-    trigger_at = dict(plan.triggers)
-    for pc in entry_at.keys() | trigger_at.keys():
-        record = (entry_at.get(pc), trigger_at.get(pc))
-        offset = pc - base
-        if 0 <= offset < limit and not offset & 3:
-            next_watch[offset >> 2] = record
-        else:
-            far_watch[pc] = record
-    for pc, record_id in plan.exits:
-        offset = pc - base
-        if 0 <= offset < limit and not offset & 3:
-            exit_watch[offset >> 2] = record_id
-        # An exit branch outside the text image can never retire: no
-        # dense slot, and the current pc is always in range, so it is
-        # dropped rather than mirrored into far_watch.
-    arrays = (next_watch, exit_watch, far_watch)
-    sim._zolc_watch_cache[plan.key] = arrays
-    return arrays
-
-
-def _apply_action(action, regs_write, next_pc, pending, index_writes,
-                  task_switches, cycles, zolc_switch_extra):
-    """Apply one ZolcAction to the run loop's local counter bundle.
-
-    Shared by the run loop's on_retire sites (mtz/mfz oracle path and
-    the transient arm-writes-pending window).  The stepped interpreter
-    (:meth:`~repro.cpu.simulator.Simulator.step`) applies the same
-    semantics to its own counters; the differential tests catch a
-    drift between the two.
-    """
-    writes = action.index_writes
-    if writes:
-        for reg, value in writes:
-            regs_write(reg, value)
-        index_writes += len(writes)
-    if action.next_pc is not None:
-        next_pc = action.next_pc
-        # Any PC redirect crosses a fetch boundary: the load-use
-        # pairing cannot survive it.
-        pending = None
-    if action.is_task_switch:
-        task_switches += 1
-        pending = None
-        cycles += zolc_switch_extra
-    return next_pc, pending, index_writes, task_switches, cycles
-
-
-def _plan_dispatch_state(plan, sim: "Simulator", n: int, base: int, zolc):
-    """Resolve the run loop's compiled dispatch state from a plan query.
-
-    Returns the full local-variable bundle the plan loop runs on:
-    ``(next_watch, exit_watch, far_watch, fire_exit, fire_entry,
-    fire_trigger, epoch, active_without_plan)``.  With no plan, the
-    arrays are ``None`` and ``active_without_plan`` reports whether the
-    port is active anyway (the transient arm-writes-pending window), in
-    which case every retirement must still reach ``on_retire``.
-    """
-    if plan is None:
-        return None, None, None, None, None, None, None, bool(zolc.active)
-    next_watch, exit_watch, far_watch = _compile_watch_arrays(
-        sim, plan, n, base)
-    return (next_watch, exit_watch, far_watch, plan.fire_exit,
-            plan.fire_entry, plan.fire_trigger, plan.epoch, False)
 

@@ -65,7 +65,6 @@ from repro.cpu.engine.emit import (
     region_namespace,
     term_lines,
 )
-from repro.cpu.engine.fast import _apply_action, _plan_dispatch_state
 from repro.cpu.engine.trace import (
     HOT_THRESHOLD,
     abandon_recording,
@@ -108,7 +107,6 @@ class TraceRegion(NamedTuple):
     term_pc: int
     term_idx: int
     term_taken_penalty: int
-    term_is_ctrl: bool                 # terminator arms/resets the port
     rid: int                           # per-process region identity
     start_idx: int
     #: per-member (slot index, base cycles, static stall, load dest) —
@@ -164,7 +162,6 @@ def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
                   start: int, term: int, load_use: int) -> TraceRegion:
     """Fuse slots ``start..term`` into one compiled megahandler."""
     ops = predecoded.ops
-    metas = predecoded.metas
     base = sim.program.text_base
     code, fallbacks, line_member = _region_code(sim.program, start, term)
     ns = region_namespace(sim)
@@ -187,41 +184,34 @@ def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
         cycles=cycles, stall=stall, first_uses=ops[start][2],
         out_pending=ops[term][3], term_pc=base + 4 * term, term_idx=term,
         term_taken_penalty=ops[term][4],
-        term_is_ctrl=metas[term].zolc_ctrl is not None,
         rid=next(_REGION_IDS), start_idx=start,
         members=tuple(members), line_member=line_member)
-
-
-def _slice_regions(predecoded: PredecodedProgram, base: int, plan) -> list:
-    """Partition the dispatch array into straight-line region starts.
-
-    One delegation to the shared :func:`straightline_terms` scan:
-    ``None`` for slots that cannot begin a region of at least two
-    instructions, else the terminator slot index (an ``int``) — a
-    region start not yet fused, which :func:`_hot_region` replaces by
-    its :class:`TraceRegion` once the region is hot.
-    """
-    watched_next: frozenset[int] | set[int] = frozenset()
-    if plan is not None:
-        watched_next = plan.watched_next_pcs()
-    return straightline_terms(predecoded.metas, base, watched_next)
 
 
 def _trace_regions(sim: "Simulator", predecoded: PredecodedProgram,
                    plan) -> tuple[list, list[int]]:
     """Resolve (or slice) the region table for one plan state.
 
-    Returns ``(regions, heat)``: the region table and, beside it, one
-    entry counter per slot for :func:`_hot_region`.  Both are cached on
-    the simulator by the plan's watch-set content key (``None`` while
-    unarmed), so re-arming the same tables re-uses the slicing, every
-    fused megahandler *and* the heat gathered so far.  The cache is
-    cleared whenever the program is re-predecoded (ZOLC port swap).
+    Returns ``(regions, heat)``.  The region table is the shared
+    :func:`straightline_terms` scan under the plan's watched next pcs:
+    ``None`` for slots that cannot begin a region of at least two
+    instructions, else the terminator slot index (an ``int``) — a
+    region start not yet fused, which :func:`_hot_region` replaces by
+    its :class:`TraceRegion` once the region is hot.  ``heat`` holds
+    one entry counter per slot for :func:`_hot_region`.  Both are
+    cached on the simulator by the plan's watch-set content key
+    (``None`` while unarmed), so re-arming the same tables re-uses the
+    slicing, every fused megahandler *and* the heat gathered so far.
+    The cache is cleared whenever the program is re-predecoded (ZOLC
+    port swap).
     """
     key = None if plan is None else plan.key
     table = sim._trace_region_cache.get(key)
     if table is None:
-        regions = _slice_regions(predecoded, sim.program.text_base, plan)
+        watched_next = (frozenset() if plan is None
+                        else plan.watched_next_pcs())
+        regions = straightline_terms(predecoded.metas,
+                                     sim.program.text_base, watched_next)
         table = sim._trace_region_cache[key] = (regions, [0] * len(regions))
     return table
 
@@ -287,39 +277,95 @@ def _reconcile_region_fault(exc: BaseException, region: TraceRegion,
     return steps, cycles, stall, pending, pc
 
 
+def _compile_watch_arrays(sim: "Simulator", plan, n: int, base: int):
+    """Fold a compiled controller plan into dense per-slot watch arrays.
+
+    Returns ``(next_watch, exit_watch, far_watch)``:
+
+    * ``next_watch[idx]`` — ``None`` for unwatched slots, else
+      ``(entry_record_id | None, trigger_loop_id | None)`` consulted
+      against the *next* pc of every retirement (entry records take
+      precedence, falling through to the trigger when the entry does
+      not fire — the same order ``on_retire`` checks);
+    * ``exit_watch[idx]`` — exit record id at the retiring pc, consulted
+      only for taken transfers;
+    * ``far_watch`` — next-pc watch entries whose address falls outside
+      (or misaligns with) the text image; consulted only when a
+      transfer leaves the dense array, so hand-programmed tables keep
+      exact ``on_retire`` semantics.
+
+    Cached on the simulator by the plan's watch-set content key, so
+    re-arming the same tables (a kernel invoked in a loop) costs one
+    dict probe, not an O(text) rebuild.
+    """
+    cached = sim._zolc_watch_cache.get(plan.key)
+    if cached is not None:
+        return cached
+    limit = 4 * n
+    next_watch: list[tuple[int | None, int | None] | None] = [None] * n
+    exit_watch: list[int | None] = [None] * n
+    far_watch: dict[int, tuple[int | None, int | None]] = {}
+    entry_at = dict(plan.entries)
+    trigger_at = dict(plan.triggers)
+    for pc in entry_at.keys() | trigger_at.keys():
+        record = (entry_at.get(pc), trigger_at.get(pc))
+        offset = pc - base
+        if 0 <= offset < limit and not offset & 3:
+            next_watch[offset >> 2] = record
+        else:
+            far_watch[pc] = record
+    for pc, record_id in plan.exits:
+        offset = pc - base
+        if 0 <= offset < limit and not offset & 3:
+            exit_watch[offset >> 2] = record_id
+        # An exit branch outside the text image can never retire: no
+        # dense slot, and the current pc is always in range, so it is
+        # dropped rather than mirrored into far_watch.
+    arrays = (next_watch, exit_watch, far_watch)
+    sim._zolc_watch_cache[plan.key] = arrays
+    return arrays
+
+
 def _traced_dispatch_state(plan, sim: "Simulator",
                            predecoded: PredecodedProgram, n: int,
                            base: int, zolc, no_regions: list,
                            resident: bool):
-    """`_plan_dispatch_state` plus the matching region + trace tables.
+    """Resolve the run loop's dispatch state from a plan query.
 
-    While the port is active without a plan (arm-time writes pending),
-    every retirement must reach ``on_retire``, so batching pauses: the
-    all-``None`` ``no_regions`` table is served until the plan appears.
-    The same all-``None`` table stands in for the trace table whenever
-    there is no compiled plan (traces only exist against one — their
-    leaves fire the plan's trigger handler directly) or ``resident`` is
-    off; ``jit`` is the :class:`~repro.cpu.engine.trace.TraceTable` or
-    ``None``.  ``heat`` is the region table's entry counters (``None``
-    beside the all-``None`` table, which has no region start to count).
+    Returns the local-variable bundle the run loop runs on:
+    ``(next_watch, exit_watch, far_watch, fire_exit, fire_entry,
+    fire_trigger, epoch, active_without_plan, regions, heat, traces,
+    jit)``.  With no plan the watch arrays, fire handlers and epoch
+    are ``None``; ``active_without_plan`` then reports whether the
+    port is active anyway (the transient arm-writes-pending window).
+    In that window every retirement must reach ``on_retire``, so
+    batching pauses: the all-``None`` ``no_regions`` table is served
+    until the plan appears.  The same all-``None`` table stands in for
+    the trace table whenever there is no compiled plan (traces only
+    exist against one — their leaves fire the plan's trigger handler
+    directly) or ``resident`` is off; ``jit`` is the
+    :class:`~repro.cpu.engine.trace.TraceTable` or ``None``.  ``heat``
+    is the region table's entry counters (``None`` beside the
+    all-``None`` table, which has no region start to count).
     """
-    (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger, zepoch,
-     zactive) = _plan_dispatch_state(plan, sim, n, base, zolc)
-    if znext is None and zactive:
-        regions = no_regions
-        heat = None
-        traces: list = no_regions
-        jit = None
+    if plan is None and zolc is not None and zolc.active:
+        return (None, None, None, None, None, None, None, True,
+                no_regions, None, no_regions, None)
+    regions, heat = _trace_regions(sim, predecoded, plan)
+    if plan is None:
+        return (None, None, None, None, None, None, None, False,
+                regions, heat, no_regions, None)
+    next_watch, exit_watch, far_watch = _compile_watch_arrays(
+        sim, plan, n, base)
+    if resident:
+        jit = trace_table(sim, predecoded, plan)
+        traces = jit.slots
     else:
-        regions, heat = _trace_regions(sim, predecoded, plan)
-        if plan is None or not resident:
-            traces = no_regions
-            jit = None
-        else:
-            jit = trace_table(sim, predecoded, plan)
-            traces = jit.slots
-    return (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
-            zepoch, zactive, regions, heat, traces, jit)
+        jit = None
+        traces = no_regions
+    return (next_watch, exit_watch, far_watch, plan.fire_exit,
+            plan.fire_entry, plan.fire_trigger, plan.epoch, False,
+            regions, heat, traces, jit)
 
 
 def run_traced(sim: "Simulator", max_steps: int,
@@ -337,6 +383,14 @@ def run_traced(sim: "Simulator", max_steps: int,
     without one needs every retirement offered to ``on_retire``, which
     only the stepped interpreter does, so ``Simulator.run`` routes it
     there (and a direct call with one raises ``AttributeError``).
+
+    One loop serves every machine.  Each iteration engages a trace,
+    or retires a fused region or one predecoded slot and then
+    dispatches that retirement: one taken/HALT triage, then either the
+    plan-compiled watch check or the ``on_retire`` oracle path (an
+    arm/reset slot, or an active port without a plan).  A machine
+    without a ZOLC runs the same loop with no plan: its port accesses
+    raise before they reach the dispatch.
 
     ``resident`` enables loop-resident traces
     (:mod:`~repro.cpu.engine.trace`): a hot ZOLC loop — straight-line
@@ -380,92 +434,19 @@ def run_traced(sim: "Simulator", max_steps: int,
     jit_rec = None
     trace_steps = 0
 
+    regs_write = state.regs.write
+    ctrl = [meta.zolc_ctrl is not None for meta in metas]
+    irops = predecoded.ir
+    no_regions: list = [None] * n
+
+    def resync(plan):
+        return _traced_dispatch_state(plan, sim, predecoded, n, base,
+                                      zolc, no_regions, resident)
+
     try:
-      if plan_fn is None:
-        # -- no ZOLC port: pure region dispatch -------------------------
-        regions, heat = _trace_regions(sim, predecoded, None)
-        while not halted:
-            if steps >= max_steps:
-                raise WatchdogError(
-                    f"no halt after {max_steps} instructions (pc={pc:#x})")
-            offset = pc - base
-            if offset < 0 or offset >= limit or offset & 3:
-                raise InvalidFetchError(pc)
-            idx = offset >> 2
-            region = regions[idx]
-            if region is not None and region.__class__ is int:
-                region = _hot_region(sim, predecoded, regions, heat, idx,
-                                     region, load_use)
-            if region is not None:
-                (mega, size, rcycles, rstall, first_uses, out_pending,
-                 term_pc, _term_idx, term_penalty, _term_ctrl, rid,
-                 _start, rmembers, _lines) = region
-                if steps + size <= max_steps:
-                    try:
-                        res = mega()
-                    except BaseException as exc:
-                        steps, cycles, stall, pending, pc = \
-                            _reconcile_region_fault(
-                                exc, region, base, retired, steps,
-                                cycles, stall, pending, load_use)
-                        raise
-                    steps += size
-                    cycles += rcycles
-                    stall += rstall
-                    if pending is not None and pending in first_uses:
-                        cycles += load_use
-                        stall += load_use
-                    count = rcounts.get(rid)
-                    if count is None:
-                        rcounts[rid] = 1
-                        rmembers_by_id[rid] = rmembers
-                    else:
-                        rcounts[rid] = count + 1
-                    pending = out_pending
-                    if res is None:
-                        pc = term_pc + 4
-                    elif res is HALT:
-                        halted = True
-                        pc = term_pc
-                    else:
-                        pc = res
-                        taken_branches += 1
-                        cycles += term_penalty
-                        flush += term_penalty
-                    continue
-            # -- single-slot path (jump into a region, tiny or cold
-            #    region, watchdog boundary) ----------------------------
-            fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
-            res = fn(pc)
-            steps += 1
-            retired[idx] += 1
-            cycles += base_cycles
-            if pending is not None and pending in uses:
-                cycles += load_use
-                stall += load_use
-            pending = load_dest
-            if res is None:
-                pc = pc + 4
-            elif res is HALT:
-                halted = True
-            else:
-                pc = res
-                taken_branches += 1
-                cycles += taken_penalty
-                flush += taken_penalty
-      else:
-        # -- plan-compiled ZOLC port ------------------------------------
-        regs_write = state.regs.write
-        ctrl = [meta.zolc_ctrl is not None for meta in metas]
-        irops = predecoded.ir
-        no_regions: list = [None] * n
-
-        def resync(plan):
-            return _traced_dispatch_state(plan, sim, predecoded, n, base,
-                                          zolc, no_regions, resident)
-
         (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
-         zepoch, zactive, regions, heat, traces, jit) = resync(plan_fn())
+         zepoch, zactive, regions, heat, traces, jit) = resync(
+            plan_fn() if plan_fn is not None else None)
         while not halted:
             if steps >= max_steps:
                 raise WatchdogError(
@@ -474,6 +455,7 @@ def run_traced(sim: "Simulator", max_steps: int,
             if offset < 0 or offset >= limit or offset & 3:
                 raise InvalidFetchError(pc)
             idx = offset >> 2
+            # -- engage a trace -------------------------------------------
             trace = traces[idx]
             if (trace is not None and jit_rec is None
                     and steps + trace.max_steps <= max_steps):
@@ -573,185 +555,58 @@ def run_traced(sim: "Simulator", max_steps: int,
                     # plan is still valid.
                     pc = done.next_pc
                 continue
+            # -- retire: a fused region or one predecoded slot ------------
             region = regions[idx]
             if region is not None and region.__class__ is int:
                 region = _hot_region(sim, predecoded, regions, heat, idx,
                                      region, load_use)
-            if region is not None:
+            # A region only runs whole under the watchdog budget
+            # (``region[1]`` is its size); the boundary retires per slot,
+            # so max_steps is exact.
+            if region is not None and steps + region[1] <= max_steps:
+                # The region retires through its terminator: ``pc`` and
+                # ``idx`` move there, so the watch dispatch below sees
+                # the retiring instruction and a fault raised by a fire
+                # handler post-mortems at it, exactly like the
+                # per-instruction engines.  The interior slots are
+                # unwatched by construction.
                 (mega, size, rcycles, rstall, first_uses, out_pending,
-                 term_pc, term_idx, term_penalty, term_ctrl, rid,
-                 _start, rmembers, _lines) = region
-                if steps + size <= max_steps:
-                    try:
-                        res = mega()
-                    except BaseException as exc:
-                        steps, cycles, stall, pending, pc = \
-                            _reconcile_region_fault(
-                                exc, region, base, retired, steps,
-                                cycles, stall, pending, load_use)
-                        raise
-                    steps += size
-                    cycles += rcycles
-                    stall += rstall
-                    if pending is not None and pending in first_uses:
-                        cycles += load_use
-                        stall += load_use
-                    count = rcounts.get(rid)
-                    if count is None:
-                        rcounts[rid] = 1
-                        rmembers_by_id[rid] = rmembers
-                    else:
-                        rcounts[rid] = count + 1
-                    pending = out_pending
-                    # The region retired through its terminator: keep the
-                    # architectural pc there, so a fault raised by a fire
-                    # handler below post-mortems at the retiring
-                    # instruction, exactly like the per-instruction
-                    # engines.
-                    pc = term_pc
-                    if res is None:
-                        next_pc = term_pc + 4
-                        taken = False
-                    elif res is HALT:
-                        halted = True
-                        next_pc = term_pc
-                        taken = False
-                    else:
-                        next_pc = res
-                        taken = True
-                        taken_branches += 1
-                        cycles += term_penalty
-                        flush += term_penalty
-                    if jit_rec is not None:
-                        # Region interiors are straight-line, so the
-                        # terminator is the only slot whose outcome a
-                        # path recording needs.
-                        jit_rec = record_step(jit_rec, irops[term_idx],
-                                              taken)
-                    # Terminator watch dispatch: the same contract as the
-                    # single-slot path below, with pc := term_pc.  The
-                    # region's interior slots are unwatched by
-                    # construction, so only the terminator can fire.
-                    if halted:
-                        pass
-                    elif znext is not None:
-                        if not term_ctrl:
-                            fired = False
-                            if taken:
-                                record_id = zexit[term_idx]
-                                if record_id is not None:
-                                    fired = fire_exit(record_id, next_pc,
-                                                      True)
-                                    if fired and jit_rec is not None:
-                                        jit_rec = abandon_recording(
-                                            jit_rec)
-                            if not fired:
-                                noffset = next_pc - base
-                                if 0 <= noffset < limit and not noffset & 3:
-                                    watch = znext[noffset >> 2]
-                                elif zfar:
-                                    watch = zfar.get(next_pc)
-                                else:
-                                    watch = None
-                                if watch is not None:
-                                    entry_id, trigger_loop = watch
-                                    if entry_id is not None:
-                                        fired = fire_entry(entry_id,
-                                                           term_pc, next_pc)
-                                        if fired and jit_rec is not None:
-                                            jit_rec = abandon_recording(
-                                                jit_rec)
-                                    if not fired and trigger_loop is not None:
-                                        fired = True
-                                        decision = fire_trigger(trigger_loop)
-                                        if jit is not None and (
-                                                jit_rec is not None
-                                                or jit.cands):
-                                            jit_rec = note_fire(
-                                                sim, predecoded, jit,
-                                                jit_rec, trigger_loop,
-                                                decision)
-                                        writes = decision.index_writes
-                                        if writes:
-                                            for reg, value in writes:
-                                                regs_write(reg, value)
-                                            index_writes += len(writes)
-                                        task_switches += 1
-                                        pending = None
-                                        cycles += zolc_switch_extra
-                                        if decision.next_pc is not None:
-                                            next_pc = decision.next_pc
-                                        else:
-                                            # Only a non-redirecting
-                                            # (expiry) decision can
-                                            # disarm: re-query there.
-                                            plan = plan_fn()
-                                            if plan is None \
-                                                    or plan.epoch != zepoch:
-                                                (znext, zexit, zfar,
-                                                 fire_exit, fire_entry,
-                                                 fire_trigger, zepoch,
-                                                 zactive, regions, heat,
-                                                 traces, jit) = resync(plan)
-                                                jit_rec = None
-                            if fired:
-                                halted = state.halted
-                        else:
-                            # Arm/reset terminator: full oracle path,
-                            # then re-sync plan + regions.  Any reset
-                            # inside the region left the port unarmed
-                            # and inactive until this arm, so the
-                            # members after it fired nothing.
-                            if zolc.active:
-                                action = zolc.on_retire(term_pc, next_pc,
-                                                        taken=taken)
-                                if action is not None:
-                                    (next_pc, pending, index_writes,
-                                     task_switches, cycles) = _apply_action(
-                                        action, regs_write, next_pc,
-                                        pending, index_writes,
-                                        task_switches, cycles,
-                                        zolc_switch_extra)
-                                halted = state.halted
-                            plan = plan_fn()
-                            if plan is None or plan.epoch != zepoch:
-                                (znext, zexit, zfar, fire_exit, fire_entry,
-                                 fire_trigger, zepoch, zactive, regions, heat,
-                                 traces, jit) = resync(plan)
-                                jit_rec = None
-                    elif term_ctrl:
-                        # No plan, port inactive until this very arm
-                        # may have armed it: offer the retirement, then
-                        # re-sync (skipped while the port stays unarmed
-                        # and inactive — nothing observable moved).
-                        if not halted and zolc.active:
-                            action = zolc.on_retire(term_pc, next_pc,
-                                                    taken=taken)
-                            if action is not None:
-                                (next_pc, pending, index_writes,
-                                 task_switches, cycles) = _apply_action(
-                                    action, regs_write, next_pc, pending,
-                                    index_writes, task_switches, cycles,
-                                    zolc_switch_extra)
-                            halted = state.halted
-                        plan = plan_fn()
-                        if plan is not None or zactive or zolc.active:
-                            (znext, zexit, zfar, fire_exit, fire_entry,
-                             fire_trigger, zepoch, zactive, regions, heat,
-                             traces, jit) = resync(plan)
-                            jit_rec = None
-                    pc = next_pc
-                    continue
-            # -- single-slot path (cold region, jump into a region,
-            #    watchdog boundary) ------------------------------------
-            fn, base_cycles, uses, load_dest, taken_penalty = ops[idx]
-            res = fn(pc)
-            steps += 1
-            retired[idx] += 1
-            cycles += base_cycles
-            if pending is not None and pending in uses:
-                cycles += load_use
-                stall += load_use
+                 pc, idx, penalty, rid, _start, rmembers,
+                 _lines) = region
+                try:
+                    res = mega()
+                except BaseException as exc:
+                    steps, cycles, stall, pending, pc = \
+                        _reconcile_region_fault(
+                            exc, region, base, retired, steps,
+                            cycles, stall, pending, load_use)
+                    raise
+                steps += size
+                cycles += rcycles
+                stall += rstall
+                if pending is not None and pending in first_uses:
+                    cycles += load_use
+                    stall += load_use
+                count = rcounts.get(rid)
+                if count is None:
+                    rcounts[rid] = 1
+                    rmembers_by_id[rid] = rmembers
+                else:
+                    rcounts[rid] = count + 1
+                pending = out_pending
+            else:
+                # Single slot: a cold region, a jump into a region, a
+                # port-active window or the watchdog boundary.
+                fn, base_cycles, uses, load_dest, penalty = ops[idx]
+                res = fn(pc)
+                steps += 1
+                retired[idx] += 1
+                cycles += base_cycles
+                if pending is not None and pending in uses:
+                    cycles += load_use
+                    stall += load_use
+                pending = load_dest
+            # -- dispatch the retirement ----------------------------------
             if res is None:
                 next_pc = pc + 4
                 taken = False
@@ -763,103 +618,103 @@ def run_traced(sim: "Simulator", max_steps: int,
                 next_pc = res
                 taken = True
                 taken_branches += 1
-                cycles += taken_penalty
-                flush += taken_penalty
-            pending = load_dest
+                cycles += penalty
+                flush += penalty
             if jit_rec is not None:
+                # Region interiors are straight-line, so the retiring
+                # slot is the only one whose outcome a path recording
+                # needs.
                 jit_rec = record_step(jit_rec, irops[idx], taken)
-            if znext is not None:
-                if halted:
-                    pass
-                elif not ctrl[idx]:
-                    fired = False
-                    if taken:
-                        record_id = zexit[idx]
-                        if record_id is not None:
-                            fired = fire_exit(record_id, next_pc, True)
+            if zolc is None or halted:
+                # No port to watch the retirement (a portless machine's
+                # port accesses raise before they retire), or the
+                # machine halted.
+                pass
+            elif znext is not None and not ctrl[idx]:
+                # Plan-compiled watch check: a taken exit branch, then
+                # the next pc's entry record, then its trigger — the
+                # order ``on_retire`` checks.
+                fired = False
+                if taken:
+                    record_id = zexit[idx]
+                    if record_id is not None:
+                        fired = fire_exit(record_id, next_pc, True)
+                        if fired and jit_rec is not None:
+                            jit_rec = abandon_recording(jit_rec)
+                if not fired:
+                    noffset = next_pc - base
+                    if 0 <= noffset < limit and not noffset & 3:
+                        watch = znext[noffset >> 2]
+                    elif zfar:
+                        watch = zfar.get(next_pc)
+                    else:
+                        watch = None
+                    if watch is not None:
+                        entry_id, trigger_loop = watch
+                        if entry_id is not None:
+                            fired = fire_entry(entry_id, pc, next_pc)
                             if fired and jit_rec is not None:
                                 jit_rec = abandon_recording(jit_rec)
-                    if not fired:
-                        noffset = next_pc - base
-                        if 0 <= noffset < limit and not noffset & 3:
-                            watch = znext[noffset >> 2]
-                        elif zfar:
-                            watch = zfar.get(next_pc)
-                        else:
-                            watch = None
-                        if watch is not None:
-                            entry_id, trigger_loop = watch
-                            if entry_id is not None:
-                                fired = fire_entry(entry_id, pc, next_pc)
-                                if fired and jit_rec is not None:
-                                    jit_rec = abandon_recording(jit_rec)
-                            if not fired and trigger_loop is not None:
-                                fired = True
-                                decision = fire_trigger(trigger_loop)
-                                if jit is not None and (
-                                        jit_rec is not None
-                                        or jit.cands):
-                                    jit_rec = note_fire(
-                                        sim, predecoded, jit, jit_rec,
-                                        trigger_loop, decision)
-                                writes = decision.index_writes
-                                if writes:
-                                    for reg, value in writes:
-                                        regs_write(reg, value)
-                                    index_writes += len(writes)
-                                task_switches += 1
-                                pending = None
-                                cycles += zolc_switch_extra
-                                if decision.next_pc is not None:
-                                    next_pc = decision.next_pc
-                                else:
-                                    # Only a non-redirecting (expiry)
-                                    # decision can disarm: re-query
-                                    # the plan exactly there.
-                                    plan = plan_fn()
-                                    if plan is None \
-                                            or plan.epoch != zepoch:
-                                        (znext, zexit, zfar, fire_exit,
-                                         fire_entry, fire_trigger,
-                                         zepoch, zactive, regions, heat,
-                                         traces, jit) = resync(plan)
-                                        jit_rec = None
-                    if fired:
-                        halted = state.halted
-                else:
-                    if zolc.active:
-                        action = zolc.on_retire(pc, next_pc, taken=taken)
-                        if action is not None:
-                            (next_pc, pending, index_writes,
-                             task_switches, cycles) = _apply_action(
-                                action, regs_write, next_pc, pending,
-                                index_writes, task_switches, cycles,
-                                zolc_switch_extra)
-                        halted = state.halted
-                    plan = plan_fn()
-                    if plan is None or plan.epoch != zepoch:
-                        (znext, zexit, zfar, fire_exit, fire_entry,
-                         fire_trigger, zepoch, zactive, regions, heat,
-                         traces, jit) = resync(plan)
-                        jit_rec = None
+                        if not fired and trigger_loop is not None:
+                            fired = True
+                            decision = fire_trigger(trigger_loop)
+                            if jit is not None and (jit_rec is not None
+                                                    or jit.cands):
+                                jit_rec = note_fire(
+                                    sim, predecoded, jit, jit_rec,
+                                    trigger_loop, decision)
+                            writes = decision.index_writes
+                            if writes:
+                                for reg, value in writes:
+                                    regs_write(reg, value)
+                                index_writes += len(writes)
+                            task_switches += 1
+                            pending = None
+                            cycles += zolc_switch_extra
+                            if decision.next_pc is not None:
+                                next_pc = decision.next_pc
+                            else:
+                                # Only a non-redirecting (expiry)
+                                # decision can disarm: re-query the
+                                # plan exactly there.
+                                plan = plan_fn()
+                                if plan is None or plan.epoch != zepoch:
+                                    (znext, zexit, zfar, fire_exit,
+                                     fire_entry, fire_trigger, zepoch,
+                                     zactive, regions, heat, traces,
+                                     jit) = resync(plan)
+                                    jit_rec = None
+                if fired:
+                    halted = state.halted
             elif zactive or ctrl[idx]:
-                if not halted and zolc.active:
+                # Oracle path: an arm/reset slot, or an active port
+                # with arm-time writes pending and no plan yet.  Offer
+                # the retirement to ``on_retire`` unless the port is
+                # unarmed and inactive (e.g. after a reset), then
+                # re-query the plan.  The dispatch state is re-derived
+                # when the epoch moved or, with no plan, when there was
+                # one or the port is or was active.
+                if zolc.active:
                     action = zolc.on_retire(pc, next_pc, taken=taken)
                     if action is not None:
-                        (next_pc, pending, index_writes,
-                         task_switches, cycles) = _apply_action(
-                            action, regs_write, next_pc, pending,
-                            index_writes, task_switches, cycles,
-                            zolc_switch_extra)
+                        writes = action.index_writes
+                        if writes:
+                            for reg, value in writes:
+                                regs_write(reg, value)
+                            index_writes += len(writes)
+                        if action.next_pc is not None:
+                            next_pc = action.next_pc
+                            # Any PC redirect crosses a fetch boundary:
+                            # the load-use pairing cannot survive it.
+                            pending = None
+                        if action.is_task_switch:
+                            task_switches += 1
+                            pending = None
+                            cycles += zolc_switch_extra
                     halted = state.halted
-                # No compiled plan: either the port is inactive (only a
-                # retired arm can change that) or it is active with
-                # arm-time writes pending (every retirement must reach
-                # on_retire until the plan appears).  An unarmed,
-                # inactive port retiring a reset cannot have moved the
-                # dispatch state, so it is not re-derived.
                 plan = plan_fn()
-                if plan is not None or zactive or zolc.active:
+                if (plan.epoch != zepoch if plan is not None
+                        else zepoch is not None or zactive or zolc.active):
                     (znext, zexit, zfar, fire_exit, fire_entry,
                      fire_trigger, zepoch, zactive, regions, heat,
                      traces, jit) = resync(plan)

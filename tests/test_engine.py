@@ -421,6 +421,91 @@ class TestReArm:
             pytest.fail("program did not halt")
 
 
+# A loop armed, run and explicitly disarmed once per invocation of an
+# enclosing software loop: ``mtz zero, 0`` writes 0 to CTRL_ARM, so the
+# span after the trigger is a fused region whose terminator disarms the
+# port.  A jump then reaches the trigger address on the disarmed port
+# — nothing may fire — and the next invocation re-arms unchanged
+# tables.  The jump is indirect, so the loop's static body stays the
+# one-instruction body and the loop still goes resident.
+DISARM_SRC = """
+        .text
+main:
+        addi s2, zero, 12       # twelve invocations
+        addi at, zero, 4
+        mtz  at, 256            # loop 0 TRIPS
+        mtz  zero, 257          # INITIAL
+        addi at, zero, 1
+        mtz  at, 258            # STEP
+        addi at, zero, 8
+        mtz  at, 259            # INDEX_REG = t0
+        ori  at, zero, %lo(body)
+        mtz  at, 260            # BODY_PC
+        ori  at, zero, %lo(after)
+        mtz  at, 261            # TRIGGER_PC
+        ori  at, zero, 0xFFFF
+        mtz  at, 262            # PARENT = NO_PARENT
+        addi at, zero, 1
+        mtz  at, 263            # FLAGS = VALID
+outer:
+        addi at, zero, 1
+        mtz  at, 0              # CTRL_ARM
+body:
+        add  s0, s0, t0         # += 0+1+2+3 = 6 per invocation
+after:
+        addi s1, s1, 1
+        bne  s1, zero, tail     # always taken: ends the trigger's block
+tail:
+        add  s3, s3, s0
+disarm:
+        mtz  zero, 0            # CTRL_ARM <- 0: explicit disarm
+        bne  s4, zero, next
+        addi s4, zero, 1
+        ori  t9, zero, %lo(after)
+        jr   t9                 # reach the trigger unarmed: no fire
+next:
+        addi s4, zero, 0
+        addi s2, s2, -1
+        bne  s2, zero, outer
+        halt
+"""
+
+
+class TestExplicitDisarm:
+    """A write of 0 to ``CTRL_ARM`` ends a hot fused region, and a
+    re-arm follows: every tiering policy of ``auto`` retires what
+    ``step`` retires."""
+
+    @pytest.mark.parametrize("leg", ["auto", "eager", "cold"])
+    def test_disarm_then_rearm_matches_step(self, leg, request):
+        from repro.synth.observe import observe
+
+        if leg == "eager":
+            request.getfixturevalue("eager_fusion")
+        slow = _zolc_sim(DISARM_SRC)
+        slow.run(engine="step")
+        sim = _zolc_sim(DISARM_SRC)                 # a Program per leg
+        _run_leg(sim, "cold" if leg == "cold" else "auto")
+        assert sim.last_engine == "traced"
+        assert observe(sim) == observe(slow)
+        assert sim.zolc.arm_count == 12
+        assert not sim.zolc.active
+        # 0+1+2+3 per invocation; three loop-backs and one expiry per
+        # invocation, none on the disarmed port.
+        assert sim.state.regs["s0"] == 72
+        assert sim.zolc.task_switches == 48
+        symbols = sim.program.symbols
+        span = ((symbols["tail"] - sim.program.text_base) >> 2,
+                (symbols["disarm"] - sim.program.text_base) >> 2)
+        spans = _region_spans(sim.program)
+        if leg == "cold":
+            assert spans == []
+            assert sim.trace_resident_steps == 0
+        else:
+            assert span in spans
+            assert sim.trace_resident_steps > 0
+
+
 class TestPlanlessFallback:
     """A port without ``zolc_plan`` (any pre-compiled-plan custom
     :class:`ZolcPort`) must resolve ``auto`` to the stepped interpreter
@@ -578,6 +663,38 @@ class TestFaultPaths:
         with pytest.raises(SimulationError, match="without a ZOLC"):
             sim.run()
 
+    @pytest.mark.usefixtures("eager_fusion")
+    @pytest.mark.parametrize("source, fault_slot, term_slot", [
+        # a table write retires inside its span
+        ("li t0, 3\naddi t1, t0, 1\nmtz t0, 256\nadd t2, t0, t1\n"
+         "halt\n", 2, 4),
+        # so does an mfz
+        ("li t0, 3\nmfz t1, 256\nadd t2, t0, t1\nhalt\n", 1, 3),
+        # a reset whose span runs on into an arm
+        ("li t0, 1\nmtz zero, 1\naddi t1, t0, 1\nmtz t0, 0\nhalt\n",
+         1, 3),
+        # an arm ends its span
+        ("li t0, 1\naddi t1, t0, 1\nmtz t0, 0\nhalt\n", 2, 2),
+    ], ids=["table-write", "mfz", "reset", "arm-terminator"])
+    def test_portless_zolc_access_inside_a_fused_region(
+            self, source, fault_slot, term_slot):
+        """On a machine without a ZOLC, a port access that a fused
+        region retires — as an interior member or as the terminator —
+        raises the no-ZOLC fault at its own pc, with the members before
+        it retired exactly as the stepped interpreter retires them."""
+        from repro.cpu import SimulationError
+
+        sims = {}
+        for leg in ("step", "auto"):
+            sim = sims[leg] = Simulator(assemble(source))
+            with pytest.raises(SimulationError, match="without a ZOLC"):
+                _run_leg(sim, leg)
+        auto, slow = sims["auto"], sims["step"]
+        assert _region_spans(auto.program) == [(0, term_slot)]
+        assert slow.state.pc == slow.program.text_base + 4 * fault_slot
+        assert slow.stats.instructions == fault_slot
+        assert _state_tuple(auto) == _state_tuple(slow)
+
 
 class TestTracedEngine:
     """The trace-batched run loop: equivalence, caches, faults.
@@ -708,8 +825,8 @@ def _region_spans(program):
     """The (start, term) spans of the program's fused-region records."""
     from repro.cpu.engine.emit import codegen_records
 
-    return sorted((start, term) for kind, start, term, _loop
-                  in codegen_records(program) if kind == "region")
+    return sorted(key[1:3] for key in codegen_records(program)
+                  if key[0] == "region")
 
 
 def _counted_loop(trips):
