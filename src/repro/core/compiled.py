@@ -55,8 +55,9 @@ Contract for engines (and for any port exposing ``zolc_plan()``):
   observe the flag after every fired event, exactly as the stepped
   interpreter observes it after ``on_retire``;
 * any dispatch structure an engine *derives* from the plan — watch
-  arrays, trace-region tables (see :func:`~repro.cpu.engine.run_traced`)
-  — follows the same lifetime: it may be cached by ``key`` (content
+  arrays, region and trace tables (one
+  :class:`~repro.cpu.engine.PlanTable` per plan state) — follows the
+  same lifetime: it may be cached by ``key`` (content
   identity) across re-arms of identical tables, and it must be dropped
   or re-derived whenever ``epoch`` changes.
 

@@ -1,8 +1,9 @@
 """The generated-code auditor: prove emitted Python matches the IR.
 
 Every codegen tier files a :class:`~repro.cpu.engine.emit.CodegenRecord`
-(the exact compiled source plus fault-reconciliation metadata) next to
-its code cache.  This module forces generation over the canonical span
+(the exact compiled source and code plus fault-reconciliation metadata)
+in the program's code table, the one table the engine binds generated
+code from.  This module forces generation over the canonical span
 cover of a program, re-parses each record with :mod:`ast`, and
 cross-checks it against the IR — *what the generated code touches must
 equal what the IR says the region touches*:
@@ -200,7 +201,8 @@ def audit_record(record: CodegenRecord,
     label = (f"{record.kind} {hex(ops[0].address)}.."
              f"{hex(ops[-1].address)}")
     pc_lo, pc_hi = ops[0].address, ops[-1].address
-    expect = expected_touches(ops, record.kind, record.fallbacks)
+    expect = expected_touches(ops, record.kind,
+                              (k for k, _slot in record.fallbacks))
     actual = source_touches(record.source)
     if actual.reg_reads != expect.reg_reads:
         out.append(Diagnostic(
@@ -602,8 +604,7 @@ def audit_codegen(sim: Simulator,
         term = terms[start]
         assert term is not None
         ops = ir[start:term + 1]
-        traced_mod._region_code(program, start, term)
-        record = codegen_records(program)[("region", start, term, None)]
+        record = traced_mod._region_record(program, start, term)
         out.extend(audit_record(record, ops))
         region = traced_mod._build_region(
             sim, predecoded, start, term, load_use)

@@ -29,7 +29,12 @@ over that array (``engine="step"`` is the stepped oracle):
 * all generated text comes from the one shared emitter
   (:mod:`~repro.cpu.engine.emit`), so operand formatting, immediate
   masking, the ``r0``-write drop and the inlined memory fast paths
-  exist exactly once.
+  exist exactly once.  So does the rest of the generated-code
+  pipeline: regions and traces alike are records of one code table
+  per Program, bound to a simulator by one binder and reconciled after
+  a fault by one traceback walk; every dispatch table of one plan
+  state (regions, watch arrays, traces) is one
+  :class:`~repro.cpu.engine.traced.PlanTable`.
 
 Handler protocol (:mod:`~repro.cpu.engine.dispatch`): each lowered
 handler takes the current ``pc`` and returns
@@ -78,8 +83,9 @@ DESIGN.md §10.
 
 from repro.cpu.engine.dispatch import HALT, OpFn, OpMeta, PredecodedProgram
 from repro.cpu.engine.fast import predecode
-from repro.cpu.engine.trace import Trace, TraceOutcome, trace_table
+from repro.cpu.engine.trace import Trace, TraceOutcome
 from repro.cpu.engine.traced import (
+    PlanTable,
     TraceRegion,
     _compile_watch_arrays,
     run_traced,
@@ -89,11 +95,11 @@ __all__ = [
     "HALT",
     "OpFn",
     "OpMeta",
+    "PlanTable",
     "PredecodedProgram",
     "Trace",
     "TraceOutcome",
     "TraceRegion",
     "predecode",
     "run_traced",
-    "trace_table",
 ]

@@ -11,9 +11,12 @@ bounds-checked memory access exist exactly once.
 handler-protocol result (``None`` / taken target / ``HALT``).  Both
 consume IR fields only (the lowering-pass contract of DESIGN.md §10).
 
-The exec-namespace conventions live here too: generated functions
-bind :data:`REGION_HELPERS` as default arguments
-(:func:`region_namespace`).
+The rest of the generated-code pipeline lives here too, one copy for
+both kinds: :func:`record_codegen` compiles an artifact and files it in
+the program's code table (:func:`codegen_records`), :func:`instantiate`
+binds one to a simulator (generated functions take
+:data:`REGION_HELPERS` as default arguments), and :func:`fault_entry`
+maps a fault raised in generated code back to its line-table entry.
 """
 
 from __future__ import annotations
@@ -243,17 +246,24 @@ REGION_HELPERS = ("_g", "_mem", "_ifb", "_hi1", "_hi2", "_hi4",
                   "_lb", "_lh", "_lw", "_sb", "_sh", "_sw",
                   "_mulh", "_state", "_HALT")
 
+#: compile() filename of all generated code; :func:`fault_entry`
+#: recognises generated frames by it.
+CODE_FILENAME = "<trace-jit>"
 
-def region_namespace(sim) -> dict:
-    """The per-simulator exec namespace for generated region code.
 
-    Everything here is stable for the simulator's lifetime: the raw
-    register list and memory buffer are mutated in place, never
-    rebound, and the bound memory methods serve the generated code's
-    fault paths.
+def instantiate(sim, code, name: str, bindings: dict):
+    """Bind compiled generated code to one simulator; returns the function.
+
+    Executes ``code`` in a fresh namespace of :data:`REGION_HELPERS` —
+    the raw register list and memory buffer, mutated in place and never
+    rebound, the bound memory methods serving the fault paths — plus
+    ``bindings``, then pops the function ``name`` back out.  The
+    namespace keeps no reference to the function it defined, so it is
+    no reference cycle: a finished simulator's memory is freed as soon
+    as the simulator is.
     """
     memory = sim.memory
-    return {
+    ns = {
         "_g": sim.state.regs._regs,
         "_mem": memory._bytes, "_ifb": int.from_bytes,
         "_hi1": memory.size - 1, "_hi2": memory.size - 2,
@@ -265,21 +275,44 @@ def region_namespace(sim) -> dict:
         "_mulh": alu.mul32_hi,
         "_state": sim.state, "_HALT": HALT,
     }
+    ns.update(bindings)
+    exec(code, ns)
+    return ns.pop(name)
 
 
-#: Attribute the per-program codegen audit log lives under.
-_AUDIT_LOG_ATTR = "_codegen_records"
+def fault_entry(exc: BaseException, line_table: tuple):
+    """The line-table entry of the innermost generated frame of ``exc``.
+
+    Walks the traceback to the last frame compiled under
+    :data:`CODE_FILENAME` and returns ``line_table`` at its 0-based
+    source line (index 0 is the ``def`` line), or ``None`` when no
+    generated line with an entry raised.
+    """
+    entry = None
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == CODE_FILENAME:
+            line = tb.tb_lineno - 1
+            if 0 <= line < len(line_table) \
+                    and line_table[line] is not None:
+                entry = line_table[line]
+        tb = tb.tb_next
+    return entry
+
+
+#: Attribute the per-program code table lives under.
+_CODE_TABLE_ATTR = "_codegen_records"
 
 
 class CodegenRecord(NamedTuple):
-    """One generated artifact, kept for the static auditor.
+    """One generated artifact: its source, code and line tables.
 
-    Every codegen tier records the exact source text it compiled (plus
-    the fault-reconciliation metadata) alongside the cached code
-    object, keyed like the code caches, so
-    :mod:`repro.cpu.analysis.audit` can re-parse what actually runs
-    instead of re-running the generator.  A region's key is
-    ``("region", start, term, None)``; a trace's is ``"trace"`` plus
+    The program's code table (:func:`codegen_records`) holds one record
+    per artifact, and it is the only cache of generated code: the
+    engine binds each record's ``code`` (:func:`instantiate`) and
+    :mod:`repro.cpu.analysis.audit` re-parses the same record's
+    ``source``, so the audit reads exactly what runs.  A region's key
+    is ``("region", start, term, None)``; a trace's is ``"trace"`` plus
     its blueprint key (see
     :func:`~repro.cpu.engine.trace.trace_record_keys`), so one loop
     compiled under two pipeline configs or watch sets keeps one record
@@ -290,9 +323,11 @@ class CodegenRecord(NamedTuple):
     start: int                  # first slot of the span
     term: int                   # terminator slot (inclusive)
     source: str                 # the compiled source text, verbatim
+    code: object                # compile(source) — what the engine binds
     line_member: tuple          # line index -> member ordinal | None
                                 # (traces: the member's slot)
-    fallbacks: tuple            # member ordinals emitted as _h<k> calls
+    fallbacks: tuple            # (ordinal, slot) of each member emitted
+                                # as an _h<ordinal> call
     loop_id: int | None = None
     #: Trace records only: one entry per emitted guard, as
     #: ``(source line index, guarded slot, hot direction)`` — the hot
@@ -301,21 +336,29 @@ class CodegenRecord(NamedTuple):
     #: The AU005 auditor re-derives each guard's expected condition
     #: from the IR and compares it against the emitted source.
     guards: tuple = ()
+    #: Trace records only: the recorded branch-event paths the trace
+    #: was lowered from, its outcome table and its line -> pre-fault
+    #: snapshot table (see :mod:`repro.cpu.engine.trace`).
+    paths: tuple = ()
+    outcomes: tuple = ()
+    line_fault: tuple = ()
 
 
-def record_codegen(program, record: CodegenRecord,
-                   key: tuple | None = None) -> None:
-    """File one generated artifact in the program's audit log, under
-    ``key`` (default ``(kind, start, term, loop_id)``)."""
-    log = program.__dict__.get(_AUDIT_LOG_ATTR)
-    if log is None:
-        log = program.__dict__[_AUDIT_LOG_ATTR] = {}
-    if key is None:
-        key = (record.kind, record.start, record.term, record.loop_id)
-    log[key] = record
+def record_codegen(program, key: tuple, source: str,
+                   **fields) -> CodegenRecord:
+    """Compile ``source`` and file it in the program's code table under
+    ``key``; returns the record (``fields`` fill the rest of it)."""
+    record = CodegenRecord(source=source,
+                           code=compile(source, CODE_FILENAME, "exec"),
+                           **fields)
+    codegen_records(program)[key] = record
+    return record
 
 
 def codegen_records(program) -> dict:
-    """The program's audit log: cache key -> :class:`CodegenRecord`."""
-    log = program.__dict__.get(_AUDIT_LOG_ATTR)
-    return {} if log is None else log
+    """The program's code table: cache key -> :class:`CodegenRecord`
+    (created empty on first use)."""
+    table = program.__dict__.get(_CODE_TABLE_ATTR)
+    if table is None:
+        table = program.__dict__[_CODE_TABLE_ATTR] = {}
+    return table

@@ -48,8 +48,13 @@ exit — carries static ``(steps, cycles, stall, flush, taken)`` deltas
 accumulated along its exact path, so path-dependent timing stays
 bit-identical to ``step``; the only runtime timing check is the
 incoming load-use stall against the first member (same contract as
-fused regions).  Faults inside a trace reconcile through a line →
-pre-fault-state table, like region faults.  See DESIGN.md §12.
+fused regions).  Faults inside a trace reconcile through the shared
+:func:`~repro.cpu.engine.emit.fault_entry` walk into a line →
+pre-fault-state table.  A trace's code, outcome table, fault table and
+recorded paths are one :class:`~repro.cpu.engine.emit.CodegenRecord`
+in the program's code table, bound per simulator through
+:func:`~repro.cpu.engine.emit.instantiate` like a region's.  See
+DESIGN.md §12.
 """
 
 from __future__ import annotations
@@ -64,17 +69,15 @@ from repro.cpu.engine.emit import (
     REGION_HELPERS,
     CodegenRecord,
     branch_cond_expr,
+    codegen_records,
+    fault_entry,
+    instantiate,
     member_lines,
     record_codegen,
-    region_namespace,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.simulator import Simulator
-
-#: compile() filename marker for generated traces; fault reconciliation
-#: recognises trace frames by it.
-TRACE_FILENAME = "<trace-jit>"
 
 #: Loop-back fires observed before a candidate is promoted (compiled
 #: outright when its body has no conditional branch, else recorded).
@@ -142,7 +145,8 @@ class Trace:
     loop-back test inlined at every leaf, called as ``run(fire_trigger,
     budget, cell)`` (everything else binds as generated-function
     defaults).  A straight-line body is the zero-guard case: one path,
-    one leaf outcome.
+    one leaf outcome.  The outcome table, line → fault table and
+    recorded paths come from the trace's code-table record.
     """
 
     __slots__ = ("run", "outcomes", "first_uses", "max_steps",
@@ -150,27 +154,28 @@ class Trace:
                  "line_fault", "fail", "bridge_fails", "no_bridge",
                  "paths", "cand")
 
-    def __init__(self, run, outcomes: tuple, first_uses: frozenset[int],
-                 cand: TraceCandidate, line_fault: tuple,
-                 paths: list) -> None:
+    def __init__(self, run, record: CodegenRecord,
+                 first_uses: frozenset[int],
+                 cand: TraceCandidate) -> None:
         self.run = run
-        self.outcomes = outcomes
+        self.outcomes = record.outcomes
         self.first_uses = first_uses
-        self.max_steps = max(o.steps for o in outcomes)
+        self.max_steps = max(o.steps for o in record.outcomes)
         self.loop_id = cand.loop_id
         self.entry_pc = cand.entry_pc
         self.entry_slot = cand.entry_slot
         self.trigger_pc = cand.trigger_pc
-        self.line_fault = line_fault
+        self.line_fault = record.line_fault
         self.fail: dict = {}          # exit key -> side-exit count
         self.bridge_fails: dict = {}  # exit key -> abandoned bridges
         self.no_bridge: set = set()   # exit keys never to bridge
-        self.paths = paths            # recorded event tuples, in order
+        self.paths = list(record.paths)  # recorded event tuples, in order
         self.cand = cand
 
 
 class TraceTable:
-    """Per-plan-key trace state: the dense dispatch table + candidates."""
+    """One plan state's trace state: the dense dispatch table and the
+    candidates (held by the traced tier's per-plan table)."""
 
     __slots__ = ("slots", "cands", "watched", "exit_pcs")
 
@@ -282,15 +287,16 @@ def _candidate_geometry(program, ir, base: int, plan,
     return geometry
 
 
-def _discover(sim: "Simulator", predecoded: PredecodedProgram,
-              plan) -> TraceTable:
+def discover_traces(sim: "Simulator", predecoded: PredecodedProgram,
+                    plan) -> TraceTable:
     """Build the per-simulator trace table for one plan state.
 
     The static scan lives in :func:`_candidate_geometry` (cached on
     the program); this binds it to one simulator — fresh candidate
     counters, and compiled traces instantiated straight from the
-    program's blueprint cache where a previous simulator already
-    recorded them.
+    program's code table where a previous simulator already recorded
+    them.  The traced tier calls it once per plan state, on the first
+    resident resolve, and keeps the table in its per-plan table.
     """
     ir = predecoded.ir
     n = len(ir)
@@ -311,33 +317,18 @@ def _discover(sim: "Simulator", predecoded: PredecodedProgram,
         return table
     geometry = _candidate_geometry(sim.program, ir, base, plan, watched,
                                    trigger_edges)
-    blueprints = sim.program.__dict__.get(_JIT_CODE_ATTR, {})
+    records = codegen_records(sim.program)
     for loop_id, entry_slot, entry_pc, pc in geometry:
         cand = TraceCandidate(loop_id, entry_slot, entry_pc, pc)
-        entry = blueprints.get(_blueprint_key(sim, table, cand))
-        if entry is not None:
+        record = records.get(_record_key(sim, table, cand))
+        if record is not None:
             # A previous simulator of this program already recorded and
             # compiled this loop's trace: bind it now, skipping the
             # profiling warm-up entirely.
             table.slots[entry_slot] = _instantiate_trace(
-                sim, predecoded, entry, cand)
+                sim, predecoded, record, cand)
         else:
             table.cands[loop_id] = cand
-    return table
-
-
-def trace_table(sim: "Simulator", predecoded: PredecodedProgram,
-                plan) -> TraceTable:
-    """Resolve (or discover) the trace table for one plan state.
-
-    Cached on the simulator by the plan's watch-set content key, like
-    the region tables; cleared whenever the program is re-predecoded.
-    """
-    key = plan.key
-    table = sim._trace_jit_cache.get(key)
-    if table is None:
-        table = _discover(sim, predecoded, plan)
-        sim._trace_jit_cache[key] = table
     return table
 
 
@@ -735,46 +726,44 @@ def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
         _emit(ctx, depth + step, text, None, None)
 
 
-#: Program attribute holding compiled trace blueprints, keyed by
-#: :func:`_blueprint_key` — the per-sim path profiles converge (one
-#: program, one data image), so later simulators of the same program
-#: instantiate traces at discovery time without re-recording.
-_JIT_CODE_ATTR = "_trace_jit_code"
+def _record_key(sim: "Simulator", table: TraceTable,
+                cand: TraceCandidate) -> tuple:
+    """Code-table key of a compiled trace blueprint.
 
-
-def _blueprint_key(sim: "Simulator", table: TraceTable,
-                   cand: TraceCandidate) -> tuple:
-    """Cache identity of a compiled trace blueprint.
-
-    Unlike region source, the blueprint's outcome/fault tables bake in
-    static cycle and stall deltas, so the pipeline config is part of
-    the key (a pipeline sweep compiles per configuration).
+    ``"trace"`` plus the blueprint's identity.  The per-sim path
+    profiles converge (one program, one data image), so later
+    simulators of the same program instantiate traces at discovery time
+    without re-recording.  Unlike region source, the blueprint's
+    outcome/fault tables bake in static cycle and stall deltas, so the
+    pipeline config is part of the key (a pipeline sweep compiles per
+    configuration).
     """
-    return (cand.loop_id, cand.entry_slot, cand.trigger_pc,
+    return ("trace", cand.loop_id, cand.entry_slot, cand.trigger_pc,
             table.watched, table.exit_pcs, sim.timing.config)
 
 
 def trace_record_keys(sim: "Simulator", entry_slot: int, trigger_pc: int,
                       loop_id: int) -> list[tuple]:
-    """Audit-log keys of one loop's trace under ``sim``'s trace tables.
+    """Code-table keys of one loop's trace under ``sim``'s trace tables.
 
     A trace's :class:`~repro.cpu.engine.emit.CodegenRecord` is filed
-    under ``"trace"`` plus its :func:`_blueprint_key`, so the auditor
-    reads exactly the blueprints this simulator runs (its pipeline
-    config and each plan state's watch sets), one key per distinct
-    table; empty until the simulator has run.
+    under :func:`_record_key`, so the auditor reads exactly the
+    blueprints this simulator runs (its pipeline config and each plan
+    state's watch sets), one key per distinct table; empty until the
+    simulator has run.
     """
     cand = TraceCandidate(loop_id, entry_slot,
                           sim.program.text_base + 4 * entry_slot,
                           trigger_pc)
     return list(dict.fromkeys(
-        ("trace",) + _blueprint_key(sim, table, cand)
-        for table in sim._trace_jit_cache.values()))
+        _record_key(sim, plan_table.traces, cand)
+        for plan_table in sim._plan_tables.values()
+        if plan_table.traces is not None))
 
 
 def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
                    table: TraceTable, cand: TraceCandidate,
-                   paths: list) -> tuple | None:
+                   paths: list) -> CodegenRecord | None:
     """Walk, merge and lower a path set into a trace blueprint.
 
     The one emission pass builds the outcome table and the
@@ -788,9 +777,9 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
     iteration retired whole).  Returns ``None`` when any path fails to
     replay against the IR or the paths are unmergeable (divergence
     anywhere but a same-slot guard) — the caller marks the candidate
-    dead or the bridge unbridgeable.  The record filed for AU005 is
-    keyed like the blueprint, so a bridge rebuild overwrites its
-    predecessor's entry.
+    dead or the bridge unbridgeable.  The blueprint is filed in the
+    program's code table under :func:`_record_key`, so a bridge rebuild
+    overwrites its predecessor's record.
     """
     # Function-level import: repro.core's package __init__ imports the
     # controller, which reaches back into repro.cpu.engine.
@@ -877,38 +866,32 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
         for name in REGION_HELPERS
         + tuple(f"_h{k}" for k, _ in ctx.sites)
         + ("_out", "_FT", "_DEC"))
-    src = (f"def _trace(_fire, _budget, _cell, {params}):\n"
-           + "\n".join(ctx.lines))
-    code = compile(src, TRACE_FILENAME, "exec")
-    record_codegen(sim.program, CodegenRecord(
+    return record_codegen(
+        sim.program, _record_key(sim, table, cand),
+        f"def _trace(_fire, _budget, _cell, {params}):\n"
+        + "\n".join(ctx.lines),
         kind="trace", start=cand.entry_slot, term=cand.entry_slot,
-        source=src, line_member=tuple(ctx.line_member),
-        fallbacks=tuple(k for k, _ in ctx.sites),
-        loop_id=loop_id, guards=tuple(ctx.guards)),
-        key=("trace",) + _blueprint_key(sim, table, cand))
-    return (tuple(paths), code, tuple(ctx.sites), tuple(ctx.outcomes),
-            tuple(ctx.line_fault))
+        line_member=tuple(ctx.line_member), fallbacks=tuple(ctx.sites),
+        loop_id=loop_id, guards=tuple(ctx.guards), paths=tuple(paths),
+        outcomes=tuple(ctx.outcomes), line_fault=tuple(ctx.line_fault))
 
 
 def _instantiate_trace(sim: "Simulator", predecoded: PredecodedProgram,
-                       entry: tuple, cand: TraceCandidate) -> Trace:
-    """Bind a blueprint to one simulator's architectural state."""
+                       record: CodegenRecord,
+                       cand: TraceCandidate) -> Trace:
+    """Bind a blueprint record to one simulator's architectural state."""
     # Imported here, not at module level: repro.core.__init__ pulls in
     # the controller, which reaches back into cpu.engine.
     from repro.core.controller import ZolcController
     from repro.core.task_select import TaskSelectionUnit
 
-    paths, code, sites, outcomes, line_fault = entry
     ops = predecoded.ops
-    ns = region_namespace(sim)
-    for ordinal, slot in sites:
-        ns[f"_h{ordinal}"] = ops[slot][0]
-    ns["_out"] = outcomes
-    ns["_FT"] = ZolcController.fire_trigger
-    ns["_DEC"] = TaskSelectionUnit.decide
-    exec(code, ns)
-    return Trace(ns["_trace"], outcomes, ops[cand.entry_slot][2], cand,
-                 line_fault, list(paths))
+    bindings = {f"_h{k}": ops[slot][0] for k, slot in record.fallbacks}
+    bindings.update(_out=record.outcomes,
+                    _FT=ZolcController.fire_trigger,
+                    _DEC=TaskSelectionUnit.decide)
+    return Trace(instantiate(sim, record.code, "_trace", bindings),
+                 record, ops[cand.entry_slot][2], cand)
 
 
 def build_trace(sim: "Simulator", predecoded: PredecodedProgram,
@@ -916,22 +899,16 @@ def build_trace(sim: "Simulator", predecoded: PredecodedProgram,
                 paths: list) -> Trace | None:
     """Compile (or fetch) the blueprint for ``paths`` and bind it.
 
-    The compiled blueprint is cached on the program object — fresh
+    The blueprint record lives in the program's code table — fresh
     simulators of one program skip walk/merge/codegen entirely, and a
     bridge splice (a grown path set) recompiles and overwrites it.
     """
-    program = sim.program
-    per_program = program.__dict__.get(_JIT_CODE_ATTR)
-    if per_program is None:
-        per_program = program.__dict__[_JIT_CODE_ATTR] = {}
-    key = _blueprint_key(sim, table, cand)
-    entry = per_program.get(key)
-    if entry is None or entry[0] != tuple(paths):
-        entry = _compile_trace(sim, predecoded, table, cand, paths)
-        if entry is None:
+    record = codegen_records(sim.program).get(_record_key(sim, table, cand))
+    if record is None or record.paths != tuple(paths):
+        record = _compile_trace(sim, predecoded, table, cand, paths)
+        if record is None:
             return None
-        per_program[key] = entry
-    return _instantiate_trace(sim, predecoded, entry, cand)
+    return _instantiate_trace(sim, predecoded, record, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,16 +1084,7 @@ def reconcile_trace_fault(exc: BaseException, trace: Trace,
     ``(steps, cycles, stall, flush, taken, out_pending, pc)``; with
     ``steps == 0`` the caller must leave its pending state untouched.
     """
-    fault = None
-    line_fault = trace.line_fault
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == TRACE_FILENAME:
-            line = tb.tb_lineno - 1
-            if 0 <= line < len(line_fault) \
-                    and line_fault[line] is not None:
-                fault = line_fault[line]
-        tb = tb.tb_next
+    fault = fault_entry(exc, trace.line_fault)
     if fault is None:
         return (0, 0, 0, 0, 0, None, trace.entry_pc)
     steps, cycles, stall, flush, taken, member_idxs, out_pending, pc = \

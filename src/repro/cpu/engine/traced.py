@@ -25,12 +25,14 @@ gates trace promotion — or on first entry when the Program already
 holds the region's code.  Until then the slot runs on the single-slot
 path, so a cold cell pays codegen only for its hot loops.
 
-Region tables are sliced per controller plan state (keyed by the plan's
-watch-set content key, ``None`` while unarmed) and re-resolved at exactly
-the points the run loop re-queries the plan: after an expiring trigger
-fire and after every retired ``mtz`` to ``CTRL_ARM`` or ``CTRL_RESET``
-(:attr:`~repro.cpu.ir.IROp.zolc_ctrl`), the only port accesses that
-can change the armed state or the watch sets.  Table writes and
+Every dispatch table of one controller plan state — the region table,
+its heat, the watch arrays and the trace table — lives in one
+:class:`PlanTable`, one dict probe away on the simulator (keyed by the
+plan's watch-set content key, ``None`` while unarmed), re-resolved at
+exactly the points the run loop re-queries the plan: after an expiring
+trigger fire and after every retired ``mtz`` to ``CTRL_ARM`` or
+``CTRL_RESET`` (:attr:`~repro.cpu.ir.IROp.zolc_ctrl`), the only port
+accesses that can change the armed state or the watch sets.  Table writes and
 ``mfz`` retire inside regions, and a ``reset … writes … arm``
 preheader runs as one region that re-queries the plan once, after
 the arm (DESIGN.md §8).  A re-arm epoch change therefore invalidates
@@ -42,7 +44,8 @@ runs whole ``body → fire → re-enter`` iterations inside generated code —
 a straight-line body as a zero-guard trace, a branchy one with guards.
 
 A fault inside a fused region (memory access error, ZOLC fault) is
-reconciled from the traceback's line number back to the faulting member,
+reconciled from the traceback's line number back to the faulting member
+(the shared :func:`~repro.cpu.engine.emit.fault_entry` walk),
 so the partial retirement is accounted exactly as the stepped
 interpreter would have: members before the fault retire (steps, cycles,
 stalls, counts), the faulting member does not, and ``state.pc`` lands on
@@ -60,27 +63,26 @@ from repro.cpu.engine.dispatch import HALT, SPAN_IDS, PredecodedProgram
 from repro.cpu.engine.emit import (
     REGION_HELPERS,
     CodegenRecord,
+    codegen_records,
+    fault_entry,
+    instantiate,
     member_lines,
     record_codegen,
-    region_namespace,
     term_lines,
 )
 from repro.cpu.engine.trace import (
     HOT_THRESHOLD,
+    TraceTable,
     abandon_recording,
+    discover_traces,
     note_fire,
     note_side_exit,
     reconcile_trace_fault,
     record_step,
-    trace_table,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.simulator import Simulator
-
-#: compile() filename marker for fused megahandlers; fault reconciliation
-#: recognises generated frames by it.
-_REGION_FILENAME = "<trace-region>"
 
 #: Region identities draw from the engine-wide span-id sequence, shared
 #: with trace outcomes: the traced loop keys its per-run execution
@@ -116,24 +118,20 @@ class TraceRegion(NamedTuple):
     line_member: tuple
 
 
-def _region_code(program, start: int, term: int):
-    """Compile (or fetch) the megahandler code for slots ``start..term``.
+def _region_record(program, start: int, term: int) -> CodegenRecord:
+    """The code-table record of the megahandler for slots ``start..term``.
 
-    Returns ``(code, fallback_ordinals, line_member)``.  The compiled
-    code is cached *on the program object*: the generated source is
-    lowered from the program's IR and depends only on it and the region
-    span — the register list, memory methods and fallback closures
-    arrive per simulator through the exec namespace — so every
-    simulator of one :class:`~repro.asm.assembler.Program` (repeated
-    benchmark runs, the suite runner re-simulating a prepared kernel)
-    shares one compile.
+    Compiled on first use and filed in the program's code table: the
+    generated source is lowered from the program's IR and depends only
+    on it and the region span — the register list, memory methods and
+    fallback closures arrive per simulator through :func:`instantiate`
+    — so every simulator of one :class:`~repro.asm.assembler.Program`
+    (repeated benchmark runs, the suite runner re-simulating a prepared
+    kernel, another pipeline config) shares one compile.
     """
-    per_program = program.__dict__.get("_trace_region_code")
-    if per_program is None:
-        per_program = program.__dict__["_trace_region_code"] = {}
-    entry = per_program.get((start, term))
-    if entry is not None:
-        return entry
+    record = codegen_records(program).get(("region", start, term, None))
+    if record is not None:
+        return record
     ir = build_ir(program)
     lines: list[str] = []
     line_member: list[int | None] = [None]      # line 1 is the def line
@@ -148,14 +146,12 @@ def _region_code(program, start: int, term: int):
         f"{name}={name}"
         for name in REGION_HELPERS + tuple(f"_h{k}" for k in fallbacks))
     # `lines` is never empty: term_lines always ends in a `return`.
-    src = f"def _mega({params}):\n" + "\n".join(lines)
-    code = compile(src, _REGION_FILENAME, "exec")
-    entry = (code, tuple(fallbacks), tuple(line_member))
-    per_program[(start, term)] = entry
-    record_codegen(program, CodegenRecord(
-        kind="region", start=start, term=term, source=src,
-        line_member=entry[2], fallbacks=entry[1]))
-    return entry
+    return record_codegen(
+        program, ("region", start, term, None),
+        f"def _mega({params}):\n" + "\n".join(lines),
+        kind="region", start=start, term=term,
+        line_member=tuple(line_member),
+        fallbacks=tuple((k, start + k) for k in fallbacks))
 
 
 def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
@@ -163,11 +159,9 @@ def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
     """Fuse slots ``start..term`` into one compiled megahandler."""
     ops = predecoded.ops
     base = sim.program.text_base
-    code, fallbacks, line_member = _region_code(sim.program, start, term)
-    ns = region_namespace(sim)
-    for ordinal in fallbacks:
-        ns[f"_h{ordinal}"] = ops[start + ordinal][0]
-    exec(code, ns)
+    record = _region_record(sim.program, start, term)
+    mega = instantiate(sim, record.code, "_mega", {
+        f"_h{k}": ops[slot][0] for k, slot in record.fallbacks})
     cycles = stall = 0
     members: list[tuple[int, int, int, int | None]] = []
     prev_dest: int | None = None
@@ -180,40 +174,12 @@ def _build_region(sim: "Simulator", predecoded: PredecodedProgram,
         members.append((i, base_cycles, static_stall, load_dest))
         prev_dest = load_dest
     return TraceRegion(
-        mega=ns["_mega"], size=term - start + 1,
+        mega=mega, size=term - start + 1,
         cycles=cycles, stall=stall, first_uses=ops[start][2],
         out_pending=ops[term][3], term_pc=base + 4 * term, term_idx=term,
         term_taken_penalty=ops[term][4],
         rid=next(_REGION_IDS), start_idx=start,
-        members=tuple(members), line_member=line_member)
-
-
-def _trace_regions(sim: "Simulator", predecoded: PredecodedProgram,
-                   plan) -> tuple[list, list[int]]:
-    """Resolve (or slice) the region table for one plan state.
-
-    Returns ``(regions, heat)``.  The region table is the shared
-    :func:`straightline_terms` scan under the plan's watched next pcs:
-    ``None`` for slots that cannot begin a region of at least two
-    instructions, else the terminator slot index (an ``int``) — a
-    region start not yet fused, which :func:`_hot_region` replaces by
-    its :class:`TraceRegion` once the region is hot.  ``heat`` holds
-    one entry counter per slot for :func:`_hot_region`.  Both are
-    cached on the simulator by the plan's watch-set content key
-    (``None`` while unarmed), so re-arming the same tables re-uses the
-    slicing, every fused megahandler *and* the heat gathered so far.
-    The cache is cleared whenever the program is re-predecoded (ZOLC
-    port swap).
-    """
-    key = None if plan is None else plan.key
-    table = sim._trace_region_cache.get(key)
-    if table is None:
-        watched_next = (frozenset() if plan is None
-                        else plan.watched_next_pcs())
-        regions = straightline_terms(predecoded.metas,
-                                     sim.program.text_base, watched_next)
-        table = sim._trace_region_cache[key] = (regions, [0] * len(regions))
-    return table
+        members=tuple(members), line_member=record.line_member)
 
 
 def _hot_region(sim: "Simulator", predecoded: PredecodedProgram,
@@ -230,11 +196,10 @@ def _hot_region(sim: "Simulator", predecoded: PredecodedProgram,
     fused region would have.
     """
     count = heat[idx] + 1
-    if count < HOT_THRESHOLD:
-        compiled = sim.program.__dict__.get("_trace_region_code")
-        if compiled is None or (idx, term) not in compiled:
-            heat[idx] = count
-            return None
+    if count < HOT_THRESHOLD and ("region", idx, term, None) \
+            not in codegen_records(sim.program):
+        heat[idx] = count
+        return None
     region = _build_region(sim, predecoded, idx, term, load_use)
     regions[idx] = region
     return region
@@ -252,16 +217,7 @@ def _reconcile_region_fault(exc: BaseException, region: TraceRegion,
     handler raises.  Returns the updated ``(steps, cycles, stall,
     pending, pc)`` bundle; ``retired`` is updated in place.
     """
-    faulting = 0
-    line_member = region.line_member
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == _REGION_FILENAME:
-            line = tb.tb_lineno - 1
-            if 0 <= line < len(line_member) \
-                    and line_member[line] is not None:
-                faulting = line_member[line]
-        tb = tb.tb_next
+    faulting = fault_entry(exc, region.line_member) or 0
     if faulting:
         if pending is not None and pending in region.first_uses:
             cycles += load_use
@@ -277,7 +233,7 @@ def _reconcile_region_fault(exc: BaseException, region: TraceRegion,
     return steps, cycles, stall, pending, pc
 
 
-def _compile_watch_arrays(sim: "Simulator", plan, n: int, base: int):
+def _compile_watch_arrays(plan, n: int, base: int):
     """Fold a compiled controller plan into dense per-slot watch arrays.
 
     Returns ``(next_watch, exit_watch, far_watch)``:
@@ -293,14 +249,7 @@ def _compile_watch_arrays(sim: "Simulator", plan, n: int, base: int):
       (or misaligns with) the text image; consulted only when a
       transfer leaves the dense array, so hand-programmed tables keep
       exact ``on_retire`` semantics.
-
-    Cached on the simulator by the plan's watch-set content key, so
-    re-arming the same tables (a kernel invoked in a loop) costs one
-    dict probe, not an O(text) rebuild.
     """
-    cached = sim._zolc_watch_cache.get(plan.key)
-    if cached is not None:
-        return cached
     limit = 4 * n
     next_watch: list[tuple[int | None, int | None] | None] = [None] * n
     exit_watch: list[int | None] = [None] * n
@@ -321,9 +270,45 @@ def _compile_watch_arrays(sim: "Simulator", plan, n: int, base: int):
         # An exit branch outside the text image can never retire: no
         # dense slot, and the current pc is always in range, so it is
         # dropped rather than mirrored into far_watch.
-    arrays = (next_watch, exit_watch, far_watch)
-    sim._zolc_watch_cache[plan.key] = arrays
-    return arrays
+    return next_watch, exit_watch, far_watch
+
+
+class PlanTable:
+    """Every dispatch table of one controller plan state.
+
+    ``regions`` is the shared :func:`straightline_terms` scan under the
+    plan's watched next pcs: ``None`` for slots that cannot begin a
+    region of at least two instructions, else the terminator slot index
+    (an ``int``) — a region start not yet fused, which
+    :func:`_hot_region` replaces by its :class:`TraceRegion` once the
+    region is hot.  ``heat`` holds one entry counter per slot for
+    :func:`_hot_region`.  The watch arrays are
+    :func:`_compile_watch_arrays`' (``None`` while unarmed), and
+    ``traces`` is the :class:`~repro.cpu.engine.trace.TraceTable`,
+    discovered on the first resident resolve (``None`` until then, and
+    always while unarmed).
+
+    Cached on the simulator by the plan's watch-set content key
+    (``None`` while unarmed), so re-arming the same tables re-uses the
+    slicing, the watch arrays, every fused megahandler and trace *and*
+    the heat gathered so far.  The cache is cleared whenever the
+    program is re-predecoded (ZOLC port swap).
+    """
+
+    __slots__ = ("regions", "heat", "next_watch", "exit_watch",
+                 "far_watch", "traces")
+
+    def __init__(self, predecoded: PredecodedProgram, plan, n: int,
+                 base: int) -> None:
+        watched_next = (frozenset() if plan is None
+                        else plan.watched_next_pcs())
+        self.regions = straightline_terms(predecoded.metas, base,
+                                          watched_next)
+        self.heat = [0] * n
+        self.next_watch, self.exit_watch, self.far_watch = (
+            (None, None, None) if plan is None
+            else _compile_watch_arrays(plan, n, base))
+        self.traces: TraceTable | None = None
 
 
 def _traced_dispatch_state(plan, sim: "Simulator",
@@ -335,37 +320,39 @@ def _traced_dispatch_state(plan, sim: "Simulator",
     Returns the local-variable bundle the run loop runs on:
     ``(next_watch, exit_watch, far_watch, fire_exit, fire_entry,
     fire_trigger, epoch, active_without_plan, regions, heat, traces,
-    jit)``.  With no plan the watch arrays, fire handlers and epoch
-    are ``None``; ``active_without_plan`` then reports whether the
-    port is active anyway (the transient arm-writes-pending window).
-    In that window every retirement must reach ``on_retire``, so
-    batching pauses: the all-``None`` ``no_regions`` table is served
-    until the plan appears.  The same all-``None`` table stands in for
-    the trace table whenever there is no compiled plan (traces only
-    exist against one — their leaves fire the plan's trigger handler
-    directly) or ``resident`` is off; ``jit`` is the
-    :class:`~repro.cpu.engine.trace.TraceTable` or ``None``.  ``heat``
-    is the region table's entry counters (``None`` beside the
+    jit)``, read from the plan's :class:`PlanTable` (one dict probe).
+    With no plan the watch arrays, fire handlers and epoch are
+    ``None``; ``active_without_plan`` then reports whether the port is
+    active anyway (the transient arm-writes-pending window).  In that
+    window every retirement must reach ``on_retire``, so batching
+    pauses: the all-``None`` ``no_regions`` table is served until the
+    plan appears.  The same all-``None`` table stands in for the trace
+    table whenever there is no compiled plan (traces only exist against
+    one — their leaves fire the plan's trigger handler directly) or
+    ``resident`` is off, in which case no trace is bound; ``jit`` is
+    the :class:`~repro.cpu.engine.trace.TraceTable` or ``None``.
+    ``heat`` is the region table's entry counters (``None`` beside the
     all-``None`` table, which has no region start to count).
     """
     if plan is None and zolc is not None and zolc.active:
         return (None, None, None, None, None, None, None, True,
                 no_regions, None, no_regions, None)
-    regions, heat = _trace_regions(sim, predecoded, plan)
+    key = None if plan is None else plan.key
+    table = sim._plan_tables.get(key)
+    if table is None:
+        table = sim._plan_tables[key] = PlanTable(predecoded, plan, n, base)
     if plan is None:
         return (None, None, None, None, None, None, None, False,
-                regions, heat, no_regions, None)
-    next_watch, exit_watch, far_watch = _compile_watch_arrays(
-        sim, plan, n, base)
+                table.regions, table.heat, no_regions, None)
+    jit = None
     if resident:
-        jit = trace_table(sim, predecoded, plan)
-        traces = jit.slots
-    else:
-        jit = None
-        traces = no_regions
-    return (next_watch, exit_watch, far_watch, plan.fire_exit,
-            plan.fire_entry, plan.fire_trigger, plan.epoch, False,
-            regions, heat, traces, jit)
+        jit = table.traces
+        if jit is None:
+            jit = table.traces = discover_traces(sim, predecoded, plan)
+    return (table.next_watch, table.exit_watch, table.far_watch,
+            plan.fire_exit, plan.fire_entry, plan.fire_trigger,
+            plan.epoch, False, table.regions, table.heat,
+            no_regions if jit is None else jit.slots, jit)
 
 
 def run_traced(sim: "Simulator", max_steps: int,

@@ -151,22 +151,15 @@ class Simulator:
         self._predecoded: PredecodedProgram | None | bool = None
         self._predecoded_zolc: ZolcPort | None = zolc
         self._predecode_failure: str | None = None
-        # Watch-set compilation cache for the run loop: maps a
-        # compiled controller plan's content key to the dense per-slot
-        # dispatch arrays built from it, so repeated re-arms of the
-        # same tables (kernel invoked in a loop, lockstep runs) do not
-        # rebuild O(text) arrays.  Keyed purely by watch-set content —
-        # safe across ZOLC port swaps.
-        self._zolc_watch_cache: dict = {}
-        # Trace-region tables for the traced engine, keyed by plan
-        # watch-set content key (None while unarmed).  Regions embed
-        # fused handler closures from the predecoded program, so the
-        # cache is cleared whenever the program is re-predecoded.
-        self._trace_region_cache: dict = {}
-        # Loop-resident trace tables (per plan watch-set key): trace
-        # candidates, recordings and compiled traces.  Traces also fuse
-        # predecoded handlers, so the cache follows the region cache.
-        self._trace_jit_cache: dict = {}
+        # The run loop's per-plan dispatch tables: one PlanTable per
+        # compiled controller plan state, keyed by the plan's watch-set
+        # content key (None while unarmed).  Each holds the region
+        # table and its heat, the dense watch arrays and the trace
+        # table, so repeated re-arms of the same tables (kernel invoked
+        # in a loop, lockstep runs) re-use all of them behind one dict
+        # probe.  Regions and traces bind the predecoded handlers, so
+        # the tables are dropped whenever the program is re-predecoded.
+        self._plan_tables: dict = {}
         # Residency tallies for the traced tier: how many retired
         # instructions executed inside a compiled trace.  Every trace
         # is loop-resident, so the two tallies count the same steps;
@@ -252,11 +245,10 @@ class Simulator:
             # reassigned port invalidates them.
             self._predecoded = None
         if self._predecoded is None:
-            # Trace regions fuse the predecoded handlers; a re-predecode
-            # (ZOLC port swap) invalidates every fused region and
-            # trace with them.
-            self._trace_region_cache.clear()
-            self._trace_jit_cache.clear()
+            # Regions and traces bind the predecoded handlers; a
+            # re-predecode (ZOLC port swap) invalidates every per-plan
+            # table with them.
+            self._plan_tables.clear()
             try:
                 built = predecode(self)
                 if built is None:

@@ -337,12 +337,19 @@ class TestTraceRecordsPerPipeline:
             assert _errors(findings) == []
             sims[pipeline] = sim
         records = codegen_records(program)
-        blueprints = program.__dict__["_trace_jit_code"]
         trace_keys = [k for k in records if k[0] == "trace"]
-        assert len(trace_keys) == len(blueprints)
-        assert {k[1:] for k in trace_keys} == set(blueprints)
         assert {k[-1] for k in trace_keys} \
             == {sims[None].timing.config, stalled}
+        # Each simulator runs the code of the very records it audits:
+        # its bound trace functions come out of its config's records.
+        for sim in sims.values():
+            bound = {t.run.__code__ for table in sim._plan_tables.values()
+                     if table.traces is not None
+                     for t in table.traces.slots if t is not None}
+            assert bound
+            assert bound <= {const for key in trace_keys
+                             if key[-1] == sim.timing.config
+                             for const in records[key].code.co_consts}
         # Tamper with the stalled config's records only: its simulator
         # reports them, the default one still audits clean.
         bent = 0

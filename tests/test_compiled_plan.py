@@ -196,14 +196,11 @@ class TestEngineCompilation:
         zolc = _armed_controller(body_pc=base, trigger_pc=base + 0x10)
         plan = zolc.zolc_plan()
         next_watch, exit_watch, far_watch = _compile_watch_arrays(
-            sim, plan, 9, base)
+            plan, 9, base)
         assert next_watch[4] == (None, 0)            # trigger at base+0x10
         assert [w for w in next_watch if w is not None] == [(None, 0)]
         assert all(rec is None for rec in exit_watch)
         assert far_watch == {}
-        # Cached by content key: a second call is the same object.
-        again = _compile_watch_arrays(sim, plan, 9, base)
-        assert again[0] is next_watch
 
     def test_out_of_text_watch_goes_to_the_far_dict(self):
         from repro.asm import assemble
@@ -214,6 +211,6 @@ class TestEngineCompilation:
         base = sim.program.text_base
         zolc = _armed_controller(body_pc=base, trigger_pc=0xDEAD_BEEC)
         plan = zolc.zolc_plan()
-        next_watch, _, far_watch = _compile_watch_arrays(sim, plan, 1, base)
+        next_watch, _, far_watch = _compile_watch_arrays(plan, 1, base)
         assert all(w is None for w in next_watch)
         assert far_watch == {0xDEAD_BEEC: (None, 0)}

@@ -1,10 +1,11 @@
 """Generated code is byte-identical across fresh interpreter runs.
 
-The emitter's output feeds content-addressed caches and the
-generated-code auditor, so it must not depend on set/dict iteration
-order.  Two subprocesses with different ``PYTHONHASHSEED`` values
-force codegen over the same kernel and hash every recorded source;
-the digests must match exactly.
+The emitter's output feeds the program's code table, which the engine
+binds from and the generated-code auditor reads, so it must not depend
+on set/dict iteration order.  Two subprocesses with different
+``PYTHONHASHSEED`` values force codegen over the same kernel and hash
+every record's source and line map, and a trace record's outcome
+table, fault table and recorded paths; the digests must match exactly.
 """
 
 import os
@@ -37,7 +38,8 @@ audit_codegen(prepared.make_simulator(),
                       in trace_candidate_bodies(ctx)])
 records = codegen_records(program)
 blob = "\\n===\\n".join(
-    f"{key}\\n{record.source}\\n{record.line_member}"
+    f"{key}\\n{record.source}\\n{record.line_member}\\n"
+    f"{record.outcomes}\\n{record.line_fault}\\n{record.paths}"
     for key, record in sorted(records.items(),
                               key=lambda kv: repr(kv[0])))
 print(hashlib.sha256(blob.encode()).hexdigest())

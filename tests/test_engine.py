@@ -396,9 +396,10 @@ class TestReArm:
     def test_repeated_invocation_reuses_compiled_watch_arrays(self):
         sim = _zolc_sim(REINVOKE_SRC)
         sim.run(max_steps=10_000)
-        # Three arms of identical tables compile once: the watch-array
-        # cache is keyed by watch-set content, not by arm epoch.
-        assert len(sim._zolc_watch_cache) == 1
+        # Three arms of identical tables build one plan table (watch
+        # arrays included): it is keyed by watch-set content, not by
+        # arm epoch.
+        assert len([k for k in sim._plan_tables if k is not None]) == 1
 
     def test_rearm_lockstep(self):
         """Retire-by-retire equivalence across both arms of REARM_SRC."""
@@ -531,10 +532,10 @@ class TestPlanlessFallback:
         assert planless.last_engine == "step"
         assert _state_tuple(planful) == _state_tuple(planless)
         assert _controller_tuple(planful) == _controller_tuple(planless)
-        # The planless run never compiled watch arrays or sliced regions.
-        assert planless._zolc_watch_cache == {}
-        assert planless._trace_region_cache == {}
-        assert planful._zolc_watch_cache != {}
+        # The planless run never built a plan table (no watch arrays,
+        # no region slicing).
+        assert planless._plan_tables == {}
+        assert any(key is not None for key in planful._plan_tables)
 
     def test_run_traced_rejects_a_planless_port(self):
         """Passed a planless port directly, the run loop fails loudly
@@ -757,6 +758,33 @@ class TestTracedEngine:
         assert sims["auto"].stats.instructions == 3
         assert sims["auto"].state.regs["t2"] == 3
 
+    def test_fault_at_a_fused_regions_first_member(self):
+        """A fault at member 0 of a fused region retires none of it.
+
+        The loop body (4, 7) fuses once hot; its ``lw`` at 0x10 then
+        reads past the end of memory.  The traceback walk maps the fault
+        to ordinal 0, so the region retires nothing and the post-mortem
+        (pc, steps, cycles, stall, pending, per-category counts) is the
+        stepped interpreter's.
+        """
+        from repro.cpu import MemoryAccessError
+
+        program = assemble("li t3, 0\nli t4, 0x80000\nli t5, 4096\n"
+                           "loop: lw t1, 0(t3)\nadd t2, t2, t1\n"
+                           "add t3, t3, t5\nbne t3, t4, loop\nhalt\n")
+        sims = {}
+        for engine in ("step", "auto"):
+            sims[engine] = Simulator(program)
+            with pytest.raises(MemoryAccessError):
+                sims[engine].run(engine=engine)
+        auto, slow = sims["auto"], sims["step"]
+        assert _region_spans(program) == [(4, 7)]
+        assert auto.state.pc == program.text_base + 0x10
+        assert auto.stats.instructions == 260
+        assert auto.stats.cycles == 388
+        assert auto.timing._pending_load_dest is None
+        assert _state_tuple(auto) == _state_tuple(slow)
+
     def test_traced_fault_paths_match(self):
         source = "li t0, 5\nloop: addi t0, t0, -1\nbne t0, zero, loop\nhalt\n"
         traced = Simulator(assemble(source))
@@ -788,37 +816,103 @@ class TestTracedEngine:
         assert sim.state.regs["t0"] == 4
 
     def test_region_code_cache_shared_across_simulators(self):
-        """Compiled megahandler code lives on the Program, so repeated
-        simulations of one prepared kernel compile each region once."""
+        """Compiled megahandler code lives in the Program's code table,
+        so repeated simulations of one prepared kernel compile each
+        region once — under any pipeline config, since region source
+        bakes in no timing.  A trace blueprint bakes in its cycle
+        counts, so another config compiles one more trace record."""
+        from repro.cpu.engine.emit import codegen_records
+        from repro.cpu.pipeline import PipelineConfig
+
         machine = next(m for m in ALL_MACHINES if m.name == "ZOLClite")
-        prepared = machine.prepare(
-            "li t0, 0\nloop: addi t0, t0, 1\nslti at, t0, 9\n"
-            "bne at, zero, loop\nhalt\n")
+        prepared = machine.prepare(_counted_loop(50))
         first = prepared.make_simulator()
         first.run()
-        cache = prepared.program.__dict__["_trace_region_code"]
-        compiled = dict(cache)
-        assert compiled                      # something was fused
+        table = codegen_records(prepared.program)
+
+        def of_kind(kind):
+            return {key: record for key, record in table.items()
+                    if key[0] == kind}
+
+        regions = of_kind("region")
+        traces = of_kind("trace")
+        assert regions                       # something was fused
+        assert len(traces) == 1
         second = prepared.make_simulator()
         second.run()
-        for span, entry in compiled.items():
-            assert cache[span] is entry      # no recompilation
         assert _state_tuple(first) == _state_tuple(second)
+        stalled = PipelineConfig(load_use_stall=2)
+        third = prepared.make_simulator(pipeline=stalled)
+        third.run()
+        for sim in (second, third):
+            assert sim.trace_resident_steps > 0
+        # No recompilation: every region record object is reused.
+        assert of_kind("region").keys() == regions.keys()
+        for span, record in regions.items():
+            assert table[span] is record
+        new_traces = of_kind("trace").keys() - traces.keys()
+        assert [key[-1] for key in new_traces] == [stalled]
+        for key, record in traces.items():
+            assert table[key] is record
 
-    def test_region_tables_cached_by_plan_content(self):
-        """Three arms of identical tables slice regions once (plus the
-        unarmed table), and a port swap clears the fused regions."""
+    def test_region_tables_cached_by_plan_content(self, monkeypatch):
+        """Three arms of identical tables build one plan table (plus the
+        unarmed one): the region slicing and the watch arrays are built
+        once, and a port swap clears every plan table."""
+        built = []
+        real = traced_module._compile_watch_arrays
+        monkeypatch.setattr(
+            traced_module, "_compile_watch_arrays",
+            lambda plan, n, base: built.append(plan.key) or real(
+                plan, n, base))
         sim = _zolc_sim(REINVOKE_SRC)
         sim.run(max_steps=10_000)
         # One unarmed table (key None) + one table for the repeatedly
         # re-armed plan — not one per arm.
         assert sim.zolc.arm_count == 3
-        assert None in sim._trace_region_cache
-        plan_keys = [k for k in sim._trace_region_cache if k is not None]
+        assert None in sim._plan_tables
+        plan_keys = [k for k in sim._plan_tables if k is not None]
         assert len(plan_keys) == 1
+        # Every re-arm resolved the cached table's watch arrays.
+        assert built == plan_keys
+        assert sim._plan_tables[plan_keys[0]].next_watch is not None
         sim.zolc = None
         sim._ensure_predecoded()
-        assert sim._trace_region_cache == {}
+        assert sim._plan_tables == {}
+
+
+class TestGeneratedCodeLifetime:
+    """Bound generated code holds no reference cycle: a finished
+    simulator, its fused regions and its traces are freed by reference
+    counting alone, memory included."""
+
+    @pytest.mark.parametrize("machine_name, kernel_name, resident", [
+        ("XRdefault", "vec_sum", False),
+        ("ZOLCfull", "me_fss", True),
+        ("uZOLC", "conv2d", False),
+    ])
+    def test_deleted_simulator_frees_its_memory(self, machine_name,
+                                                kernel_name, resident):
+        import gc
+        import weakref
+
+        from repro.eval.machines import machine_registry
+        from repro.workloads.suite import registry
+
+        machine = machine_registry().get(machine_name)
+        prepared = machine.prepare(registry().get(kernel_name).source)
+        gc.disable()
+        try:
+            for _ in range(3):
+                sim = prepared.make_simulator()
+                sim.run()
+                assert _region_spans(prepared.program)
+                assert (sim.trace_resident_steps > 0) == resident
+                memory = weakref.ref(sim.memory)
+                del sim
+                assert memory() is None
+        finally:
+            gc.enable()
 
 
 def _region_spans(program):
@@ -884,22 +978,22 @@ class TestTieredRegions:
 
     def test_cached_region_code_fuses_on_first_entry(self):
         from repro.cpu.engine import TraceRegion
-        from repro.cpu.engine.traced import _region_code
+        from repro.cpu.engine.traced import _region_record
 
         program = assemble("li t0, 1\nli t1, 2\nadd t2, t0, t1\n"
                            "sub t3, t2, t0\nhalt\n")
         cold = Simulator(program)
         cold.run()
-        regions, heat = cold._trace_region_cache[None]
-        term = regions[0]
-        assert term.__class__ is int and heat[0] == 1
+        table = cold._plan_tables[None]
+        term = table.regions[0]
+        assert term.__class__ is int and table.heat[0] == 1
         assert _region_spans(program) == []
-        _region_code(program, 0, term)
+        _region_record(program, 0, term)
         warm = Simulator(program)
         warm.run()
-        regions, heat = warm._trace_region_cache[None]
-        assert isinstance(regions[0], TraceRegion)
-        assert heat[0] == 0
+        table = warm._plan_tables[None]
+        assert isinstance(table.regions[0], TraceRegion)
+        assert table.heat[0] == 0
         assert _state_tuple(warm) == _state_tuple(cold)
 
     @pytest.mark.parametrize("eager", [False, True])
@@ -1000,8 +1094,9 @@ loop:
         prepared = self._prepared()
         traced = prepared.make_simulator()
         traced.run()
-        traces = [t for table in traced._trace_jit_cache.values()
-                  for t in table.slots if t is not None]
+        traces = [t for table in traced._plan_tables.values()
+                  if table.traces is not None
+                  for t in table.traces.slots if t is not None]
         assert [len(t.outcomes) for t in traces] == [1], \
             "the canonical loop-back did not go resident as one " \
             "zero-guard trace"

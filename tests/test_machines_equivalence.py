@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.cpu.engine import traced
+from repro.cpu.engine.emit import codegen_records
 from repro.eval.machines import (
     ALL_MACHINES,
     M_UZOLC,
@@ -192,9 +193,11 @@ def test_machines_sharing_a_program_run_as_if_prepared_alone(kernel_name):
                 program = prepared.program
                 got = _run_counted(prepared.make_simulator(), "auto")
                 assert got == oracle[machine.name], machine.name
-                regions = program.__dict__.get("_trace_region_code", {})
-                assert all(regions[key] is code
-                           for key, code in compiled.items()), (
+                regions = {key: record for key, record
+                           in codegen_records(program).items()
+                           if key[0] == "region"}
+                assert all(regions[key] is record
+                           for key, record in compiled.items()), (
                     f"{machine.name} recompiled a region of the shared "
                     "program")
-                compiled = dict(regions)
+                compiled = regions

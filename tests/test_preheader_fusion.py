@@ -30,6 +30,12 @@ def _spans(program, kind):
                   if key[0] == kind)
 
 
+def _trace_tables(sim):
+    """The trace tables of the simulator's armed plan states."""
+    return [table.traces for table in sim._plan_tables.values()
+            if table.traces is not None]
+
+
 def _assert_same_run(auto, step):
     """pc, steps, cycles, stall, per-category retired counts, and the
     full differential record."""
@@ -234,9 +240,9 @@ class TestTableWriteKeepsLoopOffTraces:
         assert _spans(program, "trace") == []
         assert auto.trace_resident_steps == 0
         # Not even a candidate under the armed plan.
-        assert auto._trace_jit_cache
-        assert all(not table.cands
-                   for table in auto._trace_jit_cache.values())
+        tables = _trace_tables(auto)
+        assert tables
+        assert all(not table.cands for table in tables)
         # The body still fuses: the write retires inside its region.
         body = (program.symbols["body"] - program.text_base) >> 2
         assert (body, body + 2) in _spans(program, "region")
@@ -255,7 +261,7 @@ class TestTableWriteKeepsLoopOffTraces:
         auto = _zolc_sim(program)
         auto.run(max_steps=10_000)
         _assert_same_run(auto, step)
-        assert any(table.cands for table in auto._trace_jit_cache.values())
+        assert any(table.cands for table in _trace_tables(auto))
         assert _spans(program, "trace") == []
         assert auto.trace_resident_steps == 0
 

@@ -42,10 +42,11 @@ def _run(prepared, engine="auto"):
 
 
 def _traces(sim):
-    """Every instantiated Trace across the simulator's JIT tables."""
+    """Every instantiated Trace across the simulator's plan tables."""
     out = []
-    for table in sim._trace_jit_cache.values():
-        out += [t for t in table.slots if t is not None]
+    for table in sim._plan_tables.values():
+        if table.traces is not None:
+            out += [t for t in table.traces.slots if t is not None]
     return out
 
 
