@@ -26,7 +26,12 @@ payload to a file, keeping the human-readable report on stdout).
 ``run``, ``experiment`` and ``submit`` also accept ``--engine``
 (``auto``, the default everywhere, or ``step``, the stepped oracle —
 both retire bit-identical results, so the choice only affects host
-time; an unknown engine exits 1).
+time; an unknown engine exits 1).  ``figure2``, ``experiment`` and
+``serve`` accept ``--jobs N``, the one choice of where cells run:
+``1`` runs them in-process, ``0`` uses one worker process per CPU and
+``N`` uses ``N``.  Unset, ``figure2`` and ``experiment`` run
+in-process (or as the plan's ``jobs`` key says) and ``serve`` keeps one
+warm worker per CPU.
 """
 
 from __future__ import annotations
@@ -129,18 +134,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     # --jobs / --engine are parsed here (not by an argparse type= /
     # choices=) so an invalid value exits 1 through main()'s ValueError
-    # handler, like every other bad input to this command.
+    # handler, like every other bad input to this command.  Unset
+    # flags defer to the plan's own jobs/engine keys.
     jobs = _parse_jobs(args.jobs) if args.jobs is not None else None
     engine = _parse_engine(args.engine) if args.engine is not None else None
-    # Unset RunConfig fields defer to the plan's own backend/jobs/
-    # engine keys; explicit flags override the plan.  Asking for
-    # workers without naming a backend implies the process backend
-    # (mirroring `figure2 --jobs`).
-    backend = args.backend
-    if backend is None and jobs is not None and jobs != 1:
-        backend = "process"
-    config = RunConfig(engine=engine, backend=backend, jobs=jobs,
-                       store=args.store,
+    config = RunConfig(engine=engine, jobs=jobs, store=args.store,
                        cache=False if args.no_cache else None)
     result = run_plan(args.plan, config)
     _emit(args, result.to_dict(), result.render())
@@ -152,21 +150,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import JobManager, start_in_thread
 
     jobs = _parse_jobs(args.jobs) if args.jobs is not None else None
-    config = RunConfig(jobs=jobs)
-    if args.backend == "process":
+    if jobs == 1:
+        backend, workers = SerialBackend(), "in-process"
+    else:
         # Persistent pool: workers survive across jobs, so their
         # prepared-kernel / generated-code caches stay warm — a warm
         # worker re-simulating a known (kernel, machine) pair
         # recompiles nothing.
-        backend = ProcessBackend(persistent=True, config=config)
-    else:
-        backend = SerialBackend()
+        backend = ProcessBackend(persistent=True, jobs=jobs)
+        workers = backend.worker_count()
     manager = JobManager(store=None if args.no_cache else args.store,
                          backend=backend)
     handle = start_in_thread(manager, args.host, args.port)
     print(f"repro serve listening on {handle.url} "
           f"(store: {'disabled' if args.no_cache else args.store}, "
-          f"backend: {args.backend})")
+          f"workers: {workers})")
     try:
         handle.join()
     except KeyboardInterrupt:
@@ -190,10 +188,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     run_config = {}
     if args.engine is not None:
         run_config["engine"] = _parse_engine(args.engine)
-    if args.jobs is not None:
-        run_config["jobs"] = _parse_jobs(args.jobs)
-    if args.backend is not None:
-        run_config["backend"] = args.backend
 
     with contextlib.ExitStack() as stack:
         events_log = stack.enter_context(
@@ -476,13 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run a declarative plan file (JSON/TOML)")
     experiment_parser.add_argument("plan", help="path to PLAN.{json,toml}")
     experiment_parser.add_argument(
-        "-b", "--backend", choices=("serial", "process"), default=None,
-        help="execution backend (default: the plan's own choice, or "
-             "serial; --jobs implies process)")
-    experiment_parser.add_argument(
         "-j", "--jobs", default=None, metavar="N",
-        help="process-backend workers, overriding the plan's backend/"
-             "jobs keys (0 = one per CPU; invalid values exit 1)")
+        help="worker processes, overriding the plan's jobs key (1 = "
+             "in-process, 0 = one per CPU; default: the plan's jobs, "
+             "else in-process; invalid values exit 1)")
     experiment_parser.add_argument(
         "--engine", default=None, metavar="NAME",
         help="simulator engine for every cell (auto/step), "
@@ -504,14 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port (default: 8765; 0 binds an "
                                    "ephemeral port)")
     serve_parser.add_argument(
-        "-b", "--backend", choices=("process", "serial"),
-        default="process",
-        help="execution backend for every job (default: process — a "
-             "persistent warm worker pool)")
-    serve_parser.add_argument(
         "-j", "--jobs", default=None, metavar="N",
-        help="process-backend workers (0/default = one per CPU; "
-             "invalid values exit 1)")
+        help="workers of the persistent warm pool every job runs on "
+             "(0/default = one per CPU, 1 = in-process; invalid values "
+             "exit 1)")
     serve_parser.add_argument(
         "--store", default="results", metavar="DIR",
         help="result-store directory shared by every job "
@@ -531,15 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--events-out", default=None, metavar="FILE",
         help="also write the raw NDJSON event stream to FILE")
     submit_parser.add_argument(
-        "-b", "--backend", choices=("serial", "process"), default=None,
-        help="per-job backend override (rides in the /v1 submit "
-             "body's run_config; JSON plans only)")
-    submit_parser.add_argument(
-        "-j", "--jobs", default=None, metavar="N",
-        help="per-job worker-count override (invalid values exit 1)")
-    submit_parser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="per-job engine override (auto/step)")
+        help="per-job engine override (auto/step; rides in the /v1 "
+             "submit body's run_config; JSON plans only)")
     submit_parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress the per-cell event lines")

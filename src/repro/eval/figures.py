@@ -138,7 +138,8 @@ def figure2(pipeline: PipelineConfig | None = None,
     """Run the 12-benchmark suite on the three Figure 2 machines.
 
     A thin consumer of :func:`repro.experiments.run_experiment`:
-    ``jobs`` selects the process backend's fan-out, ``store`` (a
+    ``jobs`` picks where cells run (``None``/``1`` in-process, ``0``
+    one worker per CPU, ``n`` workers), ``store`` (a
     directory or :class:`ResultStore`) serves unchanged cells from the
     result cache.
     """
@@ -146,10 +147,8 @@ def figure2(pipeline: PipelineConfig | None = None,
     from repro.experiments.runner import run_experiment
     from repro.experiments.store import ResultStore
 
-    backend = "serial" if jobs is None or jobs == 1 else "process"
     store_instance = store if isinstance(store, ResultStore) else None
-    config = RunConfig(backend=backend, jobs=jobs,
-                       store=None if store_instance else store)
+    config = RunConfig(jobs=jobs, store=None if store_instance else store)
     result = run_experiment(figure2_spec(pipeline), config,
                             store=store_instance)
     return figure2_from_result(result)

@@ -106,6 +106,36 @@ class SuiteResult:
         return json.dumps({"records": self.records()}, indent=indent)
 
 
+def run_prepared(kernel: Kernel, machine_name: str, prepared,
+                 pipeline: PipelineConfig | None = None,
+                 max_steps: int | None = None,
+                 engine: str | None = None) -> RunResult:
+    """Simulate and verify one prepared kernel.
+
+    The one body every run goes through: :func:`run_kernel` and the
+    experiment backends' cells differ only in how they prepare.
+    ``None`` takes the default pipeline, ``DEFAULT_MAX_STEPS`` and the
+    ``"auto"`` engine.
+    """
+    simulator = prepared.make_simulator(pipeline=pipeline)
+    simulator.run(max_steps=(DEFAULT_MAX_STEPS if max_steps is None
+                             else max_steps),
+                  engine=engine or "auto")
+    kernel.check(simulator)  # raises KernelCheckError on mismatch
+    stats = simulator.stats
+    return RunResult(
+        kernel_name=kernel.name,
+        machine_name=machine_name,
+        cycles=stats.cycles,
+        instructions=stats.instructions,
+        stats=stats,
+        verified=True,
+        transformed_loops=prepared.transformed_loops,
+        zolc_init_instructions=stats.zolc_init_instructions,
+        zolc_task_switches=stats.zolc_task_switches,
+    )
+
+
 def run_kernel(kernel: Kernel, machine: MachineSpec,
                config: "RunConfig | None" = None) -> RunResult:
     """Prepare, simulate and verify one kernel on one machine.
@@ -121,24 +151,8 @@ def run_kernel(kernel: Kernel, machine: MachineSpec,
     from repro.experiments.config import RunConfig
 
     config = config or RunConfig()
-    prepared = machine.prepare(kernel.source)
-    simulator = prepared.make_simulator(pipeline=config.pipeline)
-    simulator.run(max_steps=(config.max_steps if config.max_steps
-                             is not None else DEFAULT_MAX_STEPS),
-                  engine=config.engine or "auto")
-    kernel.check(simulator)  # raises KernelCheckError on mismatch
-    stats = simulator.stats
-    return RunResult(
-        kernel_name=kernel.name,
-        machine_name=machine.name,
-        cycles=stats.cycles,
-        instructions=stats.instructions,
-        stats=stats,
-        verified=True,
-        transformed_loops=prepared.transformed_loops,
-        zolc_init_instructions=stats.zolc_init_instructions,
-        zolc_task_switches=stats.zolc_task_switches,
-    )
+    return run_prepared(kernel, machine.name, machine.prepare(kernel.source),
+                        config.pipeline, config.max_steps, config.engine)
 
 
 def _kernels_resolvable(kernels: list[Kernel]) -> bool:
@@ -173,10 +187,8 @@ def run_suite(kernels: list[Kernel], machines: list[MachineSpec],
         if _kernels_resolvable(kernels):
             # Workers re-resolve the kernel by name.
             cells = [Cell(kernel_name=kernel.name, machine=machine,
-                          pipeline=config.pipeline or PipelineConfig(),
-                          max_steps=(config.max_steps if config.max_steps
-                                     is not None else DEFAULT_MAX_STEPS),
-                          engine=config.engine or "auto")
+                          pipeline=config.pipeline,
+                          max_steps=config.max_steps, engine=config.engine)
                      for kernel, machine in pairs]
             for result in backend.run_cells(cells):
                 suite.add(result)

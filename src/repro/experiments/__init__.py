@@ -9,16 +9,21 @@ The stable surface every study goes through::
         kernels=("@figure2", "synth:branchy:0:8"),
         machines=(machine_by_name("XRdefault"), machine_by_name("ZOLClite")),
     )
-    result = run_experiment(spec, RunConfig(backend="process", jobs=0,
-                                            store="results"))
+    result = run_experiment(spec, RunConfig(jobs=0, store="results"))
     print(result.render())
 
+``jobs`` is the one execution choice: ``None``/``1`` runs cells
+in-process, ``0`` uses one worker per CPU, ``n`` uses ``n`` workers.
+A backend passed as ``run_experiment(..., backend=...)`` decides its
+own workers instead.
+
 * :mod:`repro.experiments.config` — :class:`RunConfig`, the one
-  mergeable value for every host-side execution choice;
+  value for every host-side execution choice;
 * :mod:`repro.experiments.spec` — declarative, serializable plans
   (JSON/TOML plan files, sweep axes, kernel selectors);
 * :mod:`repro.experiments.backends` — the :class:`ExecutionBackend`
-  protocol with ``serial`` and ``process`` implementations;
+  protocol with in-process :class:`SerialBackend` and process-pool
+  :class:`ProcessBackend` implementations;
 * :mod:`repro.experiments.store` — the content-addressed
   :class:`ResultStore` under ``results/``;
 * :mod:`repro.experiments.result` — tidy, JSON-ready
@@ -28,13 +33,11 @@ The stable surface every study goes through::
 """
 
 from repro.experiments.backends import (
-    BACKENDS,
     Cell,
     CellCallback,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    get_backend,
 )
 from repro.experiments.config import RunConfig
 from repro.experiments.result import ExperimentResult
@@ -49,7 +52,6 @@ from repro.experiments.spec import (
 from repro.experiments.store import ResultStore, cell_key
 
 __all__ = [
-    "BACKENDS",
     "Cell",
     "CellCallback",
     "ExecutionBackend",
@@ -62,7 +64,6 @@ __all__ = [
     "SerialBackend",
     "SweepAxis",
     "cell_key",
-    "get_backend",
     "load_plan",
     "parse_plan",
     "plan_cell_keys",

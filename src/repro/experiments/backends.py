@@ -22,11 +22,10 @@ the process backend runs *any* machine, including ad-hoc ZOLC variants
 that are in no registry.  Kernels resolve by name in the worker because
 golden-model checks are closures and do not pickle.
 
-``jobs`` follows one convention everywhere (the ``get_backend`` name
-path and direct construction agree): ``None``/``0`` means one worker
-per CPU, ``1`` runs serially, ``n`` uses ``n`` workers, and negative
-values are rejected.  The serial backend cannot use workers and never
-accepts them silently — the runner warns.
+``run_experiment`` and ``run_suite`` pick a backend from their
+``jobs`` choice (see :class:`~repro.experiments.config.RunConfig`); an
+injected backend decides its own workers.  A directly constructed
+:class:`ProcessBackend` reads ``jobs=None`` as one worker per CPU.
 """
 
 from __future__ import annotations
@@ -35,20 +34,11 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.cpu.pipeline import PipelineConfig
 from repro.eval.machines import MachineSpec
-from repro.eval.runner import RunResult
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.config import RunConfig
+from repro.eval.runner import RunResult, run_prepared
 
 
 @dataclass(frozen=True)
@@ -58,13 +48,15 @@ class Cell:
     ``engine`` is the simulator engine the cell runs on — a host-side
     choice that never affects the measurement (engines are
     bit-identical), so it is not part of the cell's cache identity.
+    ``None`` for ``pipeline``, ``max_steps`` or ``engine`` takes
+    :func:`~repro.eval.runner.run_prepared`'s default.
     """
 
     kernel_name: str
     machine: MachineSpec
-    pipeline: PipelineConfig
-    max_steps: int
-    engine: str = "auto"
+    pipeline: PipelineConfig | None
+    max_steps: int | None
+    engine: str | None = "auto"
 
 
 #: Per-cell completion callback: ``(index, outcome)`` where ``outcome``
@@ -75,8 +67,6 @@ CellCallback = Callable[[int, "RunResult | BaseException"], None]
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """Anything that can run experiment cells."""
-
-    name: str
 
     def run_cells(self, cells: Sequence[Cell],
                   on_result: CellCallback | None = None) -> list[RunResult]:
@@ -134,27 +124,12 @@ def _run_cell(cell: Cell) -> RunResult:
 
     kernel = registry().get(cell.kernel_name)
     prepared = _prepare_cached(cell.machine, kernel.name, kernel.source)
-    simulator = prepared.make_simulator(pipeline=cell.pipeline)
-    simulator.run(max_steps=cell.max_steps, engine=cell.engine)
-    kernel.check(simulator)  # raises KernelCheckError on mismatch
-    stats = simulator.stats
-    return RunResult(
-        kernel_name=kernel.name,
-        machine_name=cell.machine.name,
-        cycles=stats.cycles,
-        instructions=stats.instructions,
-        stats=stats,
-        verified=True,
-        transformed_loops=prepared.transformed_loops,
-        zolc_init_instructions=stats.zolc_init_instructions,
-        zolc_task_switches=stats.zolc_task_switches,
-    )
+    return run_prepared(kernel, cell.machine.name, prepared, cell.pipeline,
+                        cell.max_steps, cell.engine)
 
 
 class SerialBackend:
     """Run cells one after another in the current process."""
-
-    name = "serial"
 
     def run_cells(self, cells: Sequence[Cell],
                   on_result: CellCallback | None = None) -> list[RunResult]:
@@ -176,9 +151,7 @@ class ProcessBackend:
     """Fan cells out over a process pool.
 
     ``jobs``: ``None``/``0`` uses one worker per CPU, ``1`` degrades to
-    serial, ``n`` uses ``n`` workers — the same convention
-    ``get_backend("process", jobs=...)`` applies, so the name path and
-    direct construction always agree.
+    serial, ``n`` uses ``n`` workers.
 
     ``persistent=True`` keeps the pool alive across ``run_cells``
     calls (until :meth:`close`), which is what keeps worker processes
@@ -187,12 +160,7 @@ class ProcessBackend:
     (kernel, machine) pair recompiles nothing.
     """
 
-    name = "process"
-
-    def __init__(self, jobs: int | None = None, persistent: bool = False,
-                 config: "RunConfig | None" = None):
-        if jobs is None and config is not None:
-            jobs = config.jobs
+    def __init__(self, jobs: int | None = None, persistent: bool = False):
         if jobs is not None and jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         self.jobs = jobs
@@ -269,35 +237,3 @@ class ProcessBackend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-BACKENDS = {
-    "serial": SerialBackend,
-    "process": ProcessBackend,
-}
-
-
-def get_backend(name: str | None = None, jobs: int | None = None,
-                config: "RunConfig | None" = None) -> ExecutionBackend:
-    """Instantiate a backend by name (or from a :class:`RunConfig`).
-
-    ``name`` defaults to ``config.backend`` (and then ``"serial"``);
-    ``jobs`` defaults to ``config.jobs`` and is forwarded to the
-    process backend; the serial backend cannot use workers, and the
-    runner warns when a plan or caller asked for them anyway.
-    """
-    if config is not None:
-        if name is None:
-            name = config.backend
-        if jobs is None:
-            jobs = config.jobs
-    if name is None:
-        name = "serial"
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise KeyError(f"unknown backend {name!r}; known: "
-                       f"{', '.join(sorted(BACKENDS))}") from None
-    if factory is SerialBackend:
-        return SerialBackend()
-    return factory(jobs=jobs)

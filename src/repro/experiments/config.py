@@ -1,10 +1,10 @@
 """Unified run configuration: one object for every host-side choice.
 
 :class:`RunConfig` is one frozen dataclass carrying the *plain-data*
-execution choices (engine, backend name, jobs, max_steps, pipeline,
-store path + cache flag), consumed by ``run_kernel`` / ``run_suite`` /
-``run_experiment`` / ``run_plan``, the CLI commands, the service's
-job-submit body and backend construction.
+execution choices (engine, jobs, max_steps, pipeline, store path +
+cache flag), consumed by ``run_kernel`` / ``run_suite`` /
+``run_experiment`` / ``run_plan``, the CLI commands and the service's
+job-submit body.
 
 Two principles:
 
@@ -14,13 +14,17 @@ Two principles:
   injection, not configuration, and they do not serialize.
 * **``None`` means defer.**  Every field defaults to ``None`` (or the
   tri-state ``cache``), meaning "use the next layer's choice" — the
-  plan's own keys, then the historical defaults.  Merging two configs
-  is therefore field-wise "override wins where set".
+  plan's own keys, then the historical defaults.
+
+``jobs`` is the one execution choice.  With no injected backend,
+``None`` or ``1`` runs cells in-process, ``0`` uses one worker per CPU
+and ``n`` uses ``n`` worker processes.  An injected backend decides
+its own workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,19 +33,19 @@ from repro.cpu.pipeline import PipelineConfig
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.store import ResultStore
 
-#: RunConfig fields a *plan file* or *service submit body* may set —
-#: host-execution choices.  ``pipeline`` belongs to the plan itself
-#: (it is part of cache identity), and ``store``/``cache`` are local
-#: filesystem choices that make no sense shipped in a plan.
-PLAN_RUN_CONFIG_FIELDS = ("engine", "backend", "jobs", "max_steps")
+#: RunConfig fields a *service submit body* may set.  ``pipeline``
+#: belongs to the plan itself (it is part of cache identity),
+#: ``store``/``cache`` are local filesystem choices that make no sense
+#: shipped to a server, and the server's own backend decides workers.
+SUBMIT_RUN_CONFIG_FIELDS = ("engine", "max_steps")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Host-side execution choices, as one mergeable value.
+    """Host-side execution choices, as one value.
 
     Every field ``None`` (the default) defers to the consumer's next
-    layer — a plan's own ``backend``/``jobs``/``engine`` keys, or the
+    layer — a plan's own ``jobs``/``engine``/``max_steps`` keys, or the
     historical per-API defaults — so ``RunConfig()`` is always a safe
     "no opinion" value.
     """
@@ -49,11 +53,8 @@ class RunConfig:
     #: Simulator engine (``auto``/``step``);
     #: engines are bit-identical, so this only affects host time.
     engine: str | None = None
-    #: Execution backend *name* (``serial``/``process``).
-    #: Constructed backend instances stay a dependency-injection
-    #: parameter on the entry points.
-    backend: str | None = None
-    #: Worker count: ``0`` = one per CPU, ``1`` = serial, ``n`` = n.
+    #: Where cells run: ``None``/``1`` in-process, ``0`` one worker per
+    #: CPU, ``n`` n workers.  Ignored when a backend is injected.
     jobs: int | None = None
     #: Per-run step budget.
     max_steps: int | None = None
@@ -73,13 +74,6 @@ class RunConfig:
             if self.engine not in ENGINES:
                 raise ValueError(f"unknown engine {self.engine!r}; "
                                  f"known: {', '.join(ENGINES)}")
-        if self.backend is not None:
-            from repro.experiments.backends import BACKENDS
-
-            if self.backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; known: "
-                    f"{', '.join(sorted(BACKENDS))}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -87,19 +81,6 @@ class RunConfig:
                 f"max_steps must be >= 1, got {self.max_steps}")
         if isinstance(self.store, Path):
             object.__setattr__(self, "store", str(self.store))
-
-    # -- merging -------------------------------------------------------
-
-    def override(self, **choices) -> "RunConfig":
-        """A copy with the given non-``None`` choices replacing mine."""
-        set_choices = {key: value for key, value in choices.items()
-                       if value is not None}
-        return replace(self, **set_choices) if set_choices else self
-
-    def merged_over(self, base: "RunConfig") -> "RunConfig":
-        """Field-wise merge: my set fields win, ``base`` fills the rest."""
-        return base.override(
-            **{f.name: getattr(self, f.name) for f in fields(self)})
 
     # -- resolution ----------------------------------------------------
 
@@ -129,12 +110,12 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict,
                   allowed: tuple[str, ...] | None = None) -> "RunConfig":
-        """Parse a ``run_config`` mapping (plan files, submit bodies).
+        """Parse a ``run_config`` mapping (service submit bodies).
 
-        ``allowed`` restricts the accepted keys — plans and service
-        submissions pass :data:`PLAN_RUN_CONFIG_FIELDS`, rejecting
-        local-filesystem and measurement-identity fields with a clear
-        error instead of silently honouring them server-side.
+        ``allowed`` restricts the accepted keys — service submissions
+        pass :data:`SUBMIT_RUN_CONFIG_FIELDS`, rejecting every other
+        field with a clear error instead of silently dropping it
+        server-side.
         """
         if not isinstance(data, dict):
             raise ValueError(f"run_config must be a mapping, "

@@ -27,8 +27,8 @@ from repro.eval.runner import RunResult
 from repro.experiments.backends import (
     Cell,
     ExecutionBackend,
+    ProcessBackend,
     SerialBackend,
-    get_backend,
 )
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
@@ -78,7 +78,7 @@ def plan_cell_keys(spec: ExperimentSpec) -> list[str]:
     """The content-addressed store keys of every planned cell.
 
     The sorted, deduplicated key set identifies *what a plan measures*
-    independently of host-side choices (backend, jobs, engine), which
+    independently of host-side choices (jobs, engine), which
     is what the service's single-flight deduplication hashes.
     """
     return [item.key for item in _plan_cells(spec)]
@@ -126,20 +126,23 @@ def run_experiment(spec: ExperimentSpec,
     """Run (or replay) every cell of ``spec``.
 
     Host-side choices ride in ``config`` (a
-    :class:`~repro.experiments.config.RunConfig`): backend name, jobs,
-    engine, store directory and cache flag, plus ``max_steps`` /
-    ``pipeline`` overrides folded into the spec (re-running its
-    validation).  Every unset field defers to the spec's own
-    ``backend`` / ``jobs`` / ``engine`` keys, so a plan file can
-    declare how it wants to run and a caller (e.g. the CLI flags) can
-    still override it.  The store is the content-addressed result
-    cache: cells whose key is already stored are *not* re-simulated,
-    and every freshly simulated cell is persisted the moment it
-    completes; no store means no caching.  Engines are bit-identical,
-    so the engine choice never affects cache identity.
+    :class:`~repro.experiments.config.RunConfig`): jobs, engine, store
+    directory and cache flag, plus ``max_steps`` / ``pipeline``
+    overrides folded into the spec (re-running its validation).  Every
+    unset field defers to the spec's own ``jobs`` / ``engine`` keys, so
+    a plan file can declare how it wants to run and a caller (e.g. the
+    CLI flags) can still override it.  With no injected backend,
+    ``jobs`` picks one: ``None``/``1`` runs cells in-process, ``0`` uses
+    one worker per CPU, ``n`` uses ``n`` workers.  The store is the
+    content-addressed result cache: cells whose key is already stored
+    are *not* re-simulated, and every freshly simulated cell is
+    persisted the moment it completes; no store means no caching.
+    Engines are bit-identical, so the engine choice never affects cache
+    identity.
 
     Live objects are dependency-injection parameters: a constructed
-    backend instance (``backend=``), an open :class:`ResultStore`
+    backend instance (``backend=``, which decides its own workers), an
+    open :class:`ResultStore`
     (``store=``) and the ``progress`` callback (one per-cell event
     dict as each cell resolves — cached cells first, then simulated
     cells in completion order, then deduplicated repeats).
@@ -166,24 +169,13 @@ def run_experiment(spec: ExperimentSpec,
     if spec_overrides:
         spec = replace(spec, **spec_overrides)
     if backend is None:
-        backend = config.backend or spec.backend
-    jobs = config.jobs if config.jobs is not None else spec.jobs
+        jobs = config.jobs if config.jobs is not None else spec.jobs
+        backend = (SerialBackend() if jobs in (None, 1)
+                   else ProcessBackend(jobs=jobs))
     if config.cache is False:
         store = None
     elif store is None:
         store = config.resolved_store()
-    if jobs not in (None, 1) and (backend == "serial"
-                                  or isinstance(backend, SerialBackend)):
-        # Mirrors run_suite's convention: asking for workers on a
-        # backend that cannot use them is flagged, never silent.
-        import warnings
-        name = backend if isinstance(backend, str) else backend.name
-        warnings.warn(
-            f"jobs={jobs} ignored: the {name} backend runs in-process "
-            "(pick --backend process, or drop the explicit backend so "
-            "--jobs implies it)", RuntimeWarning, stacklevel=2)
-    if isinstance(backend, str):
-        backend = get_backend(backend, jobs=jobs)
 
     planned = _plan_cells(spec)
     cached: dict[str, dict] = {}
@@ -248,9 +240,8 @@ def run_plan(path: str | Path,
              progress: ProgressCallback | None = None) -> ExperimentResult:
     """Load a plan file and run it (the ``repro experiment`` command).
 
-    Unset ``config`` fields honour the plan's own ``backend``,
-    ``jobs`` and ``engine`` keys (and its ``run_config`` section);
-    set fields override the plan.
+    Unset ``config`` fields honour the plan's own ``jobs``, ``engine``
+    and ``max_steps`` keys; set fields override the plan.
     """
     from repro.experiments.spec import load_plan
 

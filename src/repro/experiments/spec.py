@@ -16,12 +16,12 @@ first ``count`` members of a synthesized corpus — see
 :class:`~repro.eval.machines.MachineSpec` values — registry names or
 inline definitions, including custom ZOLC variants.
 
-Plans also carry *host-side* execution choices — ``backend`` (serial /
-process), ``jobs`` and ``engine`` (``auto``, the default, or ``step``)
-— which never affect the measured results (all engines retire
-bit-identical sequences) and are therefore not part of any cell's
-cache identity; the CLI's ``--backend`` / ``--jobs`` / ``--engine``
-flags override them per invocation.
+Plans also carry *host-side* execution choices — ``jobs`` (``None`` or
+``1`` in-process, ``0`` one worker per CPU, ``n`` workers) and
+``engine`` (``auto``, the default, or ``step``) — which never affect
+the measured results (all engines retire bit-identical sequences) and
+are therefore not part of any cell's cache identity; the CLI's
+``--jobs`` / ``--engine`` flags override them per invocation.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from repro.cpu.simulator import DEFAULT_MAX_STEPS, ENGINES
 from repro.eval.machines import MachineSpec
 
 _PIPELINE_FIELDS = tuple(f.name for f in fields(PipelineConfig))
+_PLAN_KEYS = ("name", "kernels", "machines", "pipeline", "sweep", "repeats",
+              "max_steps", "jobs", "engine")
 
 
 class PlanError(ValueError):
@@ -92,12 +94,9 @@ class ExperimentSpec:
     sweep: tuple[SweepAxis, ...] = ()
     repeats: int = 1
     max_steps: int = DEFAULT_MAX_STEPS
-    #: Execution backend the plan runs on by default; the CLI's
-    #: ``--backend`` / ``--jobs`` flags override both.  ``None`` (the
-    #: default) resolves at construction: asking for workers (``jobs``)
-    #: without naming a backend implies the process backend, the same
-    #: convention as the CLI's ``--jobs`` flag; otherwise serial.
-    backend: str | None = None
+    #: Where the plan's cells run by default (see
+    #: :class:`~repro.experiments.config.RunConfig`); the CLI's
+    #: ``--jobs`` flag overrides it.
     jobs: int | None = None
     #: Simulator engine for every cell (host-side choice only: engines
     #: retire bit-identical results, so this is not part of the cell's
@@ -116,16 +115,6 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        from repro.experiments.backends import BACKENDS
-
-        if self.backend is None:
-            object.__setattr__(
-                self, "backend",
-                "process" if self.jobs not in (None, 1) else "serial")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: "
-                f"{', '.join(sorted(BACKENDS))}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         if self.engine not in ENGINES:
@@ -178,7 +167,6 @@ class ExperimentSpec:
             "sweep": [axis.to_dict() for axis in self.sweep],
             "repeats": self.repeats,
             "max_steps": self.max_steps,
-            "backend": self.backend,
             "engine": self.engine,
         }
         if self.jobs is not None:
@@ -193,34 +181,11 @@ class ExperimentSpec:
         if not isinstance(data, dict):
             raise PlanError(f"plan must be a mapping, "
                             f"got {type(data).__name__}")
-        unknown = set(data) - {"name", "kernels", "machines", "pipeline",
-                               "sweep", "repeats", "max_steps",
-                               "backend", "jobs", "engine", "run_config"}
+        unknown = set(data) - set(_PLAN_KEYS)
         if unknown:
-            raise PlanError(f"unknown plan keys: {', '.join(sorted(unknown))}")
-        # A plan may group its host-side choices under one "run_config"
-        # mapping (the same shape the service's submit body accepts).
-        # Fields it sets fold into the plan's own keys; setting a key
-        # both ways is ambiguous and rejected.
-        run_config = {}
-        if "run_config" in data:
-            from repro.experiments.config import (
-                PLAN_RUN_CONFIG_FIELDS,
-                RunConfig,
-            )
-
-            try:
-                parsed = RunConfig.from_dict(data["run_config"],
-                                             allowed=PLAN_RUN_CONFIG_FIELDS)
-            except ValueError as exc:
-                raise PlanError(f"bad plan run_config: {exc}") from exc
-            run_config = {key: value
-                          for key, value in parsed.to_dict().items()}
-            doubled = sorted(set(run_config) & set(data))
-            if doubled:
-                raise PlanError(
-                    "plan sets key(s) both top-level and in run_config: "
-                    + ", ".join(doubled))
+            raise PlanError(f"unknown plan keys: "
+                            f"{', '.join(sorted(unknown))} "
+                            f"(accepted: {', '.join(_PLAN_KEYS)})")
         try:
             kernel_entries = data["kernels"]
             machine_entries = data["machines"]
@@ -238,7 +203,7 @@ class ExperimentSpec:
             pipeline = PipelineConfig(**data.get("pipeline", {}))
             sweep = tuple(SweepAxis.from_dict(axis)
                           for axis in data.get("sweep", ()))
-            jobs = data.get("jobs", run_config.get("jobs"))
+            jobs = data.get("jobs")
             return cls(
                 name=data.get("name", "experiment"),
                 kernels=kernels,
@@ -246,12 +211,9 @@ class ExperimentSpec:
                 pipeline=pipeline,
                 sweep=sweep,
                 repeats=int(data.get("repeats", 1)),
-                max_steps=int(data.get(
-                    "max_steps",
-                    run_config.get("max_steps", DEFAULT_MAX_STEPS))),
-                backend=data.get("backend", run_config.get("backend")),
+                max_steps=int(data.get("max_steps", DEFAULT_MAX_STEPS)),
                 jobs=None if jobs is None else int(jobs),
-                engine=data.get("engine", run_config.get("engine", "auto")),
+                engine=data.get("engine", "auto"),
             )
         except (TypeError, ValueError, KeyError) as exc:
             raise PlanError(f"bad plan: {exc}") from exc

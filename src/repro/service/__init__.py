@@ -13,9 +13,10 @@ the experiment layer:
 * ``GET /v1/jobs/<id>/result`` — the tidy result records.
 * ``GET /v1/jobs/<id>`` — job status; ``GET /v1/healthz`` — liveness.
 
-Execution runs on a persistent :class:`ProcessBackend` pool whose
-workers keep their prepared-kernel / generated-code caches warm across
-jobs, and every completed cell persists to the content-addressed
+``repro serve`` runs jobs on a persistent :class:`ProcessBackend` pool
+(``--jobs 1`` runs them in-process) whose workers keep their
+prepared-kernel / generated-code caches warm across jobs, and every
+completed cell persists to the content-addressed
 :class:`ResultStore` the moment it finishes — so a re-submitted plan
 (from any client, ever) costs zero simulations.
 

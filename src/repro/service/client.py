@@ -75,10 +75,11 @@ class ServiceClient:
                run_config: dict | None = None) -> dict:
         """POST a plan body; returns the submission payload (job id).
 
-        ``run_config`` (engine/backend/jobs/max_steps — a dict or a
+        ``run_config`` (``engine``/``max_steps`` — a dict or a
         :class:`~repro.experiments.config.RunConfig`) rides along as
-        per-job host-side overrides, wrapped with the plan in the
-        ``/v1`` JSON submit envelope; it requires a JSON plan body.
+        per-job overrides, wrapped with the plan in the ``/v1`` JSON
+        submit envelope; it requires a JSON plan body.  The server's
+        own backend decides where cells run.
         """
         try:
             content_type = PLAN_CONTENT_TYPES[fmt]

@@ -37,8 +37,8 @@ def plan_fingerprint(spec: ExperimentSpec) -> str:
     """What a plan *measures*, as one digest.
 
     Hashes the sorted, deduplicated store-key set of the plan's cells
-    plus the repeat structure — host-side choices (backend, jobs,
-    engine) are excluded by construction, because cell keys exclude
+    plus the repeat structure — host-side choices (jobs, engine) are
+    excluded by construction, because cell keys exclude
     them.  Two plans with equal fingerprints produce identical result
     records, which is what makes single-flight coalescing safe.
     """
@@ -82,13 +82,11 @@ class JobManager:
 
     def __init__(self, store: ResultStore | str | None = "results",
                  backend: ExecutionBackend | None = None,
-                 jobs: int | None = None,
                  workers: int = 2, runner=run_experiment):
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
         self.backend = backend
-        self.jobs = jobs
         self._runner = runner
         self._lock = threading.Condition()
         self._jobs: dict[str, Job] = {}
@@ -115,8 +113,8 @@ class JobManager:
         body's ``run_config``).  A ``max_steps`` override changes what
         the plan measures, so it is folded into the spec *before*
         fingerprinting — two submissions that measure different things
-        never coalesce; engine/backend/jobs overrides are host-side
-        only and coalesce freely.
+        never coalesce; an engine override is host-side only and
+        coalesces freely.
         """
         if config is not None and config.max_steps is not None \
                 and config.max_steps != spec.max_steps:
@@ -148,11 +146,8 @@ class JobManager:
                 job.events.append(event)
                 self._lock.notify_all()
 
-        config = RunConfig(jobs=self.jobs)
-        if job.config is not None:
-            config = job.config.merged_over(config)
         try:
-            result = self._runner(job.spec, config=config,
+            result = self._runner(job.spec, config=job.config,
                                   backend=self.backend, store=self.store,
                                   progress=progress)
         except Exception as exc:  # noqa: BLE001 - job isolation boundary

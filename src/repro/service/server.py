@@ -21,8 +21,9 @@ Paths outside ``/v1`` answer ``404``.
 
 A JSON submit body may be a bare plan, or an envelope ``{"plan":
 {...}, "run_config": {...}}`` whose ``run_config`` maps onto a per-job
-:class:`~repro.experiments.config.RunConfig` (the same restricted key
-set plan files accept: engine, backend, jobs, max_steps).
+:class:`~repro.experiments.config.RunConfig` restricted to ``engine``
+and ``max_steps``.  Where cells run is the server's choice (its
+injected backend), so a submission cannot pick workers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import threading
 from http import HTTPStatus
 
-from repro.experiments.config import PLAN_RUN_CONFIG_FIELDS, RunConfig
+from repro.experiments.config import SUBMIT_RUN_CONFIG_FIELDS, RunConfig
 from repro.experiments.spec import ExperimentSpec, PlanError, parse_plan
 from repro.service.client import API_PREFIX
 from repro.service.jobs import JobManager
@@ -188,8 +189,7 @@ def _parse_submission(text: str,
 
     A JSON body holding a ``"plan"`` key is the envelope form:
     ``{"plan": {...}, "run_config": {...}}``.  Anything else — a bare
-    JSON plan, or any TOML body — parses as a plan directly (a plan's
-    own ``run_config`` section still works; it folds into the spec).
+    JSON plan, or any TOML body — parses as a plan directly.
     """
     if fmt == "json":
         try:
@@ -206,7 +206,7 @@ def _parse_submission(text: str,
             if "run_config" in data:
                 try:
                     config = RunConfig.from_dict(
-                        data["run_config"], allowed=PLAN_RUN_CONFIG_FIELDS)
+                        data["run_config"], allowed=SUBMIT_RUN_CONFIG_FIELDS)
                 except ValueError as exc:
                     raise PlanError(f"bad run_config: {exc}") from exc
             return spec, config

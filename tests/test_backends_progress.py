@@ -1,5 +1,5 @@
 """The incremental backend seam: per-cell callbacks, warm pools,
-and the one `jobs` convention.
+and how a directly constructed pool reads `jobs`.
 
 Every backend must report each finished cell through ``on_result``
 (index + result, or index + exception) *before* ``run_cells`` returns
@@ -18,7 +18,6 @@ from repro.experiments.backends import (
     ProcessBackend,
     SerialBackend,
     _prepare_cached,
-    get_backend,
 )
 
 
@@ -146,7 +145,7 @@ class TestWarmPrepareCache:
 
 
 class TestJobsConvention:
-    """One convention everywhere: None/0 = all CPUs, 1 = serial, n = n."""
+    """A constructed pool: None/0 = all CPUs, 1 = serial, n = n."""
 
     def test_none_and_zero_mean_one_worker_per_cpu(self):
         cpus = os.cpu_count() or 1
@@ -161,22 +160,3 @@ class TestJobsConvention:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             ProcessBackend(jobs=-1)
-
-    def test_get_backend_agrees_with_direct_construction(self):
-        by_name = get_backend("process")
-        assert isinstance(by_name, ProcessBackend)
-        assert by_name.worker_count() == ProcessBackend().worker_count()
-        assert get_backend("process", jobs=3).worker_count() == 3
-
-    def test_serial_backend_jobs_still_warns(self):
-        from repro.experiments import (
-            ExperimentSpec,
-            RunConfig,
-            run_experiment,
-        )
-
-        spec = ExperimentSpec(name="t", kernels=("vec_sum",),
-                              machines=(XR_DEFAULT,))
-        with pytest.warns(RuntimeWarning, match="jobs=2 ignored: the "
-                                                "serial backend"):
-            run_experiment(spec, RunConfig(backend="serial", jobs=2))

@@ -133,8 +133,7 @@ class TestExperimentCommand:
 
     def _fake_run_plan(self, monkeypatch, seen):
         def fake_run_plan(plan, config):
-            seen.update(backend=config.backend, jobs=config.jobs,
-                        engine=config.engine)
+            seen.update(jobs=config.jobs, engine=config.engine)
 
             class Empty:
                 def to_dict(self):
@@ -147,44 +146,40 @@ class TestExperimentCommand:
         monkeypatch.setattr("repro.experiments.runner.run_plan",
                             fake_run_plan)
 
-    def test_jobs_implies_process_backend(self, tmp_path, monkeypatch):
+    def test_jobs_flag_reaches_the_config(self, tmp_path, monkeypatch):
         seen = {}
         self._fake_run_plan(monkeypatch, seen)
         plan = self._plan(tmp_path)
         assert main(["experiment", str(plan), "-j", "4"]) == 0
-        assert seen == {"backend": "process", "jobs": 4, "engine": None}
+        assert seen == {"jobs": 4, "engine": None}
 
     def test_no_flags_defer_to_the_plan(self, tmp_path, monkeypatch):
         seen = {}
         self._fake_run_plan(monkeypatch, seen)
         assert main(["experiment", str(self._plan(tmp_path))]) == 0
-        # None means "the plan's own backend/jobs/engine keys decide".
-        assert seen == {"backend": None, "jobs": None, "engine": None}
+        # None means "the plan's own jobs/engine keys decide".
+        assert seen == {"jobs": None, "engine": None}
 
-    def test_jobs_overrides_the_plans_backend(self, tmp_path, monkeypatch):
-        seen = {}
-        self._fake_run_plan(monkeypatch, seen)
-        plan = tmp_path / "plan.json"
-        plan.write_text(
-            '{"name": "t", "kernels": ["vec_sum"],'
-            ' "machines": ["XRdefault"], "backend": "serial"}')
-        assert main(["experiment", str(plan), "--jobs", "4"]) == 0
-        assert seen == {"backend": "process", "jobs": 4, "engine": None}
+    def test_backend_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", str(self._plan(tmp_path)),
+                  "--backend", "process"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_engine_flag_overrides_the_plan(self, tmp_path, monkeypatch):
         seen = {}
         self._fake_run_plan(monkeypatch, seen)
         assert main(["experiment", str(self._plan(tmp_path)),
                      "--engine", "step"]) == 0
-        assert seen == {"backend": None, "jobs": None, "engine": "step"}
+        assert seen == {"jobs": None, "engine": "step"}
 
-    def test_plan_with_backend_and_jobs_keys_runs(self, capsys, tmp_path):
+    def test_plan_with_jobs_and_engine_keys_runs(self, capsys, tmp_path):
         import json
         plan = tmp_path / "plan.json"
         plan.write_text(
             '{"name": "t", "kernels": ["vec_sum"],'
-            ' "machines": ["XRdefault"], "backend": "serial",'
-            ' "jobs": 1, "engine": "step"}')
+            ' "machines": ["XRdefault"], "jobs": 1, "engine": "step"}')
         assert main(["experiment", str(plan), "--no-cache", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulated"] == 1
@@ -314,6 +309,36 @@ class TestServeSubmit:
         finally:
             handle.stop()
             manager.close()
+
+    @pytest.mark.parametrize("flags, kind, jobs, banner", [
+        ([], "ProcessBackend", None, "workers: "),
+        (["--jobs", "3"], "ProcessBackend", 3, "workers: 3)"),
+        (["--jobs", "1"], "SerialBackend", None, "workers: in-process)"),
+    ])
+    def test_serve_jobs_picks_the_injected_backend(
+            self, capsys, tmp_path, monkeypatch, flags, kind, jobs, banner):
+        injected = []
+
+        class Handle:
+            url = "http://127.0.0.1:0"
+
+            def join(self):
+                pass
+
+            def stop(self):
+                pass
+
+        def fake_start(manager, host, port):
+            injected.append(manager.backend)
+            return Handle()
+
+        monkeypatch.setattr("repro.service.start_in_thread", fake_start)
+        assert main(["serve", "--store", str(tmp_path)] + flags) == 0
+        [backend] = injected
+        assert type(backend).__name__ == kind
+        if kind == "ProcessBackend":
+            assert backend.persistent and backend.jobs == jobs
+        assert banner in capsys.readouterr().out
 
     def test_submit_twice_second_fully_cached(self, capsys, tmp_path,
                                               service_url):

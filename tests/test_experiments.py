@@ -18,11 +18,12 @@ from repro.experiments import (
     Cell,
     ExperimentSpec,
     PlanError,
+    ProcessBackend,
     ResultStore,
     RunConfig,
+    SerialBackend,
     SweepAxis,
     cell_key,
-    get_backend,
     load_plan,
     parse_plan,
     run_experiment,
@@ -32,6 +33,25 @@ from repro.workloads.suite import FIGURE2_BENCHMARKS, registry
 
 CUSTOM_ZOLC = ZolcConfig(name="ZOLCtest", max_loops=2, max_task_entries=8,
                          entries_per_loop=1, multi_entry_exit=False)
+
+
+def _spy_backends(monkeypatch) -> list:
+    """Record which backend runs cells: ``"serial"``, or ``("process",
+    workers)``.  Every cell still runs in-process."""
+    seen = []
+    serial_run = SerialBackend.run_cells
+
+    def serial(self, cells, on_result=None):
+        seen.append("serial")
+        return serial_run(self, cells, on_result)
+
+    def process(self, cells, on_result=None):
+        seen.append(("process", self.worker_count()))
+        return serial_run(SerialBackend(), cells, on_result)
+
+    monkeypatch.setattr(SerialBackend, "run_cells", serial)
+    monkeypatch.setattr(ProcessBackend, "run_cells", process)
+    return seen
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -100,28 +120,25 @@ class TestExperimentSpec:
             repeats=2, max_steps=1000)
         assert ExperimentSpec.from_dict(json.loads(spec.to_json())) == spec
 
-    def test_plan_jobs_without_backend_implies_process(self):
-        # Same convention as the CLI's --jobs flag: a plan asking for
-        # workers without naming a backend gets the process backend.
+    def test_plan_backend_key_rejected_naming_accepted_keys(self):
+        # `jobs` alone says where cells run; a plan naming a backend
+        # fails like any other unknown key.
         spec = ExperimentSpec.from_dict(
             {"name": "t", "kernels": ["vec_sum"],
              "machines": ["XRdefault"], "jobs": 4})
-        assert spec.backend == "process" and spec.jobs == 4
-        explicit = ExperimentSpec.from_dict(
-            {"name": "t", "kernels": ["vec_sum"],
-             "machines": ["XRdefault"], "jobs": 4, "backend": "serial"})
-        assert explicit.backend == "serial"  # explicit choice wins
+        assert spec.jobs == 4
+        with pytest.raises(PlanError, match=r"unknown plan keys: backend "
+                                            r"\(accepted: name, .*jobs"):
+            ExperimentSpec.from_dict(
+                {"name": "t", "kernels": ["vec_sum"],
+                 "machines": ["XRdefault"], "jobs": 4,
+                 "backend": "serial"})
 
-    def test_backend_jobs_engine_round_trip(self):
-        spec = small_spec(backend="process", jobs=2, engine="step")
+    def test_jobs_engine_round_trip(self):
+        spec = small_spec(jobs=2, engine="step")
         restored = ExperimentSpec.from_dict(json.loads(spec.to_json()))
         assert restored == spec
-        assert (restored.backend, restored.jobs, restored.engine) \
-            == ("process", 2, "step")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            small_spec(backend="quantum")
+        assert (restored.jobs, restored.engine) == (2, "step")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -295,9 +312,8 @@ class TestRunExperiment:
     def test_process_backend_matches_serial_with_custom_machine(self):
         spec = small_spec(machines=(
             XR_DEFAULT, MachineSpec("ZOLCtest", "zolc", CUSTOM_ZOLC)))
-        serial = run_experiment(spec, RunConfig(backend="serial"))
-        process = run_experiment(spec, RunConfig(backend="process",
-                                                 jobs=2))
+        serial = run_experiment(spec)
+        process = run_experiment(spec, RunConfig(jobs=2))
         assert serial.records == process.records
         assert process.get("vec_sum", "ZOLCtest")["verified"]
 
@@ -344,47 +360,54 @@ class TestRunExperiment:
         assert "4 simulated, 0 cached" in text
         assert "vec_sum" in text and "ZOLClite" in text
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            get_backend("quantum")
-
     def test_backend_instance_accepted(self):
-        backend = get_backend("process", jobs=2)
+        backend = ProcessBackend(jobs=2)
         result = run_experiment(small_spec(kernels=("vec_sum",)),
                                 backend=backend)
         assert result.simulated == 2
 
-    def test_spec_backend_honoured_when_caller_defers(self, monkeypatch):
-        import repro.experiments.runner as runner_module
-        chosen = {}
-        real = runner_module.get_backend
+    def test_spec_jobs_honoured_when_caller_defers(self, monkeypatch):
+        seen = _spy_backends(monkeypatch)
+        run_experiment(small_spec(kernels=("vec_sum",), jobs=2))
+        assert seen == [("process", 2)]
 
-        def spy(name, jobs=None):
-            chosen.update(name=name, jobs=jobs)
-            return real("serial")
+    def test_caller_jobs_override_spec(self, monkeypatch):
+        seen = _spy_backends(monkeypatch)
+        run_experiment(small_spec(kernels=("vec_sum",), jobs=4),
+                       RunConfig(jobs=1))
+        assert seen == ["serial"]
 
-        monkeypatch.setattr(runner_module, "get_backend", spy)
-        run_experiment(small_spec(kernels=("vec_sum",),
-                                  backend="process", jobs=2))
-        assert chosen == {"name": "process", "jobs": 2}
+    def test_config_jobs_reaches_a_pool_without_warning(self, monkeypatch):
+        import warnings
 
-    def test_caller_backend_overrides_spec(self, monkeypatch):
-        import repro.experiments.runner as runner_module
-        chosen = {}
-        real = runner_module.get_backend
+        seen = _spy_backends(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(small_spec(kernels=("vec_sum",)),
+                                    RunConfig(jobs=2))
+        assert seen == [("process", 2)]
+        assert result.simulated == 2
 
-        def spy(name, jobs=None):
-            chosen.update(name=name, jobs=jobs)
-            return real("serial")
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_no_workers_runs_in_process(self, monkeypatch, jobs):
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("built a ProcessBackend")
 
-        monkeypatch.setattr(runner_module, "get_backend", spy)
-        # Forcing serial while the spec asks for 4 workers drops the
-        # jobs request — flagged, never silent.
-        with pytest.warns(RuntimeWarning, match="jobs=4 ignored"):
-            run_experiment(small_spec(kernels=("vec_sum",),
-                                      backend="process", jobs=4),
-                           RunConfig(backend="serial"))
-        assert chosen["name"] == "serial"
+        seen = _spy_backends(monkeypatch)
+        monkeypatch.setattr(ProcessBackend, "__init__", no_pool)
+        run_experiment(small_spec(kernels=("vec_sum",)),
+                       RunConfig(jobs=jobs))
+        assert seen == ["serial"]
+
+    def test_injected_backend_decides_its_own_workers(self, monkeypatch):
+        import warnings
+
+        seen = _spy_backends(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_experiment(small_spec(kernels=("vec_sum",), jobs=4),
+                           RunConfig(jobs=2), backend=SerialBackend())
+        assert seen == ["serial"]
 
     def test_engine_choice_is_bit_identical_and_cache_compatible(
             self, tmp_path):

@@ -1,10 +1,9 @@
 """The unified RunConfig API.
 
 One config value rides through ``run_kernel`` / ``run_suite`` /
-``run_experiment`` / ``run_plan``, plan files, backend construction
-and the service submit body.  These tests pin the merge semantics
-(``None`` defers), the validation errors and the plan ``run_config``
-section (including the both-ways-ambiguous rejection).
+``run_experiment`` / ``run_plan`` and the service submit body.  These
+tests pin the validation errors, the dict round trip and that a plan
+has no ``run_config`` section (its top-level keys say the same).
 """
 
 from pathlib import Path
@@ -17,10 +16,8 @@ from repro.eval.runner import run_kernel, run_suite
 from repro.experiments import (
     ExperimentSpec,
     PlanError,
-    ProcessBackend,
     RunConfig,
     SerialBackend,
-    get_backend,
     run_experiment,
 )
 from repro.workloads.suite import registry
@@ -41,10 +38,6 @@ class TestValidation:
                                      "known: auto, step"):
                 RunConfig(engine=engine)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            RunConfig(backend="gpu")
-
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             RunConfig(jobs=-1)
@@ -57,18 +50,7 @@ class TestValidation:
         assert RunConfig(store=Path("results")).store == "results"
 
 
-class TestMerging:
-    def test_override_replaces_only_set_choices(self):
-        base = RunConfig(engine="auto", jobs=2)
-        merged = base.override(jobs=4, backend=None)
-        assert merged == RunConfig(engine="auto", jobs=4)
-
-    def test_merged_over_set_fields_win(self):
-        override = RunConfig(engine="step")
-        base = RunConfig(engine="auto", jobs=3)
-        assert override.merged_over(base) == RunConfig(engine="step",
-                                                       jobs=3)
-
+class TestConfigValues:
     def test_dict_roundtrip_with_pipeline(self):
         config = RunConfig(engine="step", jobs=2, max_steps=99,
                            pipeline=PipelineConfig(branch_penalty=3))
@@ -131,28 +113,10 @@ class TestRunExperimentConfig:
         assert calls and all(calls)
 
     def test_cache_false_bypasses_the_store(self, tmp_path):
-        config = RunConfig(store=str(tmp_path))
-        run_experiment(small_spec(), config)
-        result = run_experiment(small_spec(),
-                                config.override(cache=False))
+        run_experiment(small_spec(), RunConfig(store=str(tmp_path)))
+        result = run_experiment(small_spec(), RunConfig(
+            store=str(tmp_path), cache=False))
         assert result.simulated == 1 and result.cached == 0
-
-
-class TestBackendConstruction:
-    def test_get_backend_from_config(self):
-        backend = get_backend(config=RunConfig(backend="process", jobs=3))
-        assert isinstance(backend, ProcessBackend) and backend.jobs == 3
-
-    def test_get_backend_defaults_to_serial(self):
-        assert get_backend().name == "serial"
-
-    def test_explicit_args_beat_the_config(self):
-        backend = get_backend("process",
-                              config=RunConfig(backend="serial", jobs=2))
-        assert isinstance(backend, ProcessBackend) and backend.jobs == 2
-
-    def test_backends_take_config_jobs(self):
-        assert ProcessBackend(config=RunConfig(jobs=5)).jobs == 5
 
 
 class TestPlanRunConfig:
@@ -160,32 +124,18 @@ class TestPlanRunConfig:
         return {"name": "p", "kernels": ["vec_sum"],
                 "machines": ["XRdefault"], **extra}
 
-    def test_run_config_section_feeds_plan_defaults(self):
+    def test_plan_keys_carry_host_side_choices(self):
         spec = ExperimentSpec.from_dict(self._plan(
-            run_config={"engine": "step", "jobs": 2, "backend": "process",
-                        "max_steps": 123}))
-        assert (spec.engine, spec.jobs, spec.backend, spec.max_steps) \
-            == ("step", 2, "process", 123)
+            engine="step", jobs=2, max_steps=123))
+        assert (spec.engine, spec.jobs, spec.max_steps) == ("step", 2, 123)
 
-    def test_top_level_keys_beat_the_section(self):
-        spec = ExperimentSpec.from_dict(self._plan(
-            engine="step", run_config={"jobs": 2}))
-        assert spec.engine == "step" and spec.jobs == 2
-
-    def test_key_set_both_ways_is_ambiguous(self):
-        with pytest.raises(PlanError, match="both top-level"):
+    def test_run_config_section_is_an_unknown_key(self):
+        with pytest.raises(PlanError, match="unknown plan keys: "
+                                            "run_config"):
             ExperimentSpec.from_dict(self._plan(
-                engine="step", run_config={"engine": "auto"}))
+                run_config={"engine": "step"}))
 
     def test_removed_engine_values_are_plan_errors(self):
         for engine in ("fast", "traced"):
             with pytest.raises(PlanError, match=f"unknown engine '{engine}'"):
                 ExperimentSpec.from_dict(self._plan(engine=engine))
-            with pytest.raises(PlanError, match=f"unknown engine '{engine}'"):
-                ExperimentSpec.from_dict(self._plan(
-                    run_config={"engine": engine}))
-
-    def test_disallowed_section_key_is_a_plan_error(self):
-        with pytest.raises(PlanError, match="bad plan run_config"):
-            ExperimentSpec.from_dict(self._plan(
-                run_config={"store": "results"}))

@@ -34,8 +34,7 @@ class TestPlanFingerprint:
     def test_host_side_choices_do_not_change_identity(self):
         base = plan_fingerprint(tiny_spec())
         assert plan_fingerprint(tiny_spec(engine="step")) == base
-        assert plan_fingerprint(tiny_spec(backend="process",
-                                          jobs=4)) == base
+        assert plan_fingerprint(tiny_spec(jobs=4)) == base
 
     def test_measured_content_does(self):
         base = plan_fingerprint(tiny_spec())
@@ -80,8 +79,7 @@ class TestJobManager:
             started.set()
             assert gate.wait(timeout=60)
             from repro.experiments import run_experiment
-            return run_experiment(spec, RunConfig(backend="serial"),
-                                  store=kwargs.get("store"),
+            return run_experiment(spec, store=kwargs.get("store"),
                                   progress=kwargs.get("progress"))
 
         with JobManager(store=tmp_path, runner=gated_runner) as manager:
@@ -217,7 +215,7 @@ class TestResultBeforeDone:
             started.set()
             assert gate.wait(timeout=60)
             from repro.experiments import run_experiment
-            return run_experiment(spec, RunConfig(backend="serial"))
+            return run_experiment(spec)
 
         manager = JobManager(store=tmp_path, runner=gated_runner)
         handle = start_in_thread(manager)
@@ -256,7 +254,7 @@ class TestResultBeforeDone:
 
 
 class TestJobManagerRunConfig:
-    def test_per_job_config_merges_over_manager_defaults(self, tmp_path):
+    def test_per_job_config_reaches_the_runner(self, tmp_path):
         captured = {}
 
         def capturing_runner(spec, **kwargs):
@@ -265,13 +263,11 @@ class TestJobManagerRunConfig:
             return run_experiment(spec, RunConfig(),
                                   store=kwargs.get("store"))
 
-        with JobManager(store=tmp_path, jobs=3,
+        with JobManager(store=tmp_path,
                         runner=capturing_runner) as manager:
             job, _ = manager.submit(tiny_spec(), RunConfig(engine="step"))
             manager.wait(job.id, timeout=60)
-        config = captured["config"]
-        assert config.engine == "step"  # the submit body's choice...
-        assert config.jobs == 3  # ...over the manager's standing default
+        assert captured["config"] == RunConfig(engine="step")
 
     def test_max_steps_override_changes_the_fingerprint(self, tmp_path):
         gate = threading.Event()
@@ -330,6 +326,13 @@ class TestV1Api:
         with pytest.raises(ServiceError, match="unknown run_config key"):
             service.submit(tiny_spec().to_json(), "json",
                            run_config={"store": "elsewhere"})
+        # The server's own backend decides where cells run.
+        for key, value in (("jobs", 2), ("backend", "process")):
+            with pytest.raises(ServiceError,
+                               match=f"400.*unknown run_config key.*{key}"
+                                     r".*\(accepted: engine, max_steps\)"):
+                service.submit(tiny_spec().to_json(), "json",
+                               run_config={key: value})
         for engine in ("fast", "traced"):
             with pytest.raises(ServiceError,
                                match=f"400.*unknown engine '{engine}'"):
@@ -344,7 +347,8 @@ class TestV1Api:
 
     def test_run_config_requires_a_json_plan(self, service):
         with pytest.raises(ValueError, match="JSON plan body"):
-            service.submit('name = "x"', "toml", run_config={"jobs": 2})
+            service.submit('name = "x"', "toml",
+                           run_config={"engine": "step"})
 
 
 class TestServiceClientUrl:
