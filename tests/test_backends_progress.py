@@ -160,3 +160,12 @@ class TestJobsConvention:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             ProcessBackend(jobs=-1)
+
+    def test_one_job_runs_a_grid_in_process(self, monkeypatch):
+        import repro.experiments.backends as backends_module
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
+                            _Boom)
+        cells = [_cell("vec_sum"), _cell("dot_product", M_ZOLC_LITE)]
+        results = ProcessBackend(jobs=1).run_cells(cells)
+        assert [r.record() for r in results] \
+            == [r.record() for r in SerialBackend().run_cells(cells)]

@@ -340,6 +340,17 @@ class TestServeSubmit:
             assert backend.persistent and backend.jobs == jobs
         assert banner in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--backend", "process"], "--backend"),
+        (["submit", "plan.json", "--backend", "process"], "--backend"),
+        (["submit", "plan.json", "--jobs", "2"], "--jobs"),
+    ])
+    def test_removed_worker_flags_are_gone(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_submit_twice_second_fully_cached(self, capsys, tmp_path,
                                               service_url):
         import json

@@ -388,6 +388,13 @@ class TestRunExperiment:
         assert seen == [("process", 2)]
         assert result.simulated == 2
 
+    def test_zero_jobs_uses_one_worker_per_cpu(self, monkeypatch):
+        import os
+
+        seen = _spy_backends(monkeypatch)
+        run_experiment(small_spec(kernels=("vec_sum",)), RunConfig(jobs=0))
+        assert seen == [("process", os.cpu_count() or 1)]
+
     @pytest.mark.parametrize("jobs", [None, 1])
     def test_no_workers_runs_in_process(self, monkeypatch, jobs):
         def no_pool(self, *args, **kwargs):

@@ -16,10 +16,12 @@ from repro.eval.runner import run_kernel, run_suite
 from repro.experiments import (
     ExperimentSpec,
     PlanError,
+    ProcessBackend,
     RunConfig,
     SerialBackend,
     run_experiment,
 )
+from repro.experiments.config import SUBMIT_RUN_CONFIG_FIELDS
 from repro.workloads.suite import registry
 
 
@@ -64,6 +66,15 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="accepted: engine"):
             RunConfig.from_dict({"store": "x"}, allowed=("engine",))
 
+    @pytest.mark.parametrize("key, value", [("jobs", 2),
+                                            ("backend", "process")])
+    def test_submit_fields_leave_workers_to_the_server(self, key, value):
+        with pytest.raises(ValueError,
+                           match=f"unknown run_config key.*{key} "
+                                 r"\(accepted: engine, max_steps\)"):
+            RunConfig.from_dict({key: value},
+                                allowed=SUBMIT_RUN_CONFIG_FIELDS)
+
     def test_resolved_store_tri_state(self, tmp_path):
         assert RunConfig().resolved_store() is None
         assert RunConfig(store=str(tmp_path),
@@ -80,6 +91,18 @@ class TestRunKernelConfig:
         with pytest.raises(WatchdogError):
             run_kernel(kernel, XR_DEFAULT, RunConfig(max_steps=5))
 
+    def test_run_kernel_measures_like_a_backend_cell(self):
+        from repro.experiments import Cell
+
+        machine = machine_by_name("ZOLClite")
+        pipeline = PipelineConfig(branch_penalty=3)
+        direct = run_kernel(registry().get("dot_product"), machine,
+                            RunConfig(pipeline=pipeline, engine="step"))
+        [cell] = SerialBackend().run_cells([Cell(
+            kernel_name="dot_product", machine=machine,
+            pipeline=pipeline, max_steps=None, engine="step")])
+        assert direct.record() == cell.record()
+
 
 class TestRunSuiteConfig:
     def test_config_engine_reaches_serial_cells(self, monkeypatch):
@@ -91,6 +114,27 @@ class TestRunSuiteConfig:
         assert calls == []
         run_suite(kernels, [XR_DEFAULT], RunConfig(engine="auto"))
         assert calls and all(calls)
+
+    def test_parallel_cells_take_the_config_choices(self, monkeypatch):
+        shipped = []
+        serial_run = SerialBackend.run_cells
+
+        def in_process(self, cells, on_result=None):
+            shipped.extend(cells)
+            return serial_run(SerialBackend(), cells, on_result)
+
+        monkeypatch.setattr(ProcessBackend, "run_cells", in_process)
+        kernels = [registry().get(n) for n in ("vec_sum", "dot_product")]
+        machines = [XR_DEFAULT, machine_by_name("ZOLClite")]
+        config = RunConfig(jobs=2, engine="step", max_steps=500_000,
+                           pipeline=PipelineConfig(branch_penalty=3))
+        parallel = run_suite(kernels, machines, config)
+        assert len(shipped) == 4
+        assert {(c.pipeline, c.max_steps, c.engine) for c in shipped} \
+            == {(config.pipeline, 500_000, "step")}
+        serial = run_suite(kernels, machines, RunConfig(
+            engine="step", max_steps=500_000, pipeline=config.pipeline))
+        assert parallel.records() == serial.records()
 
 
 class TestRunExperimentConfig:
