@@ -27,9 +27,11 @@ transform front end:
   shared between them), recording each machine's host time.  uZOLC
   re-arms its tables before every loop, so its host time tracks how
   cheaply the engine retires a ``reset … writes … arm`` preheader.
-  Gate: uZOLC's summed host time stays at or below
-  :data:`UZOLC_HOST_TIME_LIMIT` times XRdefault's (best-of-3 per
-  column, in-run).
+  Gates: uZOLC's summed host time stays at or below
+  :data:`UZOLC_HOST_TIME_LIMIT` times XRdefault's, and ZOLClite's and
+  ZOLCfull's each at or below :data:`ZOLC_HOST_TIME_LIMIT` times
+  XRdefault's, which holds only while their task-end decisions run
+  compiled (best-of-5 per column, in-run).
 
 Where the numbers land depends on the invocation (see
 ``benchmarks/conftest.py``): smoke runs write
@@ -92,6 +94,12 @@ BRANCHY_BENCH_KERNELS = ("me_fss", "me_tss", "viterbi")
 # 2-core host; with every table write ending a region it was about
 # 1.9-2.1x.
 UZOLC_HOST_TIME_LIMIT = 1.8
+
+# ZOLClite's and ZOLCfull's summed Figure 2 host time may each be at
+# most this many times XRdefault's.  With the task-selection unit
+# compiled at arm time they measure about 1.06-1.17x on a 2-core host;
+# with it interpreted on every fire they measured 1.26-1.32x.
+ZOLC_HOST_TIME_LIMIT = 1.25
 
 _RESULTS: dict[str, dict] = {}
 
@@ -166,8 +174,8 @@ def _timed(prepared, engine="auto", resident=True):
     return total, time.perf_counter() - t0
 
 
-def _references(columns):
-    """Time reference columns, best-of-3.
+def _references(columns, rounds=3):
+    """Time reference columns, best-of-``rounds`` (default 3).
 
     ``columns`` maps a column name to ``(prepared, kwargs)``: the
     prepared kernels it runs and its ``_timed`` keyword arguments;
@@ -181,7 +189,7 @@ def _references(columns):
     against it agree on method.
     """
     best: dict[str, tuple[int, float]] = {}
-    for _ in range(3):
+    for _ in range(rounds):
         for name, (prepared, kwargs) in columns.items():
             total, elapsed = _timed(prepared, **kwargs)
             if name not in best or elapsed < best[name][1]:
@@ -357,9 +365,9 @@ def test_uzolc_host_time(benchmark, reg):
     """Every machine's warm host time over the Figure 2 suite.
 
     Benchmarks uZOLC's ``auto`` column, then times one column per
-    machine best-of-3, interleaved, after a warm-up pass of each,
-    records every column's minimum and gates the uZOLC/XRdefault
-    ratio.  Each machine prepares every kernel from its own front, so
+    machine best-of-5, interleaved, after a warm-up pass of each,
+    records every column's minimum and gates the uZOLC/XRdefault,
+    ZOLClite/XRdefault and ZOLCfull/XRdefault ratios.  Each machine prepares every kernel from its own front, so
     the columns share no Program and no compiled code.
     """
     prepared = {machine.name: [machine.prepare(reg.get(name).source)
@@ -371,8 +379,11 @@ def test_uzolc_host_time(benchmark, reg):
     for name, kernels in prepared.items():
         if name != "uZOLC":
             _timed(kernels)  # warm this machine's code caches
+    # Best-of-5: the three ratio gates share one XRdefault column, and
+    # a slow stretch of a shared host can cover a column's three
+    # rounds.
     best = _references({name: (kernels, {})
-                        for name, kernels in prepared.items()})
+                        for name, kernels in prepared.items()}, rounds=5)
     xr_total, xr_elapsed = best["XRdefault"]
     uzolc_total, uzolc_elapsed = best["uZOLC"]
     assert uzolc_total == total
@@ -395,3 +406,8 @@ def test_uzolc_host_time(benchmark, reg):
     assert ratio <= UZOLC_HOST_TIME_LIMIT, (
         f"uZOLC takes {ratio:.2f}x XRdefault's host time over the "
         f"Figure 2 suite (limit {UZOLC_HOST_TIME_LIMIT}x)")
+    for name in ("ZOLClite", "ZOLCfull"):
+        zolc_ratio = best[name][1] / xr_elapsed
+        assert zolc_ratio <= ZOLC_HOST_TIME_LIMIT, (
+            f"{name} takes {zolc_ratio:.2f}x XRdefault's host time over "
+            f"the Figure 2 suite (limit {ZOLC_HOST_TIME_LIMIT}x)")

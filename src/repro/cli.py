@@ -39,7 +39,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from repro.asm import assemble, disassemble_program
@@ -164,7 +166,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     handle = start_in_thread(manager, args.host, args.port)
     print(f"repro serve listening on {handle.url} "
           f"(store: {'disabled' if args.no_cache else args.store}, "
-          f"workers: {workers})")
+          f"workers: {workers})", flush=True)
+    # SIGTERM (what `kill` sends) stops the server like Ctrl-C, so the
+    # pool's workers are shut down instead of outliving the server.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         handle.join()
     except KeyboardInterrupt:
@@ -172,7 +179,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         handle.stop()
         manager.close()
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

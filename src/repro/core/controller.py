@@ -37,6 +37,11 @@ from repro.core.tables import (
     CTRL_ARM,
     CTRL_RESET,
     CTRL_STATUS,
+    F_FLAGS,
+    F_INDEX_REG,
+    F_PARENT,
+    LOOP_BASE,
+    LOOP_STRIDE,
     NO_TRIGGER,
     ZolcTables,
 )
@@ -44,6 +49,11 @@ from repro.core.task_select import Decision, TaskSelectionUnit
 from repro.cpu.exceptions import ZolcFaultError
 from repro.cpu.simulator import ZolcAction
 from repro.cpu.state import RegisterFile
+from repro.util.bitops import MASK32
+
+#: Loop-table fields a compiled decision is specialised on (see
+#: :meth:`ZolcController.writer`).
+_STRUCTURAL_FIELDS = frozenset((F_INDEX_REG, F_PARENT, F_FLAGS))
 
 
 class ZolcController:
@@ -70,15 +80,30 @@ class ZolcController:
         # Arm-time compilation snapshot: when the tables are bit-for-bit
         # what the last arm validated and compiled, a re-arm (the uZOLC
         # per-invocation idiom) reuses the validated watch dicts,
-        # compiled watch sets and initial index writes instead of
-        # re-deriving O(tables) state.  Recognised by an equal content
-        # signature (the reset-and-restream sequence).
+        # compiled watch sets and their key, the decision closures and
+        # the initial index writes instead of re-deriving O(tables)
+        # state.  Recognised by an equal content signature (the
+        # reset-and-restream sequence) under the same ``_decide``.
         self._armed_sig: tuple | None = None
+        self._armed_decide = None
         self._compiled_sets: tuple | None = None
         self._initial_writes: list[tuple[int, int]] = []
+        # Per trigger loop, its decision closure (plan.decisions);
+        # ``_lowered`` says whether any of them is compiled, i.e. must
+        # be demoted when a structural field is rewritten while armed.
+        self._decisions: list = []
+        self._lowered = False
+        self._structural_writers: dict[int, Callable[[int], None]] = {}
+        # The plan's fire handlers, bound once.
+        self._handlers = (self.fire_trigger, self.fire_exit,
+                          self.fire_entry, self.fire_target)
         self._single_shot = config.single_shot
         # Statistics observable by the evaluation harness.
         self.task_switches = 0
+        #: Index-register writes by ``plan.decisions`` closures beyond the
+        #: one every decision makes: an engine counts one write per fire
+        #: and adds this counter's growth.
+        self.extra_index_writes = 0
         self.exit_events = 0
         self.entry_events = 0
         self.arm_count = 0
@@ -129,7 +154,41 @@ class ZolcController:
             return self._write_arm
         if selector == CTRL_STATUS:
             return self._write_status
+        offset = selector - LOOP_BASE
+        if (0 <= offset < LOOP_STRIDE * len(self.tables.loops)
+                and offset % LOOP_STRIDE in _STRUCTURAL_FIELDS):
+            return self._structural_writer(selector)
         return self.tables.writer(selector)
+
+    def _structural_writer(self, selector: int) -> Callable[[int], None]:
+        """The writer of a field compiled decisions are specialised on.
+
+        ``index_reg``, ``parent`` and ``flags`` are frozen into the
+        decision closures at arm time, while :meth:`decide` reads them
+        live.  Rewriting one while armed therefore demotes every
+        closure of the served plan, in place, to the interpreted
+        fallback, so the next fire decides exactly as ``decide``
+        would; the next arm lowers afresh.
+        """
+        bound = self._structural_writers.get(selector)
+        if bound is None:
+            record, fieldno = self.tables._locate(selector)
+            name = record._FIELDS[fieldno]
+
+            def bound(value: int) -> None:
+                setattr(record, name, value & MASK32)
+                if self._armed and self._lowered:
+                    self._demote_decisions()
+            self._structural_writers[selector] = bound
+        return bound
+
+    def _demote_decisions(self) -> None:
+        decisions = self._decisions
+        for loop_id, decide in enumerate(decisions):
+            if decide is not None:
+                decisions[loop_id] = self._fallback_decision(loop_id)
+        self._lowered = False
+        self._armed_sig = None
 
     def _reset(self, value: int) -> None:
         self.tables.reset()
@@ -141,8 +200,13 @@ class ZolcController:
         if value & 1:
             self._arm()
         else:
-            self._armed = False
-            self._invalidate_plan()
+            self.disarm()
+
+    def disarm(self) -> None:
+        """Leave active mode (a ``CTRL_ARM`` write of 0, or a
+        single-shot expiry), invalidating the compiled plan."""
+        self._armed = False
+        self._invalidate_plan()
 
     @staticmethod
     def _write_status(value: int) -> None:
@@ -158,25 +222,18 @@ class ZolcController:
 
     def _arm(self) -> None:
         sig = self.tables.signature()
-        if sig == self._armed_sig:
+        if sig == self._armed_sig and self._decide is self._armed_decide:
             # The tables are bit-for-bit what the last arm validated and
             # compiled: skip validation, watch-dict and children-map
-            # rebuilds, reuse the compiled watch sets, and only redo the
-            # per-arm state — status reset, initial index writes, a
-            # fresh plan under a fresh epoch.
+            # rebuilds and lowering, reuse the compiled watch sets, their
+            # key and the decision closures, and only redo the per-arm
+            # state — status reset, initial index writes, a fresh plan
+            # under a fresh epoch.
             self.unit.reset_status()
             self._pending_writes = list(self._initial_writes)
             self._armed = True
             self.arm_count += 1
-            self.plan_epoch += 1
-            triggers, exits, entries = self._compiled_sets
-            self._plan = CompiledControllerPlan(
-                epoch=self.plan_epoch,
-                triggers=triggers, exits=exits, entries=entries,
-                fire_trigger=self.fire_trigger,
-                fire_exit=self.fire_exit,
-                fire_entry=self.fire_entry,
-                fire_target=self.fire_target)
+            self._serve_plan()
             return
         self.tables.validate()
         self._check_capacity()
@@ -207,23 +264,70 @@ class ZolcController:
         # Nothing above mutates the tables, so the signature computed
         # for the failed comparison is still current.
         self._armed_sig = sig
+        self._armed_decide = self._decide
         # Compile the watch sets the moment they are frozen.  Loop/exit/
         # entry *field* values (trips, targets, reset masks, ...) are
         # deliberately not part of the plan: they are read live at fire
         # time, exactly as on_retire reads them, so post-arm table
         # rewrites (e.g. the bound-reload mtz stream) need no
         # recompilation.
-        self.plan_epoch += 1
-        triggers, exits, entries = compile_watch_sets(
+        self._compiled_sets = compile_watch_sets(
             self._watch, self._exit_by_branch, self._entry_by_target)
-        self._compiled_sets = (triggers, exits, entries)
+        self._lower_decisions()
+        self._serve_plan()
+
+    def _serve_plan(self) -> None:
+        """Publish the armed state as a fresh plan under a new epoch."""
+        self.plan_epoch += 1
+        key = self._compiled_sets
         self._plan = CompiledControllerPlan(
-            epoch=self.plan_epoch,
-            triggers=triggers, exits=exits, entries=entries,
-            fire_trigger=self.fire_trigger,
-            fire_exit=self.fire_exit,
-            fire_entry=self.fire_entry,
-            fire_target=self.fire_target)
+            self.plan_epoch, *key, *self._handlers, self._decisions, key)
+
+    def _lower_decisions(self) -> None:
+        """Build ``plan.decisions``: one closure per trigger loop.
+
+        A loop gets the task selection unit's compiled closure
+        (:meth:`TaskSelectionUnit.lower`) unless the controller's
+        decision path is not the stock one — an overridden
+        :meth:`fire_trigger` or a replaced ``_decide`` — or the unit
+        declines (a cyclic cascade chain, for one).  Those loops get
+        :meth:`_fallback_decision`, the interpreted path, so a fault is
+        raised exactly where :meth:`decide` raises it.
+        """
+        stock = (type(self).fire_trigger is ZolcController.fire_trigger
+                 and "fire_trigger" not in self.__dict__
+                 and getattr(self._decide, "__func__", None)
+                 is TaskSelectionUnit.decide
+                 and self._decide.__self__ is self.unit)
+        decisions: list = [None] * len(self.tables.loops)
+        lowered = False
+        for loop_id in self._watch.values():
+            decide = (self.unit.lower(loop_id, self, self._single_shot)
+                      if stock else None)
+            if decide is None:
+                decide = self._fallback_decision(loop_id)
+            else:
+                lowered = True
+            decisions[loop_id] = decide
+        self._decisions = decisions
+        self._lowered = lowered
+
+    def _fallback_decision(self, loop_id: int):
+        """``plan.decisions`` entry over the interpreted decision.
+
+        Fires through :meth:`fire_trigger` (resolved per call, so an
+        override is honoured) and applies the decision's index writes
+        the way the register file would.
+        """
+        def decide(g: list[int]) -> int | None:
+            decision = self.fire_trigger(loop_id)
+            writes = decision.index_writes
+            for reg, value in writes:
+                if reg:
+                    g[reg] = value & MASK32
+            self.extra_index_writes += len(writes) - 1
+            return decision.next_pc
+        return decide
 
     def _check_capacity(self) -> None:
         n_loops = len(self.tables.valid_loops())
@@ -342,8 +446,7 @@ class ZolcController:
         decision = self._decide(loop_id)
         self.task_switches += 1
         if self._single_shot and decision.next_pc is None:
-            self._armed = False
-            self._invalidate_plan()
+            self.disarm()
         return decision
 
     def _is_outside(self, pc: int, entry_pc: int, loop) -> bool:

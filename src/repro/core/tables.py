@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.config import ZolcConfig
 from repro.cpu.exceptions import ZolcFaultError
@@ -162,6 +163,13 @@ class EntryRecord:
         return getattr(self, self._FIELDS[fieldno])
 
 
+#: One record's field values as a tuple (C-level getters: the
+#: signature walk runs on every uZOLC arm).
+_LOOP_FIELDS = attrgetter(*LoopRecord._FIELDS)
+_EXIT_FIELDS = attrgetter(*ExitRecord._FIELDS)
+_ENTRY_FIELDS = attrgetter(*EntryRecord._FIELDS)
+
+
 @dataclass
 class ZolcTables:
     """All writable ZOLC state, dimensioned by a configuration.
@@ -277,13 +285,9 @@ class ZolcTables:
         signature equal, so arm-time compilation products can be
         reused).
         """
-        return (
-            tuple((r.trips, r.initial, r.step, r.index_reg, r.body_pc,
-                   r.trigger_pc, r.parent, r.flags) for r in self.loops),
-            tuple((r.branch_pc, r.target_pc, r.reset_mask, r.flags)
-                  for r in self.exits),
-            tuple((r.entry_pc, r.loop, r.flags) for r in self.entries),
-        )
+        return (tuple(map(_LOOP_FIELDS, self.loops)),
+                tuple(map(_EXIT_FIELDS, self.exits)),
+                tuple(map(_ENTRY_FIELDS, self.entries)))
 
     def valid_loops(self) -> list[int]:
         return [i for i, rec in enumerate(self.loops) if rec.valid]

@@ -13,17 +13,40 @@ from the parent's latch — this is how "successive last iterations of
 nested loops" complete in a single task switch, generalising the
 perfect-nest-only unit of Talla et al. [2] to arbitrary structures.
 
-The unit is purely combinational in hardware; here it is a pure function
-over the tables plus the per-loop iteration counters.
+The unit is purely combinational in hardware.  Here it exists twice:
+
+* :meth:`TaskSelectionUnit.decide` is the interpreter — a pure function
+  over the tables plus the per-loop iteration counters, returning a
+  :class:`Decision`.  The stepped engine (``on_retire``) calls it on
+  every task end, so it stays the independent reference the engines
+  are compared against.
+* :meth:`TaskSelectionUnit.lower` compiles one trigger loop's decision,
+  at arm time, into a plain closure — the LUT entry.  The closure is
+  specialised on what cannot change while armed: the loop's valid
+  descendants, its cascade chain (parents), every index register
+  involved, and their validity.  It reads ``trips``, ``initial``,
+  ``step`` and ``body_pc`` live, because a bound-reload ``mtz`` stream
+  rewrites them after the arm.  Called as ``fn(regs)`` on the raw
+  register list, it performs exactly what :meth:`decide` plus the
+  engine's write-back would: status updates and index-register writes
+  (``r0`` skipped, masked to 32 bits) in :meth:`decide`'s order, then
+  returns the next pc (``None`` on expiry).  A loop-back allocates
+  nothing.  The controller (:mod:`repro.core.controller`) owns the
+  fire-level effects the closure also performs — the ``task_switches``
+  and ``extra_index_writes`` counters and the single-shot disarm — and
+  the rule for when a loop gets no compiled closure (see
+  :mod:`repro.core.compiled`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.index_unit import index_value
-from repro.core.tables import FLAG_VALID, NO_PARENT, ZolcTables
+from repro.core.tables import FLAG_CASCADE, FLAG_VALID, NO_PARENT, ZolcTables
 from repro.cpu.exceptions import ZolcFaultError
+from repro.isa.registers import NUM_REGISTERS
 from repro.util.bitops import MASK32
 
 
@@ -93,12 +116,6 @@ class TaskSelectionUnit:
             out.append(child)
             worklist.extend(self._children.get(child, ()))
         return out
-
-    def descendants(self, loop_id: int) -> list[int]:
-        cached = self._desc.get(loop_id)
-        if cached is not None:
-            return list(cached)
-        return self._walk_descendants(loop_id)
 
     def initial_index_writes(self) -> list[tuple[int, int]]:
         """Register writes performed when the controller arms."""
@@ -174,3 +191,129 @@ class TaskSelectionUnit:
         for loop_id in range(len(self.tables.loops)):
             if mask & (1 << loop_id):
                 self.status[loop_id].reset()
+
+    # -- arm-time lowering ---------------------------------------------------
+    def _chain(self, loop_id: int) -> list[tuple] | None:
+        """The cascade chain :meth:`decide` walks from ``loop_id``.
+
+        One ``(record, status, descendants)`` row per loop, innermost
+        first, where ``descendants`` holds ``(status, record,
+        index_reg)`` of every descendant valid now.  ``None`` when the
+        decision cannot be lowered: a cyclic chain, an invalid loop or
+        an index register outside the register file — :meth:`decide`
+        faults on those at fire time, and only it may.
+        """
+        loops = self.tables.loops
+        chain: list[tuple] = []
+        seen: set[int] = set()
+        while True:
+            if loop_id in seen or not 0 <= loop_id < len(loops):
+                return None
+            seen.add(loop_id)
+            record = loops[loop_id]
+            if (not record.flags & FLAG_VALID
+                    or record.index_reg >= NUM_REGISTERS):
+                return None
+            desc = []
+            for child_id in self._desc.get(loop_id, ()):
+                child = loops[child_id]
+                if child.flags & FLAG_VALID:
+                    if child.index_reg >= NUM_REGISTERS:
+                        return None
+                    desc.append((self.status[child_id], child,
+                                 child.index_reg))
+            chain.append((record, self.status[loop_id], tuple(desc)))
+            if not (record.flags & FLAG_CASCADE
+                    and record.parent != NO_PARENT):
+                return chain
+            loop_id = record.parent
+
+    def lower(self, loop_id: int, port, single_shot: bool
+              ) -> Callable[[list[int]], int | None] | None:
+        """Compile ``loop_id``'s task-end decision into one closure.
+
+        Call at arm time, after :meth:`prepare`.  ``port`` receives the
+        fire's effects: ``task_switches`` (+1 per call),
+        ``extra_index_writes`` (the index-register writes beyond the one
+        every decision makes, ``r0`` included, as
+        ``len(Decision.index_writes)`` counts them) and, when
+        ``single_shot``, ``disarm()`` on expiry.  Returns ``None`` when
+        the decision cannot be lowered (see :meth:`_chain`).
+        """
+        chain = self._chain(loop_id)
+        if chain is None:
+            return None
+        then = None
+        for record, stat, desc in reversed(chain[1:]):
+            then = _cascade_step(port, record, stat, desc, then)
+        record, stat, desc = chain[0]
+        if not desc and then is None and record.index_reg:
+            return _innermost_fire(port, record, stat, single_shot)
+        return _fire_step(port, record, stat, desc, then, single_shot)
+
+
+def _innermost_fire(port, record, stat: LoopStatus, single_shot: bool
+                    ) -> Callable[[list[int]], int | None]:
+    """The closure of the common trigger loop: no valid descendants, no
+    cascade, a real index register — one write per decision."""
+    ir = record.index_reg
+
+    def fire(g: list[int]) -> int | None:
+        port.task_switches += 1
+        done = stat.iterations_done + 1
+        if done < record.trips:
+            stat.iterations_done = done
+            g[ir] = (record.initial + done * record.step) & MASK32
+            return record.body_pc
+        stat.iterations_done = 0
+        g[ir] = (record.initial + record.trips * record.step) & MASK32
+        if single_shot:
+            port.disarm()
+        return None
+    return fire
+
+
+def _fire_step(port, record, stat: LoopStatus, desc: tuple, then,
+               single_shot: bool) -> Callable[[list[int]], int | None]:
+    """The closure of any other trigger loop's decision."""
+    step = _cascade_step(port, record, stat, desc, then)
+
+    def fire(g: list[int]) -> int | None:
+        port.task_switches += 1
+        next_pc = step(g)
+        if next_pc is None and single_shot:
+            port.disarm()
+        return next_pc
+    return fire
+
+
+def _cascade_step(port, record, stat: LoopStatus, desc: tuple, then
+                  ) -> Callable[[list[int]], int | None]:
+    """One loop's decision in a chain: loop back (re-initialising the
+    valid descendants) or expire and continue with ``then``, the
+    parent's step, when the loop cascades.  The chain's first write is
+    the one every decision makes; the step counts the rest."""
+    ir = record.index_reg
+    n_desc = len(desc)
+
+    def decide(g: list[int]) -> int | None:
+        done = stat.iterations_done + 1
+        if done < record.trips:
+            stat.iterations_done = done
+            if ir:
+                g[ir] = (record.initial + done * record.step) & MASK32
+            for cstat, child, cir in desc:
+                cstat.iterations_done = 0
+                if cir:
+                    g[cir] = child.initial & MASK32
+            if n_desc:
+                port.extra_index_writes += n_desc
+            return record.body_pc
+        stat.iterations_done = 0
+        if ir:
+            g[ir] = (record.initial + record.trips * record.step) & MASK32
+        if then is None:
+            return None
+        port.extra_index_writes += 1
+        return then(g)
+    return decide

@@ -63,10 +63,12 @@ array — a dense next-pc watch array (trigger / entry-target), a dense
 current-pc exit-branch array consulted only on taken transfers, and a
 small overflow dict for watch addresses outside the text image.
 Unwatched retirements then skip the Python call entirely; watched ones
-dispatch straight to the plan's specialized fire handlers (trigger →
-task selection, taken exit → status reset, entry from outside → index
-seed) — the *same* bound methods ``on_retire`` itself dispatches
-through, which is what keeps the engines bit-identical.  A retired
+dispatch straight to the plan's fire handlers (taken exit → status
+reset, entry from outside → index seed, the *same* bound methods
+``on_retire`` dispatches through) and, for a trigger, to the plan's
+compiled task-end decision (``plan.decisions``), which the
+differential tests pin against the interpreted unit ``on_retire``
+runs.  A retired
 ``mtz`` to ``CTRL_ARM`` or ``CTRL_RESET`` takes the full ``on_retire``
 oracle path and re-queries the plan (an arm-epoch compare), so
 re-arming, disarming, resets and single-shot expiry all invalidate the

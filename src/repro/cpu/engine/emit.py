@@ -347,10 +347,24 @@ class CodegenRecord(NamedTuple):
 def record_codegen(program, key: tuple, source: str,
                    **fields) -> CodegenRecord:
     """Compile ``source`` and file it in the program's code table under
-    ``key``; returns the record (``fields`` fill the rest of it)."""
-    record = CodegenRecord(source=source,
-                           code=compile(source, CODE_FILENAME, "exec"),
-                           **fields)
+    ``key``; returns the record (``fields`` fill the rest of it).
+
+    Every generated function compiles at line 1 of the one filename
+    :data:`CODE_FILENAME`, which :func:`fault_entry` walks, so the
+    function's ``co_name`` is what tells them apart: it is renamed
+    after its kind and span (``region_<start>_<term>``,
+    ``trace_L<loop>_<start>``), giving each record its own profiler
+    row.  The ``def`` statement still binds the source's name.
+    """
+    code = compile(source, CODE_FILENAME, "exec")
+    name = (f"trace_L{fields['loop_id']}_{fields['start']}"
+            if fields.get("loop_id") is not None
+            else f"{fields['kind']}_{fields['start']}_{fields['term']}")
+    code = code.replace(co_consts=tuple(
+        const.replace(co_name=name, co_qualname=name)
+        if hasattr(const, "co_code") else const
+        for const in code.co_consts))
+    record = CodegenRecord(source=source, code=code, **fields)
     codegen_records(program)[key] = record
     return record
 

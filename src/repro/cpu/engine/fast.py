@@ -221,9 +221,12 @@ def _lower_fast(op: IROp, sim: "Simulator") -> OpFn:
                     f"(pc={pc:#x}); attach a ZolcController")
         elif m == "mtz":
             # The compiled port hands out one bound writer per
-            # selector, so a retirement pays no selector decode.
-            def fn(pc, zwrite=zolc.writer(op.imm), read=read, rt=rt):
-                zwrite(read(rt))
+            # selector, so a retirement pays no selector decode; the
+            # source register is read straight from the register list
+            # (a uZOLC preheader retires one ``mtz`` per table field
+            # on every loop invocation).
+            def fn(pc, zwrite=zolc.writer(op.imm), g=regs._regs, rt=rt):
+                zwrite(g[rt])
                 return None
         else:
             def fn(pc, write=write, zread=zolc.read, sel=op.imm, rt=rt):

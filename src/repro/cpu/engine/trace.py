@@ -141,10 +141,10 @@ class TraceCandidate:
 class Trace:
     """A compiled trace: its loop-resident driver plus outcome table.
 
-    ``run`` is the guard tree with the trigger fire, index writes and
-    loop-back test inlined at every leaf, called as ``run(fire_trigger,
-    budget, cell)`` (everything else binds as generated-function
-    defaults).  A straight-line body is the zero-guard case: one path,
+    ``run`` is the guard tree with the trigger fire and loop-back test
+    inlined at every leaf, called as ``run(decide, budget, cell)`` with
+    the loop's compiled decision (everything else binds as
+    generated-function defaults).  A straight-line body is the zero-guard case: one path,
     one leaf outcome.  The outcome table, line → fault table and
     recorded paths come from the trace's code-table record.
     """
@@ -227,10 +227,14 @@ def _candidate_geometry(program, ir, base: int, plan,
     (loops sharing an entry pull the sibling's latch into the merged
     natural-loop body, which must not disqualify the innermost).  The
     trigger address itself must not double as an entry watch (the
-    trace fires ``fire_trigger`` directly at its leaf, exactly
+    trace fires the loop's decision directly at its leaf, exactly
     as the per-slot path would after its entry watch declined).  An
     outer ZOLC loop is rejected by the watched-address check (its body
     contains the inner loop's trigger), so only innermost loops trace.
+    Only blocks inside the loop's span ``[entry, trigger)`` are
+    scanned: code after the loop that jumps back to the trigger address
+    joins the natural loop through the redirect edge without being
+    part of any iteration.
 
     Returns ``(loop_id, entry_slot, entry_pc, trigger_pc)`` rows,
     cached on the program object (the scan is pure in the IR and the
@@ -268,6 +272,13 @@ def _candidate_geometry(program, ir, base: int, plan,
         legal = True
         for bid in loop.body:
             block = cfg.blocks[bid]
+            if not entry_pc <= ir[block.start].address < pc:
+                # Outside the loop's span: code after the loop that
+                # reaches the trigger address again (a jump back to it)
+                # joins the natural loop through the redirect edge, but
+                # no iteration runs it — the trace covers entry to
+                # trigger, and its path walk still checks every member.
+                continue
             for slot in range(block.start, block.end + 1):
                 op = ir[slot]
                 if (op.is_zolc_init
@@ -449,7 +460,7 @@ class _TraceAbort(Exception):
 class _EmitCtx:
     """Mutable emission state shared across the recursive tree walk.
 
-    ``counts`` is the per-outcome counts-dict expression every return
+    ``counts`` is the per-outcome counts-tuple expression every return
     of the driver carries; the outcome count is known before emission
     (:func:`_outcome_count`), so one walk emits the driver and
     allocates the outcome table together.
@@ -457,7 +468,7 @@ class _EmitCtx:
 
     __slots__ = ("lines", "line_fault", "line_member", "outcomes",
                  "sites", "guards", "ops", "ir", "base", "load_use",
-                 "ord", "loop_id", "entry_pc", "counts")
+                 "ord", "entry_pc", "counts")
 
     def __init__(self, ops, ir, base: int, load_use: int,
                  cand: TraceCandidate, counts: str) -> None:
@@ -474,7 +485,6 @@ class _EmitCtx:
         self.base = base
         self.load_use = load_use
         self.ord = 0
-        self.loop_id = cand.loop_id
         self.entry_pc = cand.entry_pc
         self.counts = counts
 
@@ -575,7 +585,7 @@ def _emit_escape(ctx: _EmitCtx, acc: list, k: int, depth: int,
     _emit_acc(ctx, acc, k, depth, fault, slot)
     _emit(ctx, depth,
           f"return ({ctx.counts}, _steps, _cycles, _stall, "
-          f"_flush, _taken, _fires, _iw, _out[{k}], None)",
+          f"_flush, _taken, _fires, _out[{k}], None)",
           fault, slot)
 
 
@@ -675,53 +685,29 @@ def _emit_tree(ctx: _EmitCtx, tree: list, acc: list,
         ctx.ord += 1
     # Leaf: the last member's next pc is the trigger address.  The
     # fire epilogue is inlined here — account the iteration, fire the
-    # trigger (``_leaf`` marks the in-fire window for the fault cell),
-    # apply the index writes and either loop back or return the
-    # terminating decision.  None of these lines can raise
-    # synchronously, so their fault entries stay ``None``
-    # (reconciliation then lands on the loop entry with no pending
-    # load — exactly the post-fire architectural state).
+    # trigger (``_leaf`` marks the in-fire window for the fault cell)
+    # and either loop back or return the terminating decision's next
+    # pc.  None of these lines can raise synchronously, so their fault
+    # entries stay ``None`` (reconciliation then lands on the loop
+    # entry with no pending load — exactly the post-fire architectural
+    # state).
     k = _outcome(ctx, acc, False, ctx.base + 4 * acc[5][-1][0], None)
     _emit_acc(ctx, acc, k, depth, None, None)
-    # Loop-back fast path: with the engagement-hoisted record valid,
-    # un-cascaded and still looping back, the task-selection decision
-    # is exactly "bump the iteration counter, write the next index
-    # value" — inlined here, skipping the Decision allocation.  Expiry
-    # (and anything the prelude could not prove static) falls through
-    # to the real fire handler.  A halt observed after the fire leaves
-    # through the budget return: the caller re-enters per-slot at the
-    # loop entry and sees ``state.halted`` exactly as a terminating
+    # The fire is the plan's compiled decision for this loop
+    # (``plan.decisions[loop_id]``): it updates status and counters,
+    # writes the index registers into ``_g`` and returns the next pc —
+    # loop-back, expiry and cascade alike.  A halt observed after the
+    # fire leaves through the return: the caller re-enters per-slot at
+    # the loop entry and sees ``state.halted`` exactly as a terminating
     # decision would have left it.
     for step, text in (
-            (0, "if _fast:"),
-            (1, "_done = _stat.iterations_done + 1"),
-            (1, "if _done < _trips:"),
-            (2, "_stat.iterations_done = _done"),
-            (2, "_ctl.task_switches += 1"),
-            (2, "_fires += 1"),
-            (2, "_iw += 1"),
-            (2, "if _ir:"),
-            (3, f"_g[_ir] = (_init + _done * _stride) & {MASK32}"),
-            (2, "if _state.halted:"),
-            (3, "break"),
-            (2, "continue"),
             (0, f"_leaf = {k}"),
-            (0, f"_d = _fire({ctx.loop_id})"),
+            (0, "_n = _dec(_g)"),
             (0, "_leaf = -1"),
             (0, "_fires += 1"),
-            (0, "_w = _d.index_writes"),
-            (0, "if len(_w) == 1:"),
-            (1, "_r, _v = _w[0]"),
-            (1, "if _r:"),
-            (2, f"_g[_r] = _v & {MASK32}"),
-            (0, "else:"),
-            (1, "for _r, _v in _w:"),
-            (2, "if _r:"),
-            (3, f"_g[_r] = _v & {MASK32}"),
-            (0, "_iw += len(_w)"),
-            (0, f"if _d.next_pc != {ctx.entry_pc} or _state.halted:"),
+            (0, f"if _n != {ctx.entry_pc} or _state.halted:"),
             (1, f"return ({ctx.counts}, _steps, _cycles, _stall, "
-                f"_flush, _taken, _fires, _iw, _out[{k}], _d)"),
+                f"_flush, _taken, _fires, _out[{k}], _n)"),
             (0, "continue")):
         _emit(ctx, depth + step, text, None, None)
 
@@ -770,21 +756,17 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
     loop-resident driver together.  The driver runs whole ``trace →
     fire → re-enter`` iterations without returning to the engine loop:
     per-outcome counters and the accounting totals accumulate in
-    locals, every leaf fires the trigger and applies the index writes
-    inline, and a single zero-cost ``try`` publishes progress into the
-    caller's ``_cell`` only when a fault unwinds (its last outcome is
-    set only for a fault raised by the fire itself, after the
-    iteration retired whole).  Returns ``None`` when any path fails to
+    locals, every leaf calls the loop's compiled decision (which writes
+    the index registers itself), and a single zero-cost ``try``
+    publishes progress into the caller's ``_cell`` only when a fault
+    unwinds (its last outcome is set only for a fault raised by the
+    fire itself, after the iteration retired whole).  Returns ``None`` when any path fails to
     replay against the IR or the paths are unmergeable (divergence
     anywhere but a same-slot guard) — the caller marks the candidate
     dead or the bridge unbridgeable.  The blueprint is filed in the
     program's code table under :func:`_record_key`, so a bridge rebuild
     overwrites its predecessor's record.
     """
-    # Function-level import: repro.core's package __init__ imports the
-    # controller, which reaches back into repro.cpu.engine.
-    from repro.core.tables import FLAG_VALID
-
     ir = predecoded.ir
     ops = predecoded.ops
     base = sim.program.text_base
@@ -801,46 +783,14 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
         if tree is None:
             return None
     n_out = _outcome_count(tree)
-    counts = ("{_k: _c for _k, _c in ("
-              + ", ".join(f"({k}, _o{k})" for k in range(n_out))
-              + ",) if _c}")
+    counts = "(" + "".join(f"_o{k}, " for k in range(n_out)) + ")"
     ctx = _EmitCtx(ops, ir, base, sim.timing.config.load_use_stall,
                    cand, counts)
     loop_id = cand.loop_id
-    # Engagement prelude: hoist the trigger loop's record and status
-    # out of the compiled fire handler (``_fire`` is the controller's
-    # bound method per the plan contract).  No ``mtz``/``mfz`` can
-    # retire inside a trace, so the record fields are frozen for the
-    # whole engagement; ``_fast`` proves the loop-back arm of
-    # ``decide()`` — valid record, direct loop-back to this entry, no
-    # valid descendants to re-initialise — can be inlined at the
-    # leaves.  Anything unexpected (a port whose handler is not the
-    # controller method) just disables the fast path.
     for depth, text in (
             (0, " = ".join(f"_o{k}" for k in range(n_out)) + " = 0"),
-            (0, "_steps = _cycles = _stall = _flush = _taken = "
-                "_fires = _iw = 0"),
+            (0, "_steps = _cycles = _stall = _flush = _taken = _fires = 0"),
             (0, "_leaf = -1"),
-            (0, "_fast = False"),
-            (0, "try:"),
-            (1, "_ctl = _fire.__self__"),
-            (1, f"_rec = _ctl.tables.loops[{loop_id}]"),
-            (1, f"_stat = _ctl.unit.status[{loop_id}]"),
-            (1, "_trips = _rec.trips"),
-            (1, "_init = _rec.initial"),
-            (1, "_stride = _rec.step"),
-            (1, "_ir = _rec.index_reg"),
-            (1, f"_fast = (bool(_rec.flags & {FLAG_VALID}) "
-                f"and _rec.body_pc == {cand.entry_pc} "
-                "and _fire.__func__ is _FT "
-                "and _ctl._decide.__func__ is _DEC)"),
-            (1, "if _fast:"),
-            (2, f"for _c in _ctl.unit.descendants({loop_id}):"),
-            (3, f"if _ctl.tables.loops[_c].flags & {FLAG_VALID}:"),
-            (4, "_fast = False"),
-            (4, "break"),
-            (0, "except Exception:"),
-            (1, "_fast = False"),
             (0, "try:")):
         _emit(ctx, depth, text, None, None)
     # The loop header bounds each iteration by its longest outcome,
@@ -854,10 +804,10 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
     ctx.lines[header] = f"        while _steps + {max_out} <= _budget:"
     for depth, text in (
             (1, f"return ({counts}, _steps, _cycles, _stall, _flush, "
-                "_taken, _fires, _iw, None, None)"),
+                "_taken, _fires, None, None)"),
             (0, "except BaseException:"),
             (1, f"_cell[:] = [{counts}, _steps, _cycles, _stall, _flush, "
-                "_taken, _fires, _iw, "
+                "_taken, _fires, "
                 "_out[_leaf] if _leaf >= 0 else None, None]"),
             (1, "raise")):
         _emit(ctx, depth, text, None, None)
@@ -865,10 +815,10 @@ def _compile_trace(sim: "Simulator", predecoded: PredecodedProgram,
         f"{name}={name}"
         for name in REGION_HELPERS
         + tuple(f"_h{k}" for k, _ in ctx.sites)
-        + ("_out", "_FT", "_DEC"))
+        + ("_out",))
     return record_codegen(
         sim.program, _record_key(sim, table, cand),
-        f"def _trace(_fire, _budget, _cell, {params}):\n"
+        f"def _trace(_dec, _budget, _cell, {params}):\n"
         + "\n".join(ctx.lines),
         kind="trace", start=cand.entry_slot, term=cand.entry_slot,
         line_member=tuple(ctx.line_member), fallbacks=tuple(ctx.sites),
@@ -880,16 +830,9 @@ def _instantiate_trace(sim: "Simulator", predecoded: PredecodedProgram,
                        record: CodegenRecord,
                        cand: TraceCandidate) -> Trace:
     """Bind a blueprint record to one simulator's architectural state."""
-    # Imported here, not at module level: repro.core.__init__ pulls in
-    # the controller, which reaches back into cpu.engine.
-    from repro.core.controller import ZolcController
-    from repro.core.task_select import TaskSelectionUnit
-
     ops = predecoded.ops
     bindings = {f"_h{k}": ops[slot][0] for k, slot in record.fallbacks}
-    bindings.update(_out=record.outcomes,
-                    _FT=ZolcController.fire_trigger,
-                    _DEC=TaskSelectionUnit.decide)
+    bindings["_out"] = record.outcomes
     return Trace(instantiate(sim, record.code, "_trace", bindings),
                  record, ops[cand.entry_slot][2], cand)
 
@@ -974,8 +917,10 @@ def record_step(rec: TraceRecorder, op, taken: bool
 
 def note_fire(sim: "Simulator", predecoded: PredecodedProgram,
               table: TraceTable, rec: TraceRecorder | None,
-              loop_id: int, decision) -> TraceRecorder | None:
-    """Post-``fire_trigger`` hook: finish a recording or profile one.
+              loop_id: int, next_pc: int | None) -> TraceRecorder | None:
+    """Post-fire hook: finish a recording or profile one.
+
+    ``next_pc`` is what the fired decision of ``loop_id`` returned.
 
     With a recorder active, any fire ends it: the candidate's own
     direct loop-back completes the path (built, or spliced into the
@@ -990,7 +935,7 @@ def note_fire(sim: "Simulator", predecoded: PredecodedProgram,
         cand = table.cands.get(loop_id)
         if (cand is None or cand.dead
                 or table.slots[cand.entry_slot] is not None
-                or decision.next_pc != cand.entry_pc):
+                or next_pc != cand.entry_pc):
             return None
         cand.count += 1
         if cand.count < HOT_THRESHOLD:
@@ -1006,7 +951,7 @@ def note_fire(sim: "Simulator", predecoded: PredecodedProgram,
         table.slots[cand.entry_slot] = trace
         return None
     cand = rec.cand
-    if loop_id != cand.loop_id or decision.next_pc != cand.entry_pc:
+    if loop_id != cand.loop_id or next_pc != cand.entry_pc:
         _kill_soft(rec)
         return None
     path = rec.prefix + tuple(rec.events)
@@ -1064,12 +1009,15 @@ def note_side_exit(trace: Trace, out: TraceOutcome,
 # returning to the engine loop, until the fire decision stops looping
 # back, a guard side-exits, or the (watchdog-derived) step budget
 # cannot fit another worst-case iteration.  It is called as
-# ``run(fire_trigger, budget, cell)`` and returns ``(counts, steps,
-# cycles, stall, flush, taken, fires, index_writes, last_outcome,
-# decision)`` — ``decision`` is ``None`` when the budget ran out or
-# ``last_outcome`` is a side exit; ``cell`` publishes the same tuple
-# only when a fault unwinds, with ``last_outcome`` set only when the
-# fire itself raised.
+# ``run(decide, budget, cell)`` with the loop's compiled decision
+# (``plan.decisions[loop_id]``) and returns ``(counts, steps, cycles,
+# stall, flush, taken, fires, last_outcome, next_pc)``, ``counts``
+# holding one execution count per outcome, in outcome-table order.
+# ``last_outcome`` is ``None`` when the budget ran out and a side-exit
+# outcome when a guard failed; otherwise it is the leaf whose fire
+# ended the run, and ``next_pc`` is that decision's next pc (``None``
+# on expiry).  ``cell`` publishes the same tuple only when a fault
+# unwinds, with ``last_outcome`` set only when the fire itself raised.
 
 
 def reconcile_trace_fault(exc: BaseException, trace: Trace,

@@ -292,35 +292,72 @@ class PlanTable:
     (``None`` while unarmed), so re-arming the same tables re-uses the
     slicing, the watch arrays, every fused megahandler and trace *and*
     the heat gathered so far.  The cache is cleared whenever the
-    program is re-predecoded (ZOLC port swap).
+    program is re-predecoded (ZOLC port swap).  The slicing and the
+    watch arrays depend only on the program and the plan's watch sets,
+    so they are computed once per program and plan key
+    (:func:`_plan_geometry`); a new simulator copies the slicing and
+    shares the watch arrays, which nothing writes.
     """
 
     __slots__ = ("regions", "heat", "next_watch", "exit_watch",
                  "far_watch", "traces")
 
-    def __init__(self, predecoded: PredecodedProgram, plan, n: int,
-                 base: int) -> None:
-        watched_next = (frozenset() if plan is None
-                        else plan.watched_next_pcs())
-        self.regions = straightline_terms(predecoded.metas, base,
-                                          watched_next)
+    def __init__(self, program, predecoded: PredecodedProgram, plan,
+                 n: int, base: int) -> None:
+        regions, self.next_watch, self.exit_watch, self.far_watch = \
+            _plan_geometry(program, predecoded, plan, n, base)
+        self.regions = list(regions)
         self.heat = [0] * n
-        self.next_watch, self.exit_watch, self.far_watch = (
-            (None, None, None) if plan is None
-            else _compile_watch_arrays(plan, n, base))
         self.traces: TraceTable | None = None
+
+
+#: Program attribute caching :func:`_plan_geometry` per plan key.
+_PLAN_GEOMETRY_ATTR = "_plan_geometry"
+
+
+def _plan_geometry(program, predecoded: PredecodedProgram, plan, n: int,
+                   base: int) -> tuple:
+    """One plan state's region slicing and watch arrays, per program.
+
+    ``(regions, next_watch, exit_watch, far_watch)``: the
+    :func:`straightline_terms` scan under the plan's watched next pcs
+    (a tuple, copied into each :class:`PlanTable`) and
+    :func:`_compile_watch_arrays`' arrays (``None`` while unarmed).
+    Both are pure in the program's IR and the plan's watch sets, so
+    every simulator of one program (a uZOLC kernel re-arming one plan
+    per loop, on every cell) shares one scan per plan key.
+    """
+    per_program = program.__dict__.get(_PLAN_GEOMETRY_ATTR)
+    if per_program is None:
+        per_program = program.__dict__[_PLAN_GEOMETRY_ATTR] = {}
+    key = None if plan is None else plan.key
+    geometry = per_program.get(key)
+    if geometry is None:
+        if plan is None:
+            regions = straightline_terms(predecoded.metas, base,
+                                         frozenset())
+            watch = (None, None, None)
+        else:
+            regions = straightline_terms(predecoded.metas, base,
+                                         plan.watched_next_pcs())
+            watch = _compile_watch_arrays(plan, n, base)
+        geometry = per_program[key] = (tuple(regions), *watch)
+    return geometry
 
 
 def _traced_dispatch_state(plan, sim: "Simulator",
                            predecoded: PredecodedProgram, n: int,
                            base: int, zolc, no_regions: list,
-                           resident: bool):
+                           resident: bool, memo: dict):
     """Resolve the run loop's dispatch state from a plan query.
 
     Returns the local-variable bundle the run loop runs on:
     ``(next_watch, exit_watch, far_watch, fire_exit, fire_entry,
-    fire_trigger, epoch, active_without_plan, regions, heat, traces,
-    jit)``, read from the plan's :class:`PlanTable` (one dict probe).
+    decisions, epoch, active_without_plan, regions, heat, traces,
+    jit)``, read from the plan's :class:`PlanTable`: found by the key
+    object's identity when this run already resolved it (an identical
+    re-arm hands out the same key object; ``memo`` maps ``id(key)`` to
+    ``(key, table)``), else by one dict probe that hashes the key.
     With no plan the watch arrays, fire handlers and epoch are
     ``None``; ``active_without_plan`` then reports whether the port is
     active anyway (the transient arm-writes-pending window).  In that
@@ -328,7 +365,7 @@ def _traced_dispatch_state(plan, sim: "Simulator",
     pauses: the all-``None`` ``no_regions`` table is served until the
     plan appears.  The same all-``None`` table stands in for the trace
     table whenever there is no compiled plan (traces only exist against
-    one — their leaves fire the plan's trigger handler directly) or
+    one — their leaves call the plan's decision closures directly) or
     ``resident`` is off, in which case no trace is bound; ``jit`` is
     the :class:`~repro.cpu.engine.trace.TraceTable` or ``None``.
     ``heat`` is the region table's entry counters (``None`` beside the
@@ -338,9 +375,16 @@ def _traced_dispatch_state(plan, sim: "Simulator",
         return (None, None, None, None, None, None, None, True,
                 no_regions, None, no_regions, None)
     key = None if plan is None else plan.key
-    table = sim._plan_tables.get(key)
-    if table is None:
-        table = sim._plan_tables[key] = PlanTable(predecoded, plan, n, base)
+    known = memo.get(id(key))
+    if known is not None:
+        table = known[1]
+    else:
+        table = sim._plan_tables.get(key)
+        if table is None:
+            table = sim._plan_tables[key] = PlanTable(
+                sim.program, predecoded, plan, n, base)
+        # The memo holds the key itself, so its id stays unique.
+        memo[id(key)] = (key, table)
     if plan is None:
         return (None, None, None, None, None, None, None, False,
                 table.regions, table.heat, no_regions, None)
@@ -350,7 +394,7 @@ def _traced_dispatch_state(plan, sim: "Simulator",
         if jit is None:
             jit = table.traces = discover_traces(sim, predecoded, plan)
     return (table.next_watch, table.exit_watch, table.far_watch,
-            plan.fire_exit, plan.fire_entry, plan.fire_trigger,
+            plan.fire_exit, plan.fire_entry, plan.decisions,
             plan.epoch, False, table.regions, table.heat,
             no_regions if jit is None else jit.slots, jit)
 
@@ -422,16 +466,22 @@ def run_traced(sim: "Simulator", max_steps: int,
     trace_steps = 0
 
     regs_write = state.regs.write
+    g = state.regs._regs
+    # Decision closures write index registers themselves: one per fire,
+    # plus what the port counts as extra (descendants, cascades).
+    extra_writes0 = zolc.extra_index_writes if zolc is not None else 0
     ctrl = [meta.zolc_ctrl is not None for meta in metas]
     irops = predecoded.ir
     no_regions: list = [None] * n
 
+    memo: dict = {}
+
     def resync(plan):
         return _traced_dispatch_state(plan, sim, predecoded, n, base,
-                                      zolc, no_regions, resident)
+                                      zolc, no_regions, resident, memo)
 
     try:
-        (znext, zexit, zfar, fire_exit, fire_entry, fire_trigger,
+        (znext, zexit, zfar, fire_exit, fire_entry, decisions,
          zepoch, zactive, regions, heat, traces, jit) = resync(
             plan_fn() if plan_fn is not None else None)
         while not halted:
@@ -458,28 +508,29 @@ def run_traced(sim: "Simulator", max_steps: int,
                 cell: list = []
                 fault = None
                 try:
-                    resident_run = trace.run(fire_trigger,
+                    resident_run = trace.run(decisions[trace.loop_id],
                                              max_steps - steps, cell)
                 except BaseException as exc:
                     fault = exc
                     resident_run = cell
                 (ccounts, csteps, ccycles, cstall, cflush, ctaken,
-                 cfires, ciw, last_rec, done) = resident_run
-                for ck, cc in ccounts.items():
-                    crid = trace.outcomes[ck].rid
-                    ccount = rcounts.get(crid)
-                    if ccount is None:
-                        rcounts[crid] = cc
-                        rmembers_by_id[crid] = trace.outcomes[ck].members
-                    else:
-                        rcounts[crid] = ccount + cc
+                 cfires, last_rec, target) = resident_run
+                for outcome, cc in zip(trace.outcomes, ccounts):
+                    if cc:
+                        crid = outcome.rid
+                        ccount = rcounts.get(crid)
+                        if ccount is None:
+                            rcounts[crid] = cc
+                            rmembers_by_id[crid] = outcome.members
+                        else:
+                            rcounts[crid] = ccount + cc
                 steps += csteps
                 cycles += ccycles + cfires * zolc_switch_extra
                 stall += cstall
                 flush += cflush
                 taken_branches += ctaken
                 task_switches += cfires
-                index_writes += ciw
+                index_writes += cfires
                 trace_steps += csteps
                 if csteps and stall0:
                     cycles += stall0
@@ -511,8 +562,8 @@ def run_traced(sim: "Simulator", max_steps: int,
                         pc = fpc
                     raise fault
                 halted = state.halted
-                if done is None:
-                    if last_rec is not None and last_rec.is_exit:
+                if last_rec is None or last_rec.is_exit:
+                    if last_rec is not None:
                         # The guard did not retire: the engine
                         # re-executes the branch per-slot at its own
                         # address, watches and all — the side exit is
@@ -527,20 +578,21 @@ def run_traced(sim: "Simulator", max_steps: int,
                     pending = None
                     pc = trace.entry_pc
                     continue
+                # A fire ended the run: ``target`` is its next pc.
                 pending = None
-                if done.next_pc is None:
+                if target is None:
                     # Expiry: the only decision that can disarm.
                     plan = plan_fn()
                     if plan is None or plan.epoch != zepoch:
                         (znext, zexit, zfar, fire_exit, fire_entry,
-                         fire_trigger, zepoch, zactive, regions, heat,
+                         decisions, zepoch, zactive, regions, heat,
                          traces, jit) = resync(plan)
                         jit_rec = None
                     pc = trace.trigger_pc
                 else:
                     # Cascade redirect (or halted mid loop-back): the
                     # plan is still valid.
-                    pc = done.next_pc
+                    pc = target
                 continue
             # -- retire: a fused region or one predecoded slot ------------
             region = regions[idx]
@@ -644,22 +696,18 @@ def run_traced(sim: "Simulator", max_steps: int,
                                 jit_rec = abandon_recording(jit_rec)
                         if not fired and trigger_loop is not None:
                             fired = True
-                            decision = fire_trigger(trigger_loop)
+                            target = decisions[trigger_loop](g)
                             if jit is not None and (jit_rec is not None
                                                     or jit.cands):
                                 jit_rec = note_fire(
                                     sim, predecoded, jit, jit_rec,
-                                    trigger_loop, decision)
-                            writes = decision.index_writes
-                            if writes:
-                                for reg, value in writes:
-                                    regs_write(reg, value)
-                                index_writes += len(writes)
+                                    trigger_loop, target)
                             task_switches += 1
+                            index_writes += 1
                             pending = None
                             cycles += zolc_switch_extra
-                            if decision.next_pc is not None:
-                                next_pc = decision.next_pc
+                            if target is not None:
+                                next_pc = target
                             else:
                                 # Only a non-redirecting (expiry)
                                 # decision can disarm: re-query the
@@ -667,7 +715,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                                 plan = plan_fn()
                                 if plan is None or plan.epoch != zepoch:
                                     (znext, zexit, zfar, fire_exit,
-                                     fire_entry, fire_trigger, zepoch,
+                                     fire_entry, decisions, zepoch,
                                      zactive, regions, heat, traces,
                                      jit) = resync(plan)
                                     jit_rec = None
@@ -703,7 +751,7 @@ def run_traced(sim: "Simulator", max_steps: int,
                 if (plan.epoch != zepoch if plan is not None
                         else zepoch is not None or zactive or zolc.active):
                     (znext, zexit, zfar, fire_exit, fire_entry,
-                     fire_trigger, zepoch, zactive, regions, heat,
+                     decisions, zepoch, zactive, regions, heat,
                      traces, jit) = resync(plan)
                     jit_rec = None
             pc = next_pc
@@ -717,6 +765,8 @@ def run_traced(sim: "Simulator", max_steps: int,
         stats.instructions += steps
         stats.stall_cycles = stall
         stats.flush_cycles = flush
+        if zolc is not None:
+            index_writes += zolc.extra_index_writes - extra_writes0
         stats.zolc_index_writes += index_writes
         stats.zolc_task_switches += task_switches
         # Residency tallies live on the Simulator, NOT in Stats: the

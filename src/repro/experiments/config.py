@@ -95,43 +95,29 @@ class RunConfig:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "pipeline":
-                from dataclasses import asdict
-
-                value = asdict(value)
-            out[f.name] = value
-        return out
+        """The fields that are set (what a ``/v1`` submit body carries)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @classmethod
     def from_dict(cls, data: dict,
-                  allowed: tuple[str, ...] | None = None) -> "RunConfig":
+                  allowed: tuple[str, ...]) -> "RunConfig":
         """Parse a ``run_config`` mapping (service submit bodies).
 
-        ``allowed`` restricts the accepted keys — service submissions
-        pass :data:`SUBMIT_RUN_CONFIG_FIELDS`, rejecting every other
-        field with a clear error instead of silently dropping it
+        ``allowed`` names the accepted keys — service submissions pass
+        :data:`SUBMIT_RUN_CONFIG_FIELDS` — and every other key is
+        rejected with a clear error instead of being silently dropped
         server-side.
         """
         if not isinstance(data, dict):
             raise ValueError(f"run_config must be a mapping, "
                              f"got {type(data).__name__}")
-        known = tuple(f.name for f in fields(cls))
-        accepted = allowed if allowed is not None else known
-        bad = set(data) - set(accepted)
+        bad = set(data) - set(allowed)
         if bad:
             raise ValueError(
                 f"unknown run_config key(s): {', '.join(sorted(bad))} "
-                f"(accepted: {', '.join(accepted)})")
+                f"(accepted: {', '.join(allowed)})")
         values = dict(data)
-        if isinstance(values.get("pipeline"), dict):
-            values["pipeline"] = PipelineConfig(**values["pipeline"])
-        if values.get("jobs") is not None:
-            values["jobs"] = int(values["jobs"])
         if values.get("max_steps") is not None:
             values["max_steps"] = int(values["max_steps"])
         return cls(**values)

@@ -507,6 +507,31 @@ class TestExplicitDisarm:
             assert sim.trace_resident_steps > 0
 
 
+class TestDirectJumpToTrigger:
+    def test_loop_goes_resident_when_later_code_jumps_to_its_trigger(
+            self):
+        """``DISARM_SRC`` with a direct ``j after`` in place of the
+        indirect jump: the jump's block joins the loop's natural loop
+        through the trigger redirect edge, and its ``mtz`` must not
+        keep the one-instruction body from going resident."""
+        from repro.synth.observe import observe
+
+        source = DISARM_SRC.replace(
+            "        ori  t9, zero, %lo(after)\n"
+            "        jr   t9                 # reach the trigger unarmed: "
+            "no fire\n",
+            "        j    after              # reach the trigger unarmed: "
+            "no fire\n")
+        assert "j    after" in source
+        slow = _zolc_sim(source)
+        slow.run(engine="step")
+        sim = _zolc_sim(source)
+        sim.run()
+        assert observe(sim) == observe(slow)
+        assert sim.state.regs["s0"] == 72
+        assert sim.trace_resident_steps > 0
+
+
 class TestPlanlessFallback:
     """A port without ``zolc_plan`` (any pre-compiled-plan custom
     :class:`ZolcPort`) must resolve ``auto`` to the stepped interpreter

@@ -53,14 +53,16 @@ class TestValidation:
 
 
 class TestConfigValues:
-    def test_dict_roundtrip_with_pipeline(self):
-        config = RunConfig(engine="step", jobs=2, max_steps=99,
-                           pipeline=PipelineConfig(branch_penalty=3))
-        assert RunConfig.from_dict(config.to_dict()) == config
+    def test_submit_fields_roundtrip(self):
+        config = RunConfig(engine="step", max_steps=99)
+        assert config.to_dict() == {"engine": "step", "max_steps": 99}
+        assert RunConfig.from_dict(config.to_dict(),
+                                   allowed=SUBMIT_RUN_CONFIG_FIELDS) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown run_config key"):
-            RunConfig.from_dict({"engine": "step", "threads": 2})
+            RunConfig.from_dict({"engine": "step", "threads": 2},
+                                allowed=SUBMIT_RUN_CONFIG_FIELDS)
 
     def test_from_dict_allowed_restricts_further(self):
         with pytest.raises(ValueError, match="accepted: engine"):

@@ -363,3 +363,77 @@ class TestServiceClientUrl:
     def test_unknown_plan_format_rejected(self):
         with pytest.raises(ValueError, match="unknown plan format"):
             ServiceClient("127.0.0.1:1").submit("{}", "yaml")
+
+
+def _children(pid: int) -> set[int]:
+    """Pids of every live descendant of ``pid`` (Linux ``/proc``)."""
+    from pathlib import Path
+
+    out: set[int] = set()
+    frontier = [pid]
+    while frontier:
+        parent = frontier.pop()
+        for task in Path(f"/proc/{parent}/task").glob("*"):
+            try:
+                text = (task / "children").read_text()
+            except OSError:
+                continue
+            for child in map(int, text.split()):
+                if child not in out:
+                    out.add(child)
+                    frontier.append(child)
+    return out
+
+
+def _alive(pid: int) -> bool:
+    from pathlib import Path
+
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+@pytest.mark.skipif(not __import__("os").path.exists("/proc/self/task"),
+                    reason="needs Linux /proc to list child processes")
+class TestServeShutdown:
+    def test_sigterm_stops_the_pool_with_the_server(self, tmp_path):
+        """`kill` on `repro serve --jobs 2` leaves no worker behind."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "2", "--no-cache"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            banner = server.stdout.readline()
+            assert "listening on" in banner, banner
+            url = banner.split("listening on ")[1].split()[0]
+            submit = subprocess.run(
+                [sys.executable, "-m", "repro", "submit",
+                 str(root / "examples" / "smoke_plan.toml"), "--url", url,
+                 "--quiet"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert submit.returncode == 0, submit.stderr
+            children = _children(server.pid)
+            assert children, "the persistent pool started no worker"
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=60) == 0
+            deadline = time.monotonic() + 30
+            while (any(_alive(pid) for pid in children)
+                   and time.monotonic() < deadline):
+                time.sleep(0.2)
+            assert not [pid for pid in children if _alive(pid)]
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()

@@ -157,16 +157,23 @@ class TestDescendantReset:
         assert tsu.status[1].iterations_done == 0
         assert (9, 50) in decision.index_writes
 
-    def test_descendants_helper(self, unit):
+    def test_loop_back_reinitialises_transitive_descendants(self, unit):
         tables, tsu = unit
         program_loop(tables, 0, trips=2, body_pc=0x10, trigger=T.NO_TRIGGER)
         program_loop(tables, 1, trips=2, body_pc=0x20, trigger=T.NO_TRIGGER,
-                     parent=0, cascade=True)
+                     parent=0, cascade=True, index_reg=9, initial=5)
         program_loop(tables, 2, trips=2, body_pc=0x30, trigger=0x40,
-                     parent=1, cascade=True)
+                     parent=1, cascade=True, index_reg=10, initial=7)
         tsu.prepare()
-        assert sorted(tsu.descendants(0)) == [1, 2]
-        assert tsu.descendants(2) == []
+        tsu.status[1].iterations_done = tsu.status[2].iterations_done = 1
+        decision = tsu.decide(0)
+        assert decision.looped_back == 0
+        assert sorted(decision.index_writes[1:]) == [(9, 5), (10, 7)]
+        assert tsu.status[1].iterations_done == 0
+        assert tsu.status[2].iterations_done == 0
+        tsu.status[1].iterations_done = 1
+        assert tsu.decide(2).index_writes == [(10, 8)]
+        assert tsu.status[1].iterations_done == 1
 
 
 class TestResetLoops:
